@@ -184,6 +184,12 @@ class TestEstimateBpm:
         assert est.bpm == 100.0
         assert est.status is BpmStatus.VALID
 
+    def test_trailing_beat_without_ibi_stamps_estimate(self):
+        beats = [BeatEvent(0, None), BeatEvent(1000, 1000), BeatEvent(5000, None)]
+        est = estimate_bpm(beats, 3)
+        assert est.t_ms == 5000
+        assert est.bpm == 60.0
+
 
 # Property tests
 

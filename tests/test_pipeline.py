@@ -1,0 +1,113 @@
+import random
+
+import pytest
+
+from pulsealarm import (
+    BpmEstimator,
+    BpmReading,
+    ClockTick,
+    EngineConfig,
+    Pipeline,
+    Sample,
+    SchmittConfig,
+    StrayPulse,
+    StreamOrderError,
+    WaveformSpec,
+    detect_beats,
+    initial_state,
+    run_engine,
+    run_pipeline,
+    set_alarm,
+    synthesize,
+)
+
+from oracle import offline_beat_scan
+
+SCHMITT = SchmittConfig(upper_threshold=550, lower_threshold=470, refractory_ms=250)
+DURATION_MS = 8000
+
+
+def random_spec(rng, seed):
+    """Criterion 5's waveform generator: random rate, level, noise,
+    wander and mid-band strays."""
+    bpm = rng.uniform(40, 180)
+    baseline = rng.randrange(100, 301)
+    amplitude = rng.randrange(300, min(601, 1024 - baseline))
+    strays = tuple(
+        StrayPulse(rng.uniform(0, DURATION_MS), rng.randrange(471, 550), rng.uniform(20, 80))
+        for _ in range(rng.randrange(0, 6))
+    )
+    return WaveformSpec(
+        duration_ms=DURATION_MS,
+        sample_rate_hz=100,
+        heart_rate_bpm=bpm,
+        pulse_amplitude=amplitude,
+        baseline=baseline,
+        noise_stddev=rng.uniform(0, 30),
+        wander_amplitude=rng.uniform(0, 40),
+        wander_period_ms=rng.uniform(2000, 20000),
+        stray_pulses=strays,
+        rng_seed=seed,
+    )
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_pipeline_agrees_with_batch_layers(seed):
+    rng = random.Random(20_000 + seed)
+    samples, _ = synthesize(random_spec(rng, seed))
+    config = EngineConfig(required_streak=rng.randrange(1, 4))
+    alarm_time = rng.randrange(0, DURATION_MS)
+    smoothing = rng.randrange(1, 6)
+
+    report = run_pipeline(samples, SCHMITT, config, alarm_time, smoothing)
+
+    oracle = offline_beat_scan(
+        [s.t_ms for s in samples], [s.value for s in samples],
+        SCHMITT.upper_threshold, SCHMITT.lower_threshold, SCHMITT.refractory_ms,
+    )
+    assert report.beat_count == len(oracle)
+    assert [r.t_ms for r in report.readings] == oracle[1:]
+
+    estimator = BpmEstimator(smoothing)
+    readings = {}
+    for beat in detect_beats(samples, SCHMITT):
+        estimate = estimator.add(beat)
+        if estimate is not None:
+            readings[beat.t_ms] = estimate
+    assert report.readings == list(readings.values())
+
+    events = []
+    for s in samples:
+        events.append(ClockTick(s.t_ms))
+        if s.t_ms in readings:
+            events.append(BpmReading(readings[s.t_ms]))
+    final, log = run_engine(events, config, set_alarm(initial_state(config), alarm_time))
+    assert report.transitions == log
+    assert report.final_phase is final.phase
+
+
+def test_non_advancing_sample_refused_without_effect():
+    samples, _ = synthesize(WaveformSpec(duration_ms=5000, heart_rate_bpm=120))
+    pipeline = Pipeline(SCHMITT, EngineConfig(required_streak=1), alarm_time_ms=1000)
+    for s in samples:
+        pipeline.push(s)
+    assert pipeline.beat_count > 0 and pipeline.transitions
+    before = (
+        pipeline.sample_count,
+        pipeline.beat_count,
+        list(pipeline.readings),
+        list(pipeline.transitions),
+        pipeline.engine_state,
+    )
+    last = samples[-1]
+    for t_ms in (last.t_ms, last.t_ms - 10):
+        with pytest.raises(StreamOrderError):
+            pipeline.push(Sample(t_ms, 1000))
+        after = (
+            pipeline.sample_count,
+            pipeline.beat_count,
+            list(pipeline.readings),
+            list(pipeline.transitions),
+            pipeline.engine_state,
+        )
+        assert after == before
