@@ -9,35 +9,30 @@ framed ingest protocol, and a CLI round out the toolkit.
 
 from .detector import (
     ADC_MAX,
+    BeatDetector,
     BeatEvent,
     BpmEstimate,
     BpmEstimator,
     BpmStatus,
-    Level,
     Sample,
     SchmittConfig,
-    SchmittState,
     bpm_from_ibi,
     detect_beats,
     estimate_bpm,
     naive_detect_beats,
     plausibility_filter,
-    schmitt_step,
 )
 from .engine import (
     AlarmEngineState,
-    AlarmLineLevel,
     BpmReading,
     BuzzerOff,
     BuzzerOn,
     ClockTick,
     Disarm,
     EngineConfig,
-    Latch,
     LogTransition,
     Phase,
     initial_state,
-    latch_alarm_line,
     run_engine,
     set_alarm,
     step,

@@ -4,7 +4,7 @@ baseline over a corpus of waveforms with injected stray pulses and noise."""
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .detector import SchmittConfig, detect_beats, naive_detect_beats
@@ -88,25 +88,18 @@ def bench_corpus(
     missed beats of both detectors across runs_per_cell seeded waveforms."""
     rows = []
     grid_ms = 1000.0 / base_spec.sample_rate_hz
+    _, base_truth = synthesize(base_spec)
     for stray_count in stray_counts:
         for noise in noise_levels:
             totals = [0, 0, 0, 0]
             for run in range(runs_per_cell):
                 cell_seed = seed * 1_000_003 + hash((stray_count, noise, run)) % 1_000_003
                 rng = random.Random(cell_seed)
-                _, truth = synthesize(base_spec)
-                spec = WaveformSpec(
-                    duration_ms=base_spec.duration_ms,
-                    sample_rate_hz=base_spec.sample_rate_hz,
-                    heart_rate_bpm=base_spec.heart_rate_bpm,
-                    pulse_amplitude=base_spec.pulse_amplitude,
-                    baseline=base_spec.baseline,
-                    pulse_width_ms=base_spec.pulse_width_ms,
+                spec = replace(
+                    base_spec,
                     noise_stddev=noise,
-                    wander_amplitude=base_spec.wander_amplitude,
-                    wander_period_ms=base_spec.wander_period_ms,
                     stray_pulses=place_strays(
-                        truth.beat_times_ms, stray_count, stray_peak,
+                        base_truth.beat_times_ms, stray_count, stray_peak,
                         stray_width_ms, rng, grid_ms,
                     ),
                     rng_seed=cell_seed,

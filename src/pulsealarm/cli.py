@@ -85,19 +85,21 @@ def _load_schmitt(d: dict) -> SchmittConfig:
         raise ConfigError(f"schmitt: {exc}") from exc
 
 
-def _load_engine(d: dict, profile: Optional[UserProfile]) -> EngineConfig:
-    _strict(d, {"band_mode", "required_streak", "latch_set_threshold"}, "engine")
-    mode_name = d.get("band_mode", "fixed")
+def _band_mode(engine: dict) -> BandMode:
+    name = engine.get("band_mode", "fixed")
     try:
-        mode = BandMode(mode_name)
+        return BandMode(name)
     except ValueError:
-        raise ConfigError(f"engine.band_mode: unknown mode {mode_name!r}") from None
+        raise ConfigError(f"engine.band_mode: unknown mode {name!r}") from None
+
+
+def _load_engine(d: dict, profile: Optional[UserProfile]) -> EngineConfig:
+    _strict(d, {"band_mode", "required_streak"}, "engine")
+    mode = _band_mode(d)
     try:
-        band = satisfaction_band(profile, mode)
         return EngineConfig(
-            satisfaction_band=band,
+            satisfaction_band=satisfaction_band(profile, mode),
             required_streak=int(d.get("required_streak", 3)),
-            latch_set_threshold=int(d.get("latch_set_threshold", 512)),
         )
     except ValueError as exc:
         raise ConfigError(f"engine: {exc}") from exc
@@ -178,7 +180,9 @@ def _build_run(config: dict, args) -> tuple[list, int, EngineConfig, Optional[Ph
             raise ConfigError("a scenario requires a 'profile' section")
         sc = dict(config["scenario"])
         _strict(sc, _SCENARIO_KEYS, "scenario")
-        mode = BandMode(config.get("engine", {}).get("band_mode", "fixed"))
+        engine = config.get("engine", {})
+        _strict(engine, {"band_mode"}, "engine in scenario mode")
+        mode = _band_mode(engine)
         if "exercise_bpm" in sc:
             sc["exercise_bpm"] = float(sc["exercise_bpm"])
         scenario = make_wake_scenario(

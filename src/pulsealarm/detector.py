@@ -1,10 +1,10 @@
 """Beat detection on a noisy sampled pulse waveform.
 
-The detector is a software Schmitt trigger: the output only goes HIGH once
-the signal reaches the upper threshold and only re-arms after it falls to
-the lower threshold, so excursions that stay inside the hysteresis band can
-never produce a beat. A refractory guard suppresses double-triggers on a
-single pulse. A deliberately fragile single-threshold detector is kept
+BeatDetector is a streaming software Schmitt trigger: the output only goes
+HIGH once the signal reaches the upper threshold and only re-arms after it
+falls to the lower threshold, so excursions that stay inside the hysteresis
+band can never produce a beat. A refractory guard suppresses double-triggers
+on a single pulse. A deliberately fragile single-threshold detector is kept
 around as a comparison baseline.
 """
 
@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import statistics
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import StreamOrderError
@@ -22,11 +22,6 @@ ADC_MAX = 1023
 
 PLAUSIBLE_MIN_BPM = 23.0
 PLAUSIBLE_MAX_BPM = 200.0
-
-
-class Level(enum.Enum):
-    LOW = "low"
-    HIGH = "high"
 
 
 class BpmStatus(enum.Enum):
@@ -68,14 +63,6 @@ class SchmittConfig:
 
 
 @dataclass(frozen=True)
-class SchmittState:
-    """The trigger's memory: current output level and last accepted beat time."""
-
-    level: Level = Level.LOW
-    last_beat_t_ms: Optional[int] = None
-
-
-@dataclass(frozen=True)
 class BeatEvent:
     """A detected heartbeat. ibi_ms is absent for the first beat of a stream."""
 
@@ -90,54 +77,58 @@ class BpmEstimate:
     status: BpmStatus
 
 
-def schmitt_step(
-    state: SchmittState, config: SchmittConfig, sample: Sample
-) -> tuple[SchmittState, bool]:
-    """Advance the trigger by one sample.
+class BeatDetector:
+    """The streaming Schmitt trigger: push samples in time order, get beats.
 
-    Returns the new state and whether an accepted rising edge occurred.
-    LOW -> HIGH requires value >= upper_threshold; the edge is suppressed
-    (but the level still flips) when it falls inside the refractory window
-    of the previous accepted beat. HIGH -> LOW requires value <= lower
-    threshold and never emits. Values inside the band change nothing.
+    LOW -> HIGH requires value >= upper_threshold and emits a beat unless it
+    falls inside the refractory window of the previous beat (the level still
+    flips). HIGH -> LOW requires value <= lower_threshold and never emits.
+    Values inside the band change nothing. push raises StreamOrderError on a
+    timestamp that does not advance, before changing any state.
     """
-    if state.level is Level.LOW:
-        if sample.value >= config.upper_threshold:
-            suppressed = (
-                state.last_beat_t_ms is not None
-                and sample.t_ms - state.last_beat_t_ms < config.refractory_ms
+
+    __slots__ = ("config", "high", "last_beat_t_ms", "last_t_ms")
+
+    def __init__(self, config: SchmittConfig = SchmittConfig()):
+        self.config = config
+        self.high = False
+        self.last_beat_t_ms: Optional[int] = None
+        self.last_t_ms: Optional[int] = None
+
+    def push(self, sample: Sample) -> Optional[BeatEvent]:
+        t = sample.t_ms
+        if self.last_t_ms is not None and t <= self.last_t_ms:
+            raise StreamOrderError(
+                f"sample at t_ms={t} does not advance past {self.last_t_ms}"
             )
-            if suppressed:
-                return SchmittState(Level.HIGH, state.last_beat_t_ms), False
-            return SchmittState(Level.HIGH, sample.t_ms), True
-        return state, False
-    if sample.value <= config.lower_threshold:
-        return SchmittState(Level.LOW, state.last_beat_t_ms), False
-    return state, False
+        self.last_t_ms = t
+        if self.high:
+            if sample.value <= self.config.lower_threshold:
+                self.high = False
+            return None
+        if sample.value < self.config.upper_threshold:
+            return None
+        self.high = True
+        last = self.last_beat_t_ms
+        if last is not None and t - last < self.config.refractory_ms:
+            return None
+        self.last_beat_t_ms = t
+        return BeatEvent(t, None if last is None else t - last)
 
 
 def detect_beats(
     samples: Iterable[Sample], config: SchmittConfig = SchmittConfig()
 ) -> Iterator[BeatEvent]:
-    """Run the Schmitt trigger over an ordered sample stream.
+    """Run a BeatDetector over an ordered sample stream.
 
     Yields one BeatEvent per accepted rising edge; single-pass and causal.
     Raises StreamOrderError on a non-monotone timestamp.
     """
-    state = SchmittState()
-    last_t: Optional[int] = None
-    prev_beat_t: Optional[int] = None
+    push = BeatDetector(config).push
     for sample in samples:
-        if last_t is not None and sample.t_ms <= last_t:
-            raise StreamOrderError(
-                f"sample at t_ms={sample.t_ms} does not advance past {last_t}"
-            )
-        last_t = sample.t_ms
-        state, edge = schmitt_step(state, config, sample)
-        if edge:
-            ibi = None if prev_beat_t is None else sample.t_ms - prev_beat_t
-            prev_beat_t = sample.t_ms
-            yield BeatEvent(sample.t_ms, ibi)
+        beat = push(sample)
+        if beat is not None:
+            yield beat
 
 
 def naive_detect_beats(
@@ -195,21 +186,23 @@ def estimate_bpm(
 ) -> Optional[BpmEstimate]:
     """Median-smoothed rate from the most recent beats.
 
-    Takes the median of the last min(smoothing_window, available)
-    instantaneous bpm values and runs it through the plausibility filter.
-    Returns None until at least two beats (one interval) are available.
+    Folds the beats through a BpmEstimator: the median of the last
+    min(smoothing_window, available) instantaneous bpm values, through the
+    plausibility filter, stamped with the last beat's time. Returns None
+    until at least two beats (one interval) are available.
     """
-    if smoothing_window < 1:
-        raise ValueError(f"smoothing_window must be >= 1, got {smoothing_window}")
-    rates = [bpm_from_ibi(b.ibi_ms) for b in beats if b.ibi_ms is not None]
-    if not rates:
-        return None
-    window = rates[-smoothing_window:]
-    return plausibility_filter(statistics.median(window), beats[-1].t_ms)
+    estimator = BpmEstimator(smoothing_window)
+    latest = None
+    for beat in beats:
+        estimate = estimator.add(beat)
+        if estimate is not None:
+            latest = estimate
+    return None if latest is None else replace(latest, t_ms=beats[-1].t_ms)
 
 
 class BpmEstimator:
-    """Streaming counterpart of estimate_bpm: feed beats, get estimates."""
+    """Median rate over a sliding window of beats: feed beats in order, get
+    plausibility-filtered estimates. estimate_bpm is its batch fold."""
 
     def __init__(self, smoothing_window: int = 5):
         if smoothing_window < 1:

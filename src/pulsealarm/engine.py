@@ -1,10 +1,10 @@
 """Alarm lifecycle state machine.
 
-The engine arms on a scheduled time, latches the alarm line like a bistable
-multivibrator (once set, it stays set until re-arm or disarm), rings
-indefinitely, and silences the buzzer only after a configurable run of
-consecutive valid heart-rate readings inside the satisfaction band. There
-is deliberately no snooze.
+The engine arms on a scheduled time, rings indefinitely, and silences the
+buzzer only after a configurable run of consecutive valid heart-rate
+readings inside the satisfaction band: ring-until-satisfied. RINGING is the
+latch the paper builds from a bistable circuit; only that in-band streak or
+a Disarm leaves it. There is deliberately no snooze.
 """
 
 from __future__ import annotations
@@ -30,16 +30,10 @@ class Phase(enum.Enum):
     STOPPED = "stopped"
 
 
-class Latch(enum.Enum):
-    RESET = "reset"
-    SET = "set"
-
-
 @dataclass(frozen=True)
 class EngineConfig:
     satisfaction_band: BpmBand = FIXED_SATISFACTION_BAND
     required_streak: int = 3
-    latch_set_threshold: int = 512
 
     def __post_init__(self):
         band = self.satisfaction_band
@@ -59,7 +53,6 @@ class AlarmEngineState:
     config: EngineConfig
     phase: Phase = Phase.IDLE
     alarm_time_ms: Optional[int] = None
-    latch: Latch = Latch.RESET
     in_band_streak: int = 0
     last_event_t_ms: Optional[int] = None
 
@@ -69,12 +62,6 @@ class AlarmEngineState:
 @dataclass(frozen=True)
 class ClockTick:
     t_ms: int
-
-
-@dataclass(frozen=True)
-class AlarmLineLevel:
-    t_ms: int
-    level: int
 
 
 @dataclass(frozen=True)
@@ -91,7 +78,7 @@ class Disarm:
     t_ms: int
 
 
-EngineEvent = Union[ClockTick, AlarmLineLevel, BpmReading, Disarm]
+EngineEvent = Union[ClockTick, BpmReading, Disarm]
 
 
 # Actions emitted by step(); BuzzerOn exactly on entry to RINGING,
@@ -139,24 +126,8 @@ def set_alarm(state: AlarmEngineState, clock_time_ms: int) -> AlarmEngineState:
             f"cannot set alarm while {state.phase.value}"
         )
     return replace(
-        state,
-        phase=Phase.ARMED,
-        alarm_time_ms=clock_time_ms,
-        latch=Latch.RESET,
-        in_band_streak=0,
+        state, phase=Phase.ARMED, alarm_time_ms=clock_time_ms, in_band_streak=0
     )
-
-
-def latch_alarm_line(state: AlarmEngineState, analog_level: int) -> AlarmEngineState:
-    """Bistable alarm-line latch: a level at or above the set threshold
-    sets it, and nothing but re-arm or disarm ever resets it."""
-    if state.phase not in (Phase.ARMED, Phase.RINGING):
-        raise StateConflictError(
-            f"alarm line is only sampled while armed or ringing, not {state.phase.value}"
-        )
-    if analog_level >= state.config.latch_set_threshold:
-        return replace(state, latch=Latch.SET)
-    return state
 
 
 def step(
@@ -181,13 +152,7 @@ def step(
         if state.phase is not Phase.IDLE:
             actions.append(LogTransition(t, state.phase, Phase.IDLE, "disarm"))
         return (
-            replace(
-                state,
-                phase=Phase.IDLE,
-                alarm_time_ms=None,
-                latch=Latch.RESET,
-                in_band_streak=0,
-            ),
+            replace(state, phase=Phase.IDLE, alarm_time_ms=None, in_band_streak=0),
             actions,
         )
 
@@ -199,12 +164,7 @@ def step(
         ):
             actions.append(BuzzerOn(t))
             actions.append(LogTransition(t, Phase.ARMED, Phase.RINGING, "clock_tick"))
-            return replace(state, phase=Phase.RINGING, latch=Latch.SET), actions
-        return state, actions
-
-    if isinstance(event, AlarmLineLevel):
-        if state.phase in (Phase.ARMED, Phase.RINGING):
-            return latch_alarm_line(state, event.level), actions
+            return replace(state, phase=Phase.RINGING), actions
         return state, actions
 
     # BpmReading: only meaningful while ringing.

@@ -6,17 +6,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .detector import (
-    BeatEvent,
+    BeatDetector,
     BpmEstimate,
     BpmEstimator,
     BpmStatus,
     Sample,
     SchmittConfig,
-    SchmittState,
-    schmitt_step,
 )
 from .engine import (
     AlarmEngineState,
@@ -29,7 +27,6 @@ from .engine import (
     set_alarm,
     step,
 )
-from .errors import StreamOrderError
 
 
 @dataclass
@@ -127,12 +124,9 @@ class Pipeline:
         alarm_time_ms: int,
         smoothing_window: int = 5,
     ):
-        self._schmitt_config = schmitt
-        self._schmitt_state = SchmittState()
+        self._detector = BeatDetector(schmitt)
         self._estimator = BpmEstimator(smoothing_window)
         self._engine_state = set_alarm(initial_state(engine_config), alarm_time_ms)
-        self._last_t: Optional[int] = None
-        self._prev_beat_t: Optional[int] = None
         self.transitions: list[LogTransition] = []
         self.readings: list[BpmEstimate] = []
         self.beat_count = 0
@@ -147,22 +141,15 @@ class Pipeline:
         self.transitions.extend(a for a in actions if isinstance(a, LogTransition))
 
     def push(self, sample: Sample) -> None:
-        if self._last_t is not None and sample.t_ms <= self._last_t:
-            raise StreamOrderError(
-                f"sample at t_ms={sample.t_ms} does not advance past {self._last_t}"
-            )
-        self._last_t = sample.t_ms
+        """Feed one sample. A sample whose time does not advance raises
+        StreamOrderError from the detector and changes nothing."""
+        beat = self._detector.push(sample)
         self.sample_count += 1
         self._engine_step(ClockTick(sample.t_ms))
-        self._schmitt_state, edge = schmitt_step(
-            self._schmitt_state, self._schmitt_config, sample
-        )
-        if not edge:
+        if beat is None:
             return
-        ibi = None if self._prev_beat_t is None else sample.t_ms - self._prev_beat_t
-        self._prev_beat_t = sample.t_ms
         self.beat_count += 1
-        estimate = self._estimator.add(BeatEvent(sample.t_ms, ibi))
+        estimate = self._estimator.add(beat)
         if estimate is not None:
             self.readings.append(estimate)
             self._engine_step(BpmReading(estimate))

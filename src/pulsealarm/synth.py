@@ -96,13 +96,6 @@ class WaveformSpec:
         )
         return tuple(sorted(segs))
 
-    def bpm_at(self, t_ms: float) -> float:
-        rate = self.segments()[0][1]
-        for start, bpm in self.segments():
-            if t_ms >= start:
-                rate = bpm
-        return rate
-
 
 @dataclass(frozen=True)
 class GroundTruth:
@@ -111,11 +104,17 @@ class GroundTruth:
 
 
 def _beat_times(spec: WaveformSpec) -> list[float]:
+    """Beat times from 0 ms on. Each interval follows the rate of the last
+    schedule segment starting at or before the beat that opens it."""
+    segments = spec.segments()
     beats = []
     t = 0.0
+    i = 0
     while t < spec.duration_ms:
         beats.append(t)
-        t += 60000.0 / spec.bpm_at(t)
+        while i + 1 < len(segments) and t >= segments[i + 1][0]:
+            i += 1
+        t += 60000.0 / segments[i][1]
     return beats
 
 

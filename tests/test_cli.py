@@ -3,6 +3,8 @@ import socket
 import threading
 import time
 
+import pytest
+
 from pulsealarm import WaveformSpec, synthesize, write_waveform
 from pulsealarm.cli import main
 
@@ -104,6 +106,26 @@ class TestRunCommand:
     def test_missing_source_exit_2(self, tmp_path):
         cfg = write_config(tmp_path, {"alarm_time_ms": 0})
         assert main(["run", "--config", cfg]) == 2
+
+    @pytest.mark.parametrize(
+        "source,engine",
+        [
+            ("scenario", {"bogus": 1}),
+            ("scenario", {"required_streak": 50}),
+            ("scenario", {"band_mode": "bogus"}),
+            ("waveform", {"band_mode": "bogus"}),
+            ("waveform", {"latch_set_threshold": 512}),
+        ],
+    )
+    def test_bad_engine_section_exit_2(self, tmp_path, capsys, source, engine):
+        config = {"profile": {"age_years": 20, "resting_bpm": 90}, "engine": engine}
+        if source == "scenario":
+            config["scenario"] = {}
+        else:
+            config["waveform"] = {"duration_ms": 1000}
+            config["alarm_time_ms"] = 0
+        assert main(["run", "--config", write_config(tmp_path, config)]) == 2
+        assert "engine" in capsys.readouterr().err
 
 
 class TestBenchCommand:

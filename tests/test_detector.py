@@ -3,12 +3,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pulsealarm import (
+    BeatDetector,
     BeatEvent,
     BpmStatus,
-    Level,
     Sample,
     SchmittConfig,
-    SchmittState,
     StrayPulse,
     StreamOrderError,
     WaveformSpec,
@@ -17,7 +16,6 @@ from pulsealarm import (
     estimate_bpm,
     naive_detect_beats,
     plausibility_filter,
-    schmitt_step,
     synthesize,
 )
 
@@ -26,48 +24,46 @@ from oracle import offline_beat_scan
 CONFIG = SchmittConfig(upper_threshold=550, lower_threshold=470, refractory_ms=250)
 
 
+def pushed_beats(seq, detector=None):
+    """Push (t_ms, value) pairs through a BeatDetector; the beats emitted."""
+    detector = detector or BeatDetector(CONFIG)
+    beats = [detector.push(Sample(t, v)) for t, v in seq]
+    return [b for b in beats if b is not None]
+
+
 class TestSchmittStep:
+    """One BeatDetector.push is one step of the trigger."""
+
     def test_low_to_high_emits_edge(self):
-        state, edge = schmitt_step(SchmittState(), CONFIG, Sample(0, 560))
-        assert state.level is Level.HIGH
-        assert edge
+        assert pushed_beats([(0, 560)]) == [BeatEvent(0, None)]
 
     def test_band_value_does_not_toggle_from_low(self):
-        state, edge = schmitt_step(SchmittState(), CONFIG, Sample(0, 500))
-        assert state.level is Level.LOW
-        assert not edge
+        # a band value leaves the trigger LOW, so the next crossing still beats
+        assert pushed_beats([(0, 500), (10, 560)]) == [BeatEvent(10, None)]
 
     def test_high_holds_through_band_then_drops(self):
-        high = SchmittState(Level.HIGH, last_beat_t_ms=0)
-        state, edge = schmitt_step(high, CONFIG, Sample(10, 500))
-        assert state.level is Level.HIGH
-        assert not edge
-        state, edge = schmitt_step(state, CONFIG, Sample(20, 460))
-        assert state.level is Level.LOW
-        assert not edge
+        # HIGH holds through a band value: no re-trigger at 600 ms; only a
+        # drop to the lower threshold re-arms it, so 900 ms beats
+        seq = [(0, 560), (300, 500), (600, 560), (800, 460), (900, 560)]
+        assert pushed_beats(seq) == [BeatEvent(0, None), BeatEvent(900, 900)]
 
     def test_refractory_suppresses_edge(self):
         # Beat at t=0, drop below lower, rise again at t=100: the level
-        # flips but no edge is emitted. Confirmed against the offline
-        # oracle over the same sequence.
-        seq = [(0, 560), (50, 400), (100, 560)]
-        state = SchmittState()
-        edges = []
-        for t, v in seq:
-            state, edge = schmitt_step(state, CONFIG, Sample(t, v))
-            if edge:
-                edges.append(t)
-        assert state.level is Level.HIGH
-        assert edges == [0]
+        # flips but no beat is emitted, and the trigger must re-arm before
+        # the next beat. Confirmed against the offline oracle.
+        seq = [(0, 560), (50, 400), (100, 560), (300, 560), (350, 400), (400, 560)]
+        assert pushed_beats(seq) == [BeatEvent(0, None), BeatEvent(400, 400)]
         oracle = offline_beat_scan(
             [t for t, _ in seq], [v for _, v in seq], 550, 470, 250
         )
-        assert oracle == [0]
+        assert oracle == [0, 400]
 
-    def test_pure_no_mutation(self):
-        state = SchmittState()
-        schmitt_step(state, CONFIG, Sample(0, 900))
-        assert state == SchmittState()
+    def test_refused_sample_changes_nothing(self):
+        detector = BeatDetector(CONFIG)
+        assert pushed_beats([(0, 560), (50, 400)], detector) == [BeatEvent(0, None)]
+        with pytest.raises(StreamOrderError):
+            detector.push(Sample(50, 560))
+        assert pushed_beats([(300, 560)], detector) == [BeatEvent(300, 300)]
 
 
 class TestDetectBeats:
