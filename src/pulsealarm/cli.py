@@ -7,33 +7,34 @@ Subcommands:
     send   replay a waveform CSV as frames over a TCP socket
     serve  receive frames on a TCP socket and run the pipeline live
 
+`run` and `serve` share one config loader: a `scenario` sets the alarm
+time, the engine config and the expected phase, else `alarm_time_ms` is
+required. `serve` needs no sample source, and it drops samples whose time
+does not advance, logging their count at WARNING, instead of aborting.
+
 Exit codes: 0 expected final phase (or nothing to check), 1 unexpected
-final phase, 2 configuration error, 3 I/O or protocol-fatal error.
+final phase, 2 configuration error (any malformed config value or
+PULSEALARM_PORT), 3 I/O or protocol-fatal error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import os
 import socket
 import sys
+from dataclasses import fields
 from typing import Optional
 
 from .bench import bench_corpus
-from .detector import SchmittConfig
+from .detector import Sample, SchmittConfig
 from .engine import EngineConfig, Phase
-from .errors import (
-    ConfigError,
-    PulseAlarmError,
-    ScenarioError,
-    StreamOrderError,
-    WaveformParseError,
-    WaveformSpecError,
-)
+from .errors import ConfigError, PulseAlarmError, ScenarioError, StreamOrderError
 from .physiology import BandMode, UserProfile, satisfaction_band
-from .pipeline import Pipeline, RunReport, run_pipeline
+from .pipeline import Pipeline, RunReport
 from .protocol import CorruptFrame, FrameDecoder, Gap, Resync, SampleOutcome, replay_file
 from .synth import (
     StrayPulse,
@@ -51,113 +52,97 @@ EXIT_UNEXPECTED_PHASE = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
 
+_CONFIG_KEYS = (
+    "profile", "schmitt", "engine", "smoothing_window", "waveform",
+    "scenario", "input_path", "alarm_time_ms", "expected_final_phase",
+    "output_path", "bench",
+)
+_SCENARIO_KEYS = (
+    "exercise_bpm", "sleep_duration_ms", "exercise_duration_ms",
+    "sample_rate_hz", "noise_stddev", "required_streak",
+)
+_BENCH_KEYS = (
+    "base", "stray_counts", "noise_levels", "runs_per_cell", "naive_threshold",
+    "stray_peak", "stray_width_ms", "match_tolerance_ms",
+)
 
-def _strict(d: dict, allowed: set[str], where: str) -> None:
-    unknown = sorted(set(d) - allowed)
+
+def _section(config: dict, name: str, keys) -> dict:
+    """config[name] ({} if absent), checked to be an object with only `keys`."""
+    section = config.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name}: must be an object, got {section!r}")
+    unknown = sorted(set(section) - set(keys))
     if unknown:
-        raise ConfigError(f"unknown keys in {where}: {', '.join(unknown)}")
+        raise ConfigError(f"{name}: unknown keys {', '.join(unknown)}")
+    return section
+
+
+@contextlib.contextmanager
+def _values(where: str):
+    """Report a bad value met while building objects from config as
+    ConfigError("<where>: ..."). Wrap no I/O and no pipeline work in it, so
+    a runtime fault is never reported as a config error."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ConfigError(f"{where}: missing key {exc}") from exc
+    except (TypeError, ValueError, LookupError, ArithmeticError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _load_json(path: str) -> dict:
     try:
         with open(path) as f:
             data = json.load(f)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON or text
         raise ConfigError(f"{path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path}: top level must be an object")
-    return data
+    return _section({"config": data}, "config", _CONFIG_KEYS)
 
 
-def _load_profile(d: dict) -> UserProfile:
-    _strict(d, {"age_years", "resting_bpm"}, "profile")
-    try:
-        return UserProfile(int(d["age_years"]), float(d["resting_bpm"]))
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"profile: {exc}") from exc
+def _list(value, kind) -> list:
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list, got {value!r}")
+    return [kind(v) for v in value]
 
 
-def _load_schmitt(d: dict) -> SchmittConfig:
-    _strict(d, {"upper_threshold", "lower_threshold", "refractory_ms"}, "schmitt")
-    try:
-        return SchmittConfig(**{k: int(v) for k, v in d.items()})
-    except ValueError as exc:
-        raise ConfigError(f"schmitt: {exc}") from exc
+def _path(config: dict, key: str) -> Optional[str]:
+    """config[key] if present, which must then be a string."""
+    path = config.get(key)
+    if key in config and not isinstance(path, str):
+        raise ConfigError(f"{key}: must be a string, got {path!r}")
+    return path
 
 
-def _band_mode(engine: dict) -> BandMode:
-    name = engine.get("band_mode", "fixed")
-    try:
-        return BandMode(name)
-    except ValueError:
-        raise ConfigError(f"engine.band_mode: unknown mode {name!r}") from None
+def _schmitt(config: dict) -> SchmittConfig:
+    section = _section(config, "schmitt", [f.name for f in fields(SchmittConfig)])
+    with _values("schmitt"):
+        return SchmittConfig(**{k: int(v) for k, v in section.items()})
 
 
-def _load_engine(d: dict, profile: Optional[UserProfile]) -> EngineConfig:
-    _strict(d, {"band_mode", "required_streak"}, "engine")
-    mode = _band_mode(d)
-    try:
-        return EngineConfig(
-            satisfaction_band=satisfaction_band(profile, mode),
-            required_streak=int(d.get("required_streak", 3)),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"engine: {exc}") from exc
-
-
-_WAVEFORM_KEYS = {
-    "duration_ms", "sample_rate_hz", "heart_rate_bpm", "pulse_amplitude",
-    "baseline", "pulse_width_ms", "noise_stddev", "wander_amplitude",
-    "wander_period_ms", "stray_pulses", "rng_seed",
-}
-
-
-def _load_waveform(d: dict, seed: Optional[int]) -> WaveformSpec:
-    _strict(d, _WAVEFORM_KEYS, "waveform")
-    kwargs = dict(d)
-    rate = kwargs.get("heart_rate_bpm")
-    if isinstance(rate, list):
-        kwargs["heart_rate_bpm"] = tuple((float(s), float(b)) for s, b in rate)
-    strays = kwargs.get("stray_pulses")
-    if strays is not None:
-        kwargs["stray_pulses"] = tuple(
-            StrayPulse(float(t), int(p), float(w)) for t, p, w in strays
-        )
-    if seed is not None:
-        kwargs["rng_seed"] = seed
-    return WaveformSpec(**kwargs)
-
-
-_CONFIG_KEYS = {
-    "profile", "schmitt", "engine", "smoothing_window", "waveform",
-    "scenario", "input_path", "alarm_time_ms", "expected_final_phase",
-    "output_path", "bench",
-}
-
-_SCENARIO_KEYS = {
-    "exercise_bpm", "sleep_duration_ms", "exercise_duration_ms",
-    "sample_rate_hz", "noise_stddev", "required_streak",
-}
-
-
-def _expected_phase(config: dict) -> Optional[Phase]:
-    name = config.get("expected_final_phase")
-    if name is None:
-        return None
-    try:
-        return Phase(name)
-    except ValueError:
-        raise ConfigError(f"expected_final_phase: unknown phase {name!r}") from None
+def _waveform(config: dict, name: str, seed: Optional[int]) -> WaveformSpec:
+    kwargs = dict(_section(config, name, [f.name for f in fields(WaveformSpec)]))
+    with _values(name):
+        if isinstance(kwargs.get("heart_rate_bpm"), list):
+            kwargs["heart_rate_bpm"] = tuple(map(tuple, kwargs["heart_rate_bpm"]))
+        if "stray_pulses" in kwargs:
+            kwargs["stray_pulses"] = tuple(
+                StrayPulse(float(t), int(p), float(w)) for t, p, w in kwargs["stray_pulses"]
+            )
+        if seed is not None:
+            kwargs["rng_seed"] = seed
+        return WaveformSpec(**kwargs)
 
 
 def cmd_synth(config: dict, args) -> int:
     if "waveform" not in config:
         raise ConfigError("synth requires a 'waveform' section")
-    spec = _load_waveform(config["waveform"], args.seed)
-    out = args.out or config.get("output_path")
+    spec = _waveform(config, "waveform", args.seed)
+    out = args.out or _path(config, "output_path")
     if out is None:
         raise ConfigError("synth requires --out or 'output_path'")
-    samples, truth = synthesize(spec)
+    with _values("waveform"):
+        samples, truth = synthesize(spec)
     write_waveform(samples, out)
     segments = ", ".join(f"{bpm:g} bpm from {start:g} ms" for start, bpm in truth.segments)
     print(f"wrote {len(samples)} samples to {out}")
@@ -165,47 +150,73 @@ def cmd_synth(config: dict, args) -> int:
     return EXIT_OK
 
 
-def _build_run(config: dict, args) -> tuple[list, int, EngineConfig, Optional[Phase]]:
-    """Resolve a run config into (samples, alarm_time, engine_config, expected)."""
+def _load_run(
+    config: dict, args, command: str
+) -> tuple[Pipeline, Optional[list[Sample]], Optional[Phase]]:
+    """The pipeline a `run` or `serve` config describes, the samples `run`
+    feeds it (None for `serve`, whose samples come off the socket), and the
+    expected final phase (None: nothing to check)."""
     sources = [k for k in ("waveform", "scenario", "input_path") if k in config]
-    if len(sources) != 1:
+    if len(sources) > 1 or (command == "run" and not sources):
         raise ConfigError(
-            "run requires exactly one of 'waveform', 'scenario', 'input_path'"
+            f"{command} takes {'exactly' if command == 'run' else 'at most'} "
+            "one of 'waveform', 'scenario', 'input_path'"
         )
-    profile = _load_profile(config["profile"]) if "profile" in config else None
-    expected = _expected_phase(config)
+    profile = None
+    if "profile" in config:
+        section = _section(config, "profile", ("age_years", "resting_bpm"))
+        with _values("profile"):
+            profile = UserProfile(int(section["age_years"]), float(section["resting_bpm"]))
+    scenario_mode = "scenario" in config
+    # a scenario sets its own required_streak
+    engine_keys = ("band_mode",) if scenario_mode else ("band_mode", "required_streak")
+    engine = _section(config, "engine", engine_keys)
+    with _values("engine"):
+        mode = BandMode(engine.get("band_mode", "fixed"))
+    with _values("expected_final_phase"):
+        name = config.get("expected_final_phase")
+        expected = None if name is None else Phase(name)
+    schmitt = _schmitt(config)
 
-    if sources[0] == "scenario":
+    spec = None
+    if scenario_mode:
         if profile is None:
-            raise ConfigError("a scenario requires a 'profile' section")
-        sc = dict(config["scenario"])
-        _strict(sc, _SCENARIO_KEYS, "scenario")
-        engine = config.get("engine", {})
-        _strict(engine, {"band_mode"}, "engine in scenario mode")
-        mode = _band_mode(engine)
-        if "exercise_bpm" in sc:
-            sc["exercise_bpm"] = float(sc["exercise_bpm"])
-        scenario = make_wake_scenario(
-            profile, band_mode=mode, rng_seed=args.seed or 0, **sc
-        )
-        samples, _ = synthesize(scenario.spec)
+            raise ConfigError("scenario: requires a 'profile' section")
+        kwargs = dict(_section(config, "scenario", _SCENARIO_KEYS))
+        with _values("scenario"):
+            if "exercise_bpm" in kwargs:
+                kwargs["exercise_bpm"] = float(kwargs["exercise_bpm"])
+            scenario = make_wake_scenario(
+                profile, band_mode=mode, rng_seed=args.seed or 0, **kwargs
+            )
+        spec, alarm_time = scenario.spec, scenario.alarm_time_ms
+        engine_cfg = scenario.engine_config
         if expected is None:
             expected = scenario.expected_final_phase
-        return samples, scenario.alarm_time_ms, scenario.engine_config, expected
-
-    engine_cfg = _load_engine(config.get("engine", {}), profile)
-    alarm_time = config.get("alarm_time_ms")
-    if alarm_time is None:
-        raise ConfigError("run requires 'alarm_time_ms' unless using a scenario")
-    if sources[0] == "waveform":
-        samples, _ = synthesize(_load_waveform(config["waveform"], args.seed))
     else:
-        samples = read_waveform(config["input_path"])
-    return samples, int(alarm_time), engine_cfg, expected
+        with _values("engine"):
+            engine_cfg = EngineConfig(
+                satisfaction_band(profile, mode), int(engine.get("required_streak", 3))
+            )
+        if "alarm_time_ms" not in config:
+            raise ConfigError(f"alarm_time_ms: {command} requires it unless using a scenario")
+        with _values("alarm_time_ms"):
+            alarm_time = int(config["alarm_time_ms"])
+        if "waveform" in config:
+            spec = _waveform(config, "waveform", args.seed)
+    with _values("smoothing_window"):
+        pipeline = Pipeline(
+            schmitt, engine_cfg, alarm_time, int(config.get("smoothing_window", 5))
+        )
+    if command == "serve":
+        return pipeline, None, expected
+    if spec is None:
+        return pipeline, read_waveform(_path(config, "input_path")), expected
+    with _values(sources[0]):
+        return pipeline, synthesize(spec)[0], expected
 
 
-def _finish_run(report: RunReport, config: dict, args, expected: Optional[Phase]) -> int:
-    out = args.out or config.get("output_path")
+def _finish_run(report: RunReport, out: Optional[str], expected: Optional[Phase]) -> int:
     if out:
         with open(out, "w", newline="\n") as f:
             f.write(report.to_jsonl())
@@ -217,37 +228,36 @@ def _finish_run(report: RunReport, config: dict, args, expected: Optional[Phase]
 
 
 def cmd_run(config: dict, args) -> int:
-    samples, alarm_time, engine_cfg, expected = _build_run(config, args)
-    schmitt = _load_schmitt(config.get("schmitt", {}))
-    smoothing = int(config.get("smoothing_window", 5))
-    report = run_pipeline(samples, schmitt, engine_cfg, alarm_time, smoothing)
-    return _finish_run(report, config, args, expected)
+    pipeline, samples, expected = _load_run(config, args, "run")
+    out = args.out or _path(config, "output_path")
+    for sample in samples:
+        pipeline.push(sample)
+    return _finish_run(pipeline.report(), out, expected)
 
 
 def cmd_bench(config: dict, args) -> int:
     if "bench" not in config:
         raise ConfigError("bench requires a 'bench' section")
-    b = dict(config["bench"])
-    _strict(
-        b,
-        {"base", "stray_counts", "noise_levels", "runs_per_cell",
-         "naive_threshold", "stray_peak", "stray_width_ms", "match_tolerance_ms"},
-        "bench",
-    )
-    schmitt = _load_schmitt(config.get("schmitt", {}))
-    base = _load_waveform(b.get("base", {"duration_ms": 30000}), args.seed)
-    rows = bench_corpus(
-        base_spec=base,
-        stray_counts=b.get("stray_counts", [0, 10, 20]),
-        noise_levels=b.get("noise_levels", [0.0, 4.0, 8.0]),
-        runs_per_cell=int(b.get("runs_per_cell", 5)),
-        schmitt=schmitt,
-        naive_threshold=int(b.get("naive_threshold", 500)),
-        stray_peak=int(b.get("stray_peak", 510)),
-        stray_width_ms=float(b.get("stray_width_ms", 80.0)),
-        match_tolerance_ms=float(b.get("match_tolerance_ms", 100.0)),
-        seed=args.seed or 0,
-    )
+    b = dict(_section(config, "bench", _BENCH_KEYS))
+    b.setdefault("base", {"duration_ms": 30000})
+    base = _waveform(b, "base", args.seed)
+    schmitt = _schmitt(config)
+    out = args.out or _path(config, "output_path")
+    # bench_corpus only synthesizes and detects, so any bad value it meets
+    # comes from this section
+    with _values("bench"):
+        rows = bench_corpus(
+            base_spec=base,
+            stray_counts=_list(b.get("stray_counts", [0, 10, 20]), int),
+            noise_levels=_list(b.get("noise_levels", [0.0, 4.0, 8.0]), float),
+            runs_per_cell=int(b.get("runs_per_cell", 5)),
+            schmitt=schmitt,
+            naive_threshold=int(b.get("naive_threshold", 500)),
+            stray_peak=int(b.get("stray_peak", 510)),
+            stray_width_ms=float(b.get("stray_width_ms", 80.0)),
+            match_tolerance_ms=float(b.get("match_tolerance_ms", 100.0)),
+            seed=args.seed or 0,
+        )
     header = "strays,noise_stddev,schmitt_false,schmitt_missed,naive_false,naive_missed"
     lines = [header] + [
         f"{r.stray_count},{r.noise_stddev:g},{r.schmitt_false},"
@@ -255,7 +265,6 @@ def cmd_bench(config: dict, args) -> int:
         for r in rows
     ]
     csv_text = "\n".join(lines) + "\n"
-    out = args.out or config.get("output_path")
     if out:
         with open(out, "w", newline="\n") as f:
             f.write(csv_text)
@@ -270,12 +279,13 @@ def cmd_bench(config: dict, args) -> int:
 
 
 def _resolve_port(args) -> int:
-    if args.port is not None:
-        return args.port
-    env = os.environ.get("PULSEALARM_PORT")
-    if env is not None:
-        return int(env)
-    raise ConfigError("no port given (--port or PULSEALARM_PORT)")
+    port = args.port if args.port is not None else os.environ.get("PULSEALARM_PORT")
+    if port is None:
+        raise ConfigError("no port given (--port or PULSEALARM_PORT)")
+    with _values("--port" if args.port is not None else "PULSEALARM_PORT"):
+        if not 0 <= int(port) <= 65535:
+            raise ValueError(f"port {port} outside [0, 65535]")
+    return int(port)
 
 
 def cmd_send(args) -> int:
@@ -288,16 +298,10 @@ def cmd_send(args) -> int:
 
 def cmd_serve(config: dict, args) -> int:
     port = _resolve_port(args)
-    profile = _load_profile(config["profile"]) if "profile" in config else None
-    engine_cfg = _load_engine(config.get("engine", {}), profile)
-    schmitt = _load_schmitt(config.get("schmitt", {}))
-    alarm_time = int(config.get("alarm_time_ms", 0))
-    smoothing = int(config.get("smoothing_window", 5))
-    expected = _expected_phase(config)
-
-    pipeline = Pipeline(schmitt, engine_cfg, alarm_time, smoothing)
+    pipeline, _, expected = _load_run(config, args, "serve")
+    out = args.out or _path(config, "output_path")
     decoder = FrameDecoder()
-    gaps = corrupt = resyncs = 0
+    gaps = corrupt = resyncs = dropped = 0
     with socket.create_server(("", port)) as server:
         actual_port = server.getsockname()[1]
         log.info("listening on port %d", actual_port)
@@ -305,21 +309,23 @@ def cmd_serve(config: dict, args) -> int:
         conn, peer = server.accept()
         log.info("connection from %s", peer)
         with conn:
-            while True:
-                data = conn.recv(4096)
-                if not data:
-                    break
+            while data := conn.recv(4096):
                 for outcome in decoder.feed(data):
                     if isinstance(outcome, SampleOutcome):
-                        pipeline.push(outcome.sample)
+                        try:
+                            pipeline.push(outcome.sample)
+                        except StreamOrderError:  # a duplicated or reordered frame
+                            dropped += 1
                     elif isinstance(outcome, Gap):
                         gaps += 1
                     elif isinstance(outcome, CorruptFrame):
                         corrupt += 1
                     elif isinstance(outcome, Resync):
                         resyncs += 1
+        if dropped:
+            log.warning("dropped %d samples whose time did not advance", dropped)
     report = pipeline.report(gap_count=gaps, corrupt_count=corrupt, resync_count=resyncs)
-    return _finish_run(report, config, args, expected)
+    return _finish_run(report, out, expected)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -329,9 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, config=True):
-        if config:
-            p.add_argument("--config", required=True, help="JSON config file")
+    def add_common(p):
+        p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--seed", type=int, default=None, help="override the RNG seed")
         p.add_argument("--out", default=None, help="output file path")
 
@@ -350,10 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="real-time multiplier, 0 = no pacing")
 
     p = sub.add_parser("serve", help="receive frames and run the pipeline")
-    p.add_argument("--config", required=True)
+    add_common(p)
     p.add_argument("--port", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default=None)
     return parser
 
 
@@ -367,18 +370,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.command == "send":
             return cmd_send(args)
         config = _load_json(args.config)
-        _strict(config, _CONFIG_KEYS, "config")
-        if args.command == "synth":
-            return cmd_synth(config, args)
-        if args.command == "run":
-            return cmd_run(config, args)
-        if args.command == "bench":
-            return cmd_bench(config, args)
-        return cmd_serve(config, args)
-    except (ConfigError, WaveformSpecError, ScenarioError) as exc:
+        commands = {"synth": cmd_synth, "run": cmd_run, "bench": cmd_bench, "serve": cmd_serve}
+        return commands[args.command](config, args)
+    except (ConfigError, ScenarioError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (OSError, WaveformParseError, StreamOrderError, PulseAlarmError) as exc:
+    except (OSError, PulseAlarmError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 

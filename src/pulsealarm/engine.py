@@ -42,7 +42,7 @@ class EngineConfig:
                 f"satisfaction_band {band} must lie within "
                 f"[{PLAUSIBLE_MIN_BPM}, {PLAUSIBLE_MAX_BPM}]"
             )
-        if self.required_streak < 1:
+        if not self.required_streak >= 1:  # rejects NaN too
             raise ValueError(
                 f"required_streak must be >= 1, got {self.required_streak}"
             )

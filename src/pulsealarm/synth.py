@@ -61,7 +61,7 @@ class WaveformSpec:
                 f"baseline + pulse_amplitude exceeds ADC maximum {ADC_MAX}",
             )
         segments = self.segments()
-        if segments[0][0] != 0:
+        if not segments or segments[0][0] != 0:
             raise WaveformSpecError("heart_rate_bpm", "schedule must start at 0 ms")
         for start, bpm in segments:
             if bpm <= 0:
