@@ -10,7 +10,8 @@ Subcommands:
 `run` and `serve` share one config loader: a `scenario` sets the alarm
 time, the engine config and the expected phase, else `alarm_time_ms` is
 required. `serve` needs no sample source, and it drops samples whose time
-does not advance, logging their count at WARNING, instead of aborting.
+does not advance, logging their count at WARNING, instead of aborting. A
+sender that sends nothing for IDLE_TIMEOUT_S is treated as closed.
 
 Exit codes: 0 expected final phase (or nothing to check), 1 unexpected
 final phase, 2 configuration error (any malformed config value or
@@ -51,6 +52,8 @@ EXIT_OK = 0
 EXIT_UNEXPECTED_PHASE = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
+
+IDLE_TIMEOUT_S = 60.0  # serve treats a sender silent this long as closed
 
 _CONFIG_KEYS = (
     "profile", "schmitt", "engine", "smoothing_window", "waveform",
@@ -309,19 +312,23 @@ def cmd_serve(config: dict, args) -> int:
         conn, peer = server.accept()
         log.info("connection from %s", peer)
         with conn:
-            while data := conn.recv(4096):
-                for outcome in decoder.feed(data):
-                    if isinstance(outcome, SampleOutcome):
-                        try:
-                            pipeline.push(outcome.sample)
-                        except StreamOrderError:  # a duplicated or reordered frame
-                            dropped += 1
-                    elif isinstance(outcome, Gap):
-                        gaps += 1
-                    elif isinstance(outcome, CorruptFrame):
-                        corrupt += 1
-                    elif isinstance(outcome, Resync):
-                        resyncs += 1
+            conn.settimeout(IDLE_TIMEOUT_S)
+            try:
+                while data := conn.recv(4096):
+                    for outcome in decoder.feed(data):
+                        if isinstance(outcome, SampleOutcome):
+                            try:
+                                pipeline.push(outcome.sample)
+                            except StreamOrderError:  # a duplicated or reordered frame
+                                dropped += 1
+                        elif isinstance(outcome, Gap):
+                            gaps += 1
+                        elif isinstance(outcome, CorruptFrame):
+                            corrupt += 1
+                        elif isinstance(outcome, Resync):
+                            resyncs += 1
+            except TimeoutError:  # a stalled sender ends the stream like a close
+                log.warning("no data for %g s; closing the connection", IDLE_TIMEOUT_S)
         if dropped:
             log.warning("dropped %d samples whose time did not advance", dropped)
     report = pipeline.report(gap_count=gaps, corrupt_count=corrupt, resync_count=resyncs)

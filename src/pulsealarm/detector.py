@@ -136,25 +136,13 @@ def naive_detect_beats(
 ) -> Iterator[BeatEvent]:
     """Single-threshold baseline: a beat on every upward crossing.
 
-    No hysteresis and no refractory guard, so mid-amplitude stray pulses
-    and noise riding the threshold produce false beats. Kept for
-    benchmarking against detect_beats.
+    No hysteresis and no refractory guard, so mid-amplitude stray pulses and
+    noise riding the threshold produce false beats. Kept for benchmarking
+    against detect_beats, and equal to it with thresholds (t, t - 1) and
+    refractory 1 ms: on integer counts "value <= t - 1" is "value < t", and
+    1 ms never suppresses a beat, as sample times strictly advance.
     """
-    last_t: Optional[int] = None
-    prev_value: Optional[int] = None
-    prev_beat_t: Optional[int] = None
-    for sample in samples:
-        if last_t is not None and sample.t_ms <= last_t:
-            raise StreamOrderError(
-                f"sample at t_ms={sample.t_ms} does not advance past {last_t}"
-            )
-        last_t = sample.t_ms
-        below_before = prev_value is None or prev_value < single_threshold
-        prev_value = sample.value
-        if below_before and sample.value >= single_threshold:
-            ibi = None if prev_beat_t is None else sample.t_ms - prev_beat_t
-            prev_beat_t = sample.t_ms
-            yield BeatEvent(sample.t_ms, ibi)
+    return detect_beats(samples, SchmittConfig(single_threshold, single_threshold - 1, 1))
 
 
 def bpm_from_ibi(ibi_ms: float) -> float:

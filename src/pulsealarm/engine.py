@@ -4,7 +4,8 @@ The engine arms on a scheduled time, rings indefinitely, and silences the
 buzzer only after a configurable run of consecutive valid heart-rate
 readings inside the satisfaction band: ring-until-satisfied. RINGING is the
 latch the paper builds from a bistable circuit; only that in-band streak or
-a Disarm leaves it. There is deliberately no snooze.
+a Disarm leaves it. There is deliberately no snooze. step assumes events
+in time order; run_engine checks the order of the batch it folds.
 """
 
 from __future__ import annotations
@@ -54,10 +55,9 @@ class AlarmEngineState:
     phase: Phase = Phase.IDLE
     alarm_time_ms: Optional[int] = None
     in_band_streak: int = 0
-    last_event_t_ms: Optional[int] = None
 
 
-# Events, delivered in non-decreasing time order.
+# Events. step() assumes non-decreasing time order; run_engine checks it.
 
 @dataclass(frozen=True)
 class ClockTick:
@@ -136,14 +136,9 @@ def step(
     """Advance the state machine by one event.
 
     Deterministic; buzzer actions are derived purely from the phase change.
-    Raises StreamOrderError if the event time moves backwards.
+    Order is assumed, not checked. A no-op returns the same state and [].
     """
     t = event.t_ms
-    if state.last_event_t_ms is not None and t < state.last_event_t_ms:
-        raise StreamOrderError(
-            f"event at t_ms={t} precedes previous event at {state.last_event_t_ms}"
-        )
-    state = replace(state, last_event_t_ms=t)
     actions: list[EngineAction] = []
 
     if isinstance(event, Disarm):
@@ -189,18 +184,20 @@ def run_engine(
     config: EngineConfig = EngineConfig(),
     state: Optional[AlarmEngineState] = None,
 ) -> tuple[AlarmEngineState, list[LogTransition]]:
-    """Fold step() over an ordered event stream.
+    """Fold step() over an event stream, the engine's one order check.
 
-    Returns the final state and the ordered transition log. Step errors
-    are re-raised with the offending event's index.
+    Returns the final state and the ordered transition log. Raises
+    StreamOrderError, with its index, at an event earlier than the last
+    one; only the given events are compared, not a supplied state's past.
     """
     if state is None:
         state = initial_state(config)
     log: list[LogTransition] = []
+    last_t = None
     for i, event in enumerate(events):
-        try:
-            state, actions = step(state, event)
-        except StreamOrderError as exc:
-            raise StreamOrderError(f"event {i}: {exc}") from exc
+        if last_t is not None and event.t_ms < last_t:
+            raise StreamOrderError(f"event {i}: t_ms={event.t_ms} precedes {last_t}")
+        last_t = event.t_ms
+        state, actions = step(state, event)
         log.extend(a for a in actions if isinstance(a, LogTransition))
     return state, log

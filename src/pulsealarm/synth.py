@@ -10,7 +10,7 @@ integer ADC counts clamped to [0, 1023], deterministic for a fixed seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -47,15 +47,19 @@ class WaveformSpec:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.duration_ms <= 0:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, (int, float)) and not math.isfinite(value):
+                raise WaveformSpecError(f.name, "must be finite")
+        if not self.duration_ms > 0:
             raise WaveformSpecError("duration_ms", "must be positive")
         if not 0 < self.sample_rate_hz <= 1000:
             raise WaveformSpecError(
                 "sample_rate_hz", "must be in (0, 1000] for integer-ms timestamps"
             )
-        if self.baseline < 0:
+        if not self.baseline >= 0:
             raise WaveformSpecError("baseline", "must be non-negative")
-        if self.baseline + self.pulse_amplitude > ADC_MAX:
+        if not self.baseline + self.pulse_amplitude <= ADC_MAX:
             raise WaveformSpecError(
                 "pulse_amplitude",
                 f"baseline + pulse_amplitude exceeds ADC maximum {ADC_MAX}",
@@ -64,27 +68,27 @@ class WaveformSpec:
         if not segments or segments[0][0] != 0:
             raise WaveformSpecError("heart_rate_bpm", "schedule must start at 0 ms")
         for start, bpm in segments:
-            if bpm <= 0:
+            if not (math.isfinite(start) and 0 < bpm < math.inf):
                 raise WaveformSpecError(
-                    "heart_rate_bpm", f"segment at {start} ms has non-positive bpm"
+                    "heart_rate_bpm", f"segment ({start}, {bpm}) must be finite with bpm > 0"
                 )
         max_bpm = max(bpm for _, bpm in segments)
-        if self.pulse_width_ms >= 60000.0 / max_bpm:
+        if not 0 < self.pulse_width_ms < 60000.0 / max_bpm:
             raise WaveformSpecError(
                 "pulse_width_ms",
-                f"must be below the shortest beat interval {60000.0 / max_bpm:.1f} ms",
+                f"must be in (0, {60000.0 / max_bpm:.1f}) ms, the shortest beat interval",
             )
-        if self.noise_stddev < 0:
+        if not self.noise_stddev >= 0:
             raise WaveformSpecError("noise_stddev", "must be non-negative")
-        if self.wander_period_ms <= 0:
+        if not self.wander_period_ms > 0:
             raise WaveformSpecError("wander_period_ms", "must be positive")
         for stray in self.stray_pulses:
             if not 0 <= stray.peak <= ADC_MAX:
                 raise WaveformSpecError(
                     "stray_pulses", f"peak {stray.peak} outside ADC range"
                 )
-            if stray.width_ms <= 0:
-                raise WaveformSpecError("stray_pulses", "width_ms must be positive")
+            if not (math.isfinite(stray.t_ms) and 0 < stray.width_ms < math.inf):
+                raise WaveformSpecError("stray_pulses", "t_ms and width_ms > 0 must be finite")
 
     def segments(self) -> tuple[tuple[float, float], ...]:
         """The rate schedule as ((start_ms, bpm), ...), a single segment

@@ -28,3 +28,21 @@ def offline_beat_scan(times, values, upper, lower, refractory_ms):
             if v <= lower:
                 high = False
     return beats
+
+
+def offline_crossing_scan(times, values, threshold):
+    """Brute-force single-threshold scan over a buffered waveform.
+
+    A beat at every sample that reaches `threshold` when the sample before
+    it (if any) was below it. Returns the list of (t, ibi) pairs, ibi None
+    for the first beat.
+    """
+    beats = []
+    prev_value = None
+    prev_beat = None
+    for t, v in zip(times, values):
+        if v >= threshold and (prev_value is None or prev_value < threshold):
+            beats.append((t, None if prev_beat is None else t - prev_beat))
+            prev_beat = t
+        prev_value = v
+    return beats

@@ -2,6 +2,7 @@ import copy
 import io
 import json
 import os
+import pathlib
 import re
 import socket
 import tempfile
@@ -14,8 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pulsealarm import UserProfile, WaveformSpec, synthesize, write_waveform
+from pulsealarm import cli
 from pulsealarm.cli import main
-from pulsealarm.protocol import FRAME_LEN, encode_stream
+from pulsealarm.protocol import FRAME_LEN, encode_frame, encode_stream
 from pulsealarm.synth import make_wake_scenario
 
 
@@ -207,6 +209,22 @@ def send_bytes(data):
     return send
 
 
+def send_and_hold(data):
+    """A send(port) that sends data, then keeps the socket open until the
+    server hangs up; a server still waiting after 5 s raises TimeoutError."""
+    def send(port):
+        try:
+            sock = socket.create_connection(("127.0.0.1", port))
+        except ConnectionRefusedError:
+            return False
+        with sock:
+            sock.sendall(data)
+            sock.settimeout(5)
+            return sock.recv(1) == b""
+
+    return send
+
+
 class TestServeSend:
     def test_loopback_round_trip(self, tmp_path):
         samples, _ = synthesize(WaveformSpec(duration_ms=10000, heart_rate_bpm=60))
@@ -231,6 +249,16 @@ class TestServeSend:
         assert json.loads(report.splitlines()[-1])["samples"] == len(samples)
         assert "dropped 1 samples" in caplog.text
 
+    def test_stalled_sender_times_out(self, tmp_path, caplog, monkeypatch):
+        monkeypatch.setattr(cli, "IDLE_TIMEOUT_S", 0.3)
+        samples, _ = synthesize(WaveformSpec(duration_ms=5000, heart_rate_bpm=60))
+        code, report = serve_loopback(
+            tmp_path, {"alarm_time_ms": 0}, send_and_hold(encode_stream(samples))
+        )
+        assert code == 0
+        assert json.loads(report.splitlines()[-1])["samples"] == len(samples)
+        assert "no data for 0.3 s" in caplog.text
+
     def test_serve_scenario_report_equals_run(self, tmp_path):
         config = {
             "profile": {"age_years": 20, "resting_bpm": 90},
@@ -248,6 +276,45 @@ class TestServeSend:
         code, report = serve_loopback(tmp_path, config, send_file(wave), "--seed", "11")
         assert code == 0
         assert report == run_out.read_text()
+
+
+_FUZZ_SAMPLES = synthesize(WaveformSpec(duration_ms=2000, heart_rate_bpm=90))[0]
+
+
+@st.composite
+def _byte_stream(draw):
+    """Valid frames interleaved with random bytes, repeated frames and
+    truncated frames; returns the bytes and the count of valid frames."""
+    chunks, frames = [], 0
+    for i, sample in enumerate(_FUZZ_SAMPLES[: draw(st.integers(0, 60))]):
+        frame = encode_frame(i % 256, sample)
+        kind = draw(st.sampled_from(["frame", "frame", "junk", "repeat", "cut"]))
+        if kind == "junk":
+            chunks.append(draw(st.binary(max_size=20)))
+        elif kind == "repeat":
+            chunks.append(frame)
+            frames += 1
+        elif kind == "cut":
+            chunks.append(frame[: draw(st.integers(1, FRAME_LEN - 1))])
+            continue
+        chunks.append(frame)
+        frames += 1
+    return b"".join(chunks), frames
+
+
+@settings(max_examples=25, deadline=None)
+@given(stream=_byte_stream())
+def test_serve_byte_fuzz_always_reports(stream):
+    data, frames = stream
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, redirect_stdout(io.StringIO()), \
+            redirect_stderr(err):
+        code, report = serve_loopback(pathlib.Path(tmp), {"alarm_time_ms": 0}, send_bytes(data))
+    assert code == 0
+    assert "Traceback" not in err.getvalue()
+    summary = json.loads(report.splitlines()[-1])
+    assert summary["kind"] == "summary"
+    assert summary["samples"] <= frames
 
 
 PROFILE = {"age_years": 20, "resting_bpm": 90}
@@ -276,6 +343,7 @@ def amend(config, path, value):
             ("run", WAVEFORM_RUN, "waveform.duration_ms", "1000"),
             ("run", WAVEFORM_RUN, "waveform.heart_rate_bpm", [[0]]),
             ("run", WAVEFORM_RUN, "waveform.stray_pulses", [1]),
+            ("run", WAVEFORM_RUN, "waveform.pulse_width_ms", -5),
             ("run", WAVEFORM_RUN, "profile", 5),
             ("run", WAVEFORM_RUN, "profile.age_years", None),
             ("run", WAVEFORM_RUN, "engine", [1]),

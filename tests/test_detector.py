@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +21,7 @@ from pulsealarm import (
     synthesize,
 )
 
-from oracle import offline_beat_scan
+from oracle import offline_beat_scan, offline_crossing_scan
 
 CONFIG = SchmittConfig(upper_threshold=550, lower_threshold=470, refractory_ms=250)
 
@@ -128,6 +130,28 @@ class TestNaiveDetectBeats:
 
     def test_flatline(self):
         assert list(naive_detect_beats([Sample(i, 0) for i in range(50)], 550)) == []
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_equals_crossing_oracle(self, seed):
+        # noise and strays riding a random integer threshold
+        rng = random.Random(30_000 + seed)
+        threshold = rng.randrange(350, 700)
+        strays = tuple(
+            StrayPulse(rng.uniform(0, 8000), rng.randrange(threshold - 30, threshold + 30),
+                       rng.uniform(20, 80))
+            for _ in range(rng.randrange(0, 10))
+        )
+        spec = WaveformSpec(
+            duration_ms=8000, sample_rate_hz=rng.choice([100, 250, 1000]),
+            heart_rate_bpm=rng.uniform(40, 180), baseline=rng.randrange(100, 301),
+            noise_stddev=rng.uniform(0, 30), stray_pulses=strays, rng_seed=seed,
+        )
+        samples, _ = synthesize(spec)
+        beats = list(naive_detect_beats(samples, threshold))
+        oracle = offline_crossing_scan(
+            [s.t_ms for s in samples], [s.value for s in samples], threshold
+        )
+        assert [(b.t_ms, b.ibi_ms) for b in beats] == oracle
 
 
 class TestBpmFromIbi:

@@ -112,10 +112,25 @@ class TestStep:
         assert state.phase is Phase.IDLE
         assert any(isinstance(a, BuzzerOff) for a in actions)
 
-    def test_out_of_order_event_rejected(self):
-        state = ringing_state(t=5000)
-        with pytest.raises(StreamOrderError):
-            step(state, ClockTick(4000))
+    @pytest.mark.parametrize(
+        "state,event",
+        [
+            pytest.param(initial_state(CONFIG), ClockTick(500), id="idle-tick"),
+            pytest.param(set_alarm(initial_state(CONFIG), 1000), ClockTick(999),
+                         id="armed-before-alarm-tick"),
+            pytest.param(ringing_state(), ClockTick(2000), id="ringing-tick"),
+            pytest.param(
+                step(ringing_state(EngineConfig(required_streak=1)), reading(2000, 150))[0],
+                ClockTick(3000), id="stopped-tick",
+            ),
+            pytest.param(set_alarm(initial_state(CONFIG), 1000), reading(500, 150),
+                         id="armed-reading"),
+        ],
+    )
+    def test_no_op_returns_same_state(self, state, event):
+        new_state, actions = step(state, event)
+        assert new_state is state
+        assert actions == []
 
     def test_stopped_is_latched(self):
         state = ringing_state()
@@ -153,6 +168,12 @@ class TestRunEngine:
         events = [ClockTick(1000), ClockTick(500)]
         with pytest.raises(StreamOrderError, match="event 1"):
             run_engine(events, CONFIG, state)
+
+    def test_equal_times_are_legal(self):
+        state = set_alarm(initial_state(CONFIG), 1000)
+        events = [ClockTick(1000)] + [reading(1000, 150)] * 3
+        final, _ = run_engine(events, CONFIG, state)
+        assert final.phase is Phase.STOPPED
 
 
 def random_events(rng, n, t_step=500):

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from pulsealarm import (
@@ -18,6 +20,8 @@ from pulsealarm import (
     synthesize,
     write_waveform,
 )
+
+NAN = float("nan")
 
 
 class TestSynthesize:
@@ -93,6 +97,30 @@ class TestSpecValidation:
             WaveformSpec(
                 duration_ms=1000, stray_pulses=(StrayPulse(100, 2000, 50),)
             )
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [(name, NAN) for name in (
+            "duration_ms", "baseline", "pulse_amplitude", "pulse_width_ms",
+            "noise_stddev", "wander_amplitude", "wander_period_ms", "heart_rate_bpm",
+        )] + [("pulse_width_ms", 0), ("pulse_width_ms", -5), ("duration_ms", math.inf)],
+    )
+    def test_nan_or_non_positive_width_names_field(self, field, value):
+        with pytest.raises(WaveformSpecError, match=f"^{field}: ") as exc:
+            WaveformSpec(**{"duration_ms": 1000, field: value})
+        assert exc.value.field == field
+
+    @pytest.mark.parametrize(
+        "field,kwargs",
+        [
+            ("heart_rate_bpm", {"heart_rate_bpm": ((0, 60), (500, NAN))}),
+            ("stray_pulses", {"stray_pulses": (StrayPulse(NAN, 500, 50),)}),
+            ("stray_pulses", {"stray_pulses": (StrayPulse(100, 500, NAN),)}),
+        ],
+    )
+    def test_nan_in_schedule_or_stray_names_field(self, field, kwargs):
+        with pytest.raises(WaveformSpecError, match=f"^{field}: "):
+            WaveformSpec(duration_ms=1000, **kwargs)
 
 
 class TestWaveformCsv:
