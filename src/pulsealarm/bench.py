@@ -74,21 +74,23 @@ class BenchRow:
 
 def bench_corpus(
     base_spec: WaveformSpec,
-    stray_counts: Sequence[int],
-    noise_levels: Sequence[float],
-    runs_per_cell: int,
-    schmitt: SchmittConfig,
-    naive_threshold: int,
-    stray_peak: int,
+    stray_counts: Sequence[int] = (0, 10, 20),
+    noise_levels: Sequence[float] = (0.0, 4.0, 8.0),
+    runs_per_cell: int = 5,
+    schmitt: SchmittConfig = SchmittConfig(),
+    naive_threshold: int = 500,
+    stray_peak: int = 510,
     stray_width_ms: float = 80.0,
     match_tolerance_ms: float = 100.0,
     seed: int = 0,
 ) -> list[BenchRow]:
     """Sweep stray density x noise level; per cell, total the false and
-    missed beats of both detectors across runs_per_cell seeded waveforms."""
+    missed beats of both detectors across runs_per_cell seeded waveforms.
+    The defaults are `pulsealarm bench`'s: 80 ms strays peak at 510 counts,
+    inside the default Schmitt band and above the naive threshold of 500."""
     rows = []
     grid_ms = 1000.0 / base_spec.sample_rate_hz
-    _, base_truth = synthesize(base_spec)
+    base_beats = base_spec.beat_times()
     for stray_count in stray_counts:
         for noise in noise_levels:
             totals = [0, 0, 0, 0]
@@ -99,7 +101,7 @@ def bench_corpus(
                     base_spec,
                     noise_stddev=noise,
                     stray_pulses=place_strays(
-                        base_truth.beat_times_ms, stray_count, stray_peak,
+                        base_beats, stray_count, stray_peak,
                         stray_width_ms, rng, grid_ms,
                     ),
                     rng_seed=cell_seed,

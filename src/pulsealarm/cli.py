@@ -10,8 +10,8 @@ Subcommands:
 `run` and `serve` share one config loader: a `scenario` sets the alarm
 time, the engine config and the expected phase, else `alarm_time_ms` is
 required. `serve` needs no sample source, and it drops samples whose time
-does not advance, logging their count at WARNING, instead of aborting. A
-sender that sends nothing for IDLE_TIMEOUT_S is treated as closed.
+does not advance, logging their count at WARNING, instead of aborting. It
+waits IDLE_TIMEOUT_S for a sender (else exit 3) and for data (else closed).
 
 Exit codes: 0 expected final phase (or nothing to check), 1 unexpected
 final phase, 2 configuration error (any malformed config value or
@@ -53,7 +53,7 @@ EXIT_UNEXPECTED_PHASE = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
 
-IDLE_TIMEOUT_S = 60.0  # serve treats a sender silent this long as closed
+IDLE_TIMEOUT_S = 60.0  # serve's wait for a connection, and for data on it
 
 _CONFIG_KEYS = (
     "profile", "schmitt", "engine", "smoothing_window", "waveform",
@@ -64,10 +64,11 @@ _SCENARIO_KEYS = (
     "exercise_bpm", "sleep_duration_ms", "exercise_duration_ms",
     "sample_rate_hz", "noise_stddev", "required_streak",
 )
-_BENCH_KEYS = (
-    "base", "stray_counts", "noise_levels", "runs_per_cell", "naive_threshold",
-    "stray_peak", "stray_width_ms", "match_tolerance_ms",
-)
+_BENCH_VALUES = {  # bench key -> coercion; bench_corpus owns the defaults
+    "stray_counts": lambda v: _list(v, int), "noise_levels": lambda v: _list(v, float),
+    "runs_per_cell": int, "naive_threshold": int, "stray_peak": int,
+    "stray_width_ms": float, "match_tolerance_ms": float,
+}
 
 
 def _section(config: dict, name: str, keys) -> dict:
@@ -241,26 +242,15 @@ def cmd_run(config: dict, args) -> int:
 def cmd_bench(config: dict, args) -> int:
     if "bench" not in config:
         raise ConfigError("bench requires a 'bench' section")
-    b = dict(_section(config, "bench", _BENCH_KEYS))
-    b.setdefault("base", {"duration_ms": 30000})
-    base = _waveform(b, "base", args.seed)
+    b = _section(config, "bench", ("base", *_BENCH_VALUES))
+    base = _waveform({"base": {"duration_ms": 30000}, **b}, "base", args.seed)
     schmitt = _schmitt(config)
     out = args.out or _path(config, "output_path")
     # bench_corpus only synthesizes and detects, so any bad value it meets
     # comes from this section
     with _values("bench"):
-        rows = bench_corpus(
-            base_spec=base,
-            stray_counts=_list(b.get("stray_counts", [0, 10, 20]), int),
-            noise_levels=_list(b.get("noise_levels", [0.0, 4.0, 8.0]), float),
-            runs_per_cell=int(b.get("runs_per_cell", 5)),
-            schmitt=schmitt,
-            naive_threshold=int(b.get("naive_threshold", 500)),
-            stray_peak=int(b.get("stray_peak", 510)),
-            stray_width_ms=float(b.get("stray_width_ms", 80.0)),
-            match_tolerance_ms=float(b.get("match_tolerance_ms", 100.0)),
-            seed=args.seed or 0,
-        )
+        kwargs = {k: coerce(b[k]) for k, coerce in _BENCH_VALUES.items() if k in b}
+        rows = bench_corpus(base, schmitt=schmitt, seed=args.seed or 0, **kwargs)
     header = "strays,noise_stddev,schmitt_false,schmitt_missed,naive_false,naive_missed"
     lines = [header] + [
         f"{r.stray_count},{r.noise_stddev:g},{r.schmitt_false},"
@@ -309,7 +299,11 @@ def cmd_serve(config: dict, args) -> int:
         actual_port = server.getsockname()[1]
         log.info("listening on port %d", actual_port)
         print(f"listening on port {actual_port}", flush=True)
-        conn, peer = server.accept()
+        server.settimeout(IDLE_TIMEOUT_S)
+        try:
+            conn, peer = server.accept()
+        except TimeoutError:
+            raise PulseAlarmError(f"no connection within {IDLE_TIMEOUT_S:g} s") from None
         log.info("connection from %s", peer)
         with conn:
             conn.settimeout(IDLE_TIMEOUT_S)

@@ -5,6 +5,7 @@ device's serial-monitor listing (one reading per line with its status)."""
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -40,17 +41,11 @@ class RunReport:
     corrupt_count: int = 0
     resync_count: int = 0
 
-    @property
-    def valid_count(self) -> int:
-        return sum(1 for r in self.readings if r.status is BpmStatus.VALID)
-
-    @property
-    def rejected_low_count(self) -> int:
-        return sum(1 for r in self.readings if r.status is BpmStatus.REJECTED_LOW)
-
-    @property
-    def rejected_high_count(self) -> int:
-        return sum(1 for r in self.readings if r.status is BpmStatus.REJECTED_HIGH)
+    def status_counts(self) -> Counter[BpmStatus]:
+        """Readings per status, every BpmStatus in enum order, zeros included."""
+        counts = Counter(dict.fromkeys(BpmStatus, 0))
+        counts.update(r.status for r in self.readings)
+        return counts
 
     def to_jsonl(self) -> str:
         """Line-delimited records: transitions, readings, then a summary.
@@ -74,9 +69,7 @@ class RunReport:
                     "kind": "summary",
                     "samples": self.sample_count,
                     "beats": self.beat_count,
-                    "valid": self.valid_count,
-                    "rejected_low": self.rejected_low_count,
-                    "rejected_high": self.rejected_high_count,
+                    **{status.value: n for status, n in self.status_counts().items()},
                     "gaps": self.gap_count,
                     "corrupt_frames": self.corrupt_count,
                     "resyncs": self.resync_count,
@@ -88,13 +81,11 @@ class RunReport:
         return "\n".join(lines) + "\n"
 
     def summary_text(self) -> str:
+        counts = ", ".join(f"{s.value} {n}" for s, n in self.status_counts().items())
         lines = [
             f"samples: {self.sample_count}",
             f"beats: {self.beat_count}",
-            f"readings: {len(self.readings)} "
-            f"(valid {self.valid_count}, "
-            f"rejected_low {self.rejected_low_count}, "
-            f"rejected_high {self.rejected_high_count})",
+            f"readings: {len(self.readings)} ({counts})",
         ]
         if self.gap_count or self.corrupt_count or self.resync_count:
             lines.append(

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
 from .detector import ADC_MAX, Sample
-from .errors import StreamOrderError
+from .errors import PulseAlarmError, StreamOrderError
 from .synth import read_waveform
 
 SYNC_BYTE = 0xAA
@@ -65,8 +65,6 @@ def encode_frame(seq: int, sample: Sample) -> bytes:
         raise ValueError(f"seq must fit one byte, got {seq}")
     if not 0 <= sample.t_ms < 2**32:
         raise ValueError(f"t_ms must fit 4 bytes, got {sample.t_ms}")
-    if not 0 <= sample.value <= ADC_MAX:
-        raise ValueError(f"value must be in [0, {ADC_MAX}], got {sample.value}")
     payload = bytes([seq]) + sample.t_ms.to_bytes(4, "big") + sample.value.to_bytes(2, "big")
     return bytes([SYNC_BYTE]) + payload + bytes([_checksum(payload)])
 
@@ -140,11 +138,14 @@ def replay_file(
 
     speed is a real-time multiplier: 1.0 paces frames at the recorded
     sample intervals, 2.0 twice as fast, 0 disables pacing entirely.
-    Returns the number of frames sent. Refuses non-monotone timestamps.
+    Returns the number of frames sent. Refuses non-monotone timestamps
+    and a t_ms that the 4-byte frame field cannot hold.
     """
     samples = read_waveform(path)
     prev_t = None
     for i, sample in enumerate(samples):
+        if sample.t_ms >= 2**32:
+            raise PulseAlarmError(f"sample {i}: t_ms={sample.t_ms} exceeds the 2**32 frame limit")
         if prev_t is not None:
             if sample.t_ms <= prev_t:
                 raise StreamOrderError(

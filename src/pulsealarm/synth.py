@@ -100,26 +100,25 @@ class WaveformSpec:
         )
         return tuple(sorted(segs))
 
+    def beat_times(self) -> list[float]:
+        """Beat times from 0 ms on. Each interval follows the rate of the last
+        schedule segment starting at or before the beat that opens it."""
+        segments = self.segments()
+        beats = []
+        t = 0.0
+        i = 0
+        while t < self.duration_ms:
+            beats.append(t)
+            while i + 1 < len(segments) and t >= segments[i + 1][0]:
+                i += 1
+            t += 60000.0 / segments[i][1]
+        return beats
+
 
 @dataclass(frozen=True)
 class GroundTruth:
     beat_times_ms: tuple[float, ...]
     segments: tuple[tuple[float, float], ...]
-
-
-def _beat_times(spec: WaveformSpec) -> list[float]:
-    """Beat times from 0 ms on. Each interval follows the rate of the last
-    schedule segment starting at or before the beat that opens it."""
-    segments = spec.segments()
-    beats = []
-    t = 0.0
-    i = 0
-    while t < spec.duration_ms:
-        beats.append(t)
-        while i + 1 < len(segments) and t >= segments[i + 1][0]:
-            i += 1
-        t += 60000.0 / segments[i][1]
-    return beats
 
 
 def _stamp_raised_cosine(
@@ -147,7 +146,7 @@ def synthesize(spec: WaveformSpec) -> tuple[list[Sample], GroundTruth]:
             2.0 * math.pi * times / spec.wander_period_ms
         )
 
-    beats = _beat_times(spec)
+    beats = spec.beat_times()
     for beat in beats:
         _stamp_raised_cosine(
             values, times, beat, spec.pulse_amplitude, spec.pulse_width_ms
@@ -174,9 +173,11 @@ def write_waveform(samples: Sequence[Sample], path) -> None:
 
 
 def read_waveform(path) -> list[Sample]:
-    """Read a waveform CSV back into samples, validating the ADC range."""
+    """Read a waveform CSV back into samples, validating the ADC range.
+    A non-UTF-8 byte is escaped, not raised where the read buffer began,
+    so it fails the check of its own line, and the error names that line."""
     samples = []
-    with open(path, "r") as f:
+    with open(path, encoding="utf-8", errors="surrogateescape") as f:
         header = f.readline()
         if header.strip() != "t_ms,value":
             raise WaveformParseError(1, f"expected header 't_ms,value', got {header!r}")

@@ -1,0 +1,31 @@
+import pytest
+
+from pulsealarm import SchmittConfig, WaveformSpec, synthesize
+from pulsealarm import bench
+from pulsealarm.bench import bench_corpus
+
+
+@pytest.mark.parametrize("seed", [3, 8])
+def test_strays_placed_from_synthesized_truth(monkeypatch, seed):
+    # Rows, and the specs of the waveforms behind them, equal those made
+    # with strays placed between the beats of the synthesized base waveform,
+    # as bench_corpus once did. The row totals alone barely depend on where
+    # the strays land.
+    base = WaveformSpec(duration_ms=10000, heart_rate_bpm=((0, 60), (4000, 110)))
+    args = (base, [5, 10], [0.0, 6.0], 2, SchmittConfig(), 500, 510)
+
+    def run():
+        specs = []
+        monkeypatch.setattr(
+            bench, "synthesize", lambda spec: specs.append(spec) or synthesize(spec)
+        )
+        return bench_corpus(*args, seed=seed), specs
+
+    rows, specs = run()
+    truth_times = synthesize(base)[1].beat_times_ms
+    place_strays = bench.place_strays
+    monkeypatch.setattr(
+        bench, "place_strays", lambda _, *rest: place_strays(truth_times, *rest)
+    )
+    assert run() == (rows, specs)
+    assert any(row.naive_false for row in rows)

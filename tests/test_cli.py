@@ -162,6 +162,22 @@ class TestBenchCommand:
         assert strays["schmitt_false"] == "0"
         assert int(strays["naive_false"]) > 0
 
+    def test_defaults_equal_explicit_keys(self, tmp_path, capsys):
+        explicit = {
+            "stray_counts": [0, 10, 20], "noise_levels": [0.0, 4.0, 8.0],
+            "runs_per_cell": 5, "naive_threshold": 500, "stray_peak": 510,
+            "stray_width_ms": 80.0, "match_tolerance_ms": 100.0,
+        }
+        outputs = []
+        for name, extra in (("defaults", {}), ("explicit", explicit)):
+            cfg = write_config(
+                tmp_path, {"bench": {"base": {"duration_ms": 10000}, **extra}}, f"{name}.json"
+            )
+            out = tmp_path / f"{name}.csv"
+            assert main(["bench", "--config", cfg, "--seed", "4", "--out", str(out)]) == 0
+            outputs.append((out.read_bytes(), capsys.readouterr().out))
+        assert outputs[0] == outputs[1]
+
 
 def serve_loopback(tmp_path, config, send, *extra):
     """Run `serve` with `config` on a free loopback port in a thread, call
@@ -225,7 +241,50 @@ def send_and_hold(data):
     return send
 
 
+def run_or_send(tmp_path, command, csv):
+    """Exit code of `run` (alarm at 0 ms) or `send` on the CSV file csv; `send`
+    goes to a loopback socket that only queues connections."""
+    if command == "run":
+        cfg = write_config(tmp_path, {"input_path": str(csv), "alarm_time_ms": 0})
+        return main(["run", "--config", cfg])
+    with socket.create_server(("127.0.0.1", 0)) as server:
+        return main(["send", "--port", str(server.getsockname()[1]), "--file", str(csv)])
+
+
+@pytest.mark.parametrize("command", ["run", "send"])
+def test_non_utf8_csv_exit_3_names_line(tmp_path, capsys, command):
+    csv = tmp_path / "wave.csv"
+    csv.write_bytes(b"t_ms,value\n0,300\n10,3\xff0\n20,300\n")
+    assert run_or_send(tmp_path, command, csv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 3: ")
+    assert "Traceback" not in err
+
+
 class TestServeSend:
+    def test_send_refuses_time_beyond_frame_field(self, tmp_path, capsys):
+        csv = tmp_path / "wave.csv"
+        csv.write_text("t_ms,value\n0,300\n4294967295,300\n4294967296,300\n")
+        assert run_or_send(tmp_path, "send", csv) == 3
+        err = capsys.readouterr().err
+        assert err == "error: sample 2: t_ms=4294967296 exceeds the 2**32 frame limit\n"
+        assert run_or_send(tmp_path, "run", csv) == 0  # run has no frame field
+
+    def test_no_connection_times_out(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "IDLE_TIMEOUT_S", 0.3)
+        cfg = write_config(tmp_path, {"alarm_time_ms": 0})
+        out = tmp_path / "serve.jsonl"
+        result = {}
+        server = threading.Thread(target=lambda: result.update(code=main(
+            ["serve", "--config", cfg, "--port", "0", "--out", str(out)]
+        )), daemon=True)  # daemon: a server that never times out must not hang pytest
+        server.start()
+        server.join(timeout=10)
+        assert not server.is_alive()
+        assert result["code"] == 3
+        assert capsys.readouterr().err == "error: no connection within 0.3 s\n"
+        assert not out.exists()
+
     def test_loopback_round_trip(self, tmp_path):
         samples, _ = synthesize(WaveformSpec(duration_ms=10000, heart_rate_bpm=60))
         wave = tmp_path / "wave.csv"

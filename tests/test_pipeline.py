@@ -1,13 +1,18 @@
+import json
 import random
 
 import pytest
 
 from pulsealarm import (
+    BpmEstimate,
     BpmEstimator,
+    BpmStatus,
     BpmReading,
     ClockTick,
     EngineConfig,
+    Phase,
     Pipeline,
+    RunReport,
     Sample,
     SchmittConfig,
     StrayPulse,
@@ -111,3 +116,17 @@ def test_non_advancing_sample_refused_without_effect():
             pipeline.engine_state,
         )
         assert after == before
+
+
+def test_report_tallies_readings_by_status():
+    statuses = [BpmStatus.REJECTED_HIGH, BpmStatus.VALID, BpmStatus.REJECTED_LOW,
+                BpmStatus.VALID, BpmStatus.REJECTED_HIGH, BpmStatus.REJECTED_HIGH]
+    readings = [BpmEstimate(t, 60.0, status) for t, status in enumerate(statuses)]
+    report = RunReport([], readings, beat_count=7, sample_count=9, final_phase=Phase.RINGING)
+    assert "readings: 6 (valid 2, rejected_low 1, rejected_high 3)" in \
+        report.summary_text().splitlines()
+    summary = json.loads(report.to_jsonl().splitlines()[-1])
+    assert (summary["valid"], summary["rejected_low"], summary["rejected_high"]) == (2, 1, 3)
+    empty = RunReport([], [], beat_count=0, sample_count=0, final_phase=Phase.ARMED)
+    assert "readings: 0 (valid 0, rejected_low 0, rejected_high 0)" in \
+        empty.summary_text().splitlines()
