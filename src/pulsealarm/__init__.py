@@ -24,9 +24,6 @@ from .detector import (
 )
 from .engine import (
     AlarmEngineState,
-    BpmReading,
-    BuzzerOff,
-    BuzzerOn,
     ClockTick,
     Disarm,
     EngineConfig,

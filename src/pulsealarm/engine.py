@@ -1,11 +1,14 @@
 """Alarm lifecycle state machine.
 
-The engine arms on a scheduled time, rings indefinitely, and silences the
-buzzer only after a configurable run of consecutive valid heart-rate
-readings inside the satisfaction band: ring-until-satisfied. RINGING is the
-latch the paper builds from a bistable circuit; only that in-band streak or
-a Disarm leaves it. There is deliberately no snooze. step assumes events
-in time order; run_engine checks the order of the batch it folds.
+The engine arms on a scheduled time, rings indefinitely, and stops ringing
+only after a configurable run of consecutive valid heart-rate readings
+inside the satisfaction band: ring-until-satisfied. RINGING is the latch
+the paper builds from a bistable circuit; only that in-band streak or a
+Disarm leaves it. The buzzer sounds exactly while the phase is RINGING: it
+turns on when the engine enters RINGING and off when it leaves, so step
+reports only the phase transitions. There is deliberately no snooze. step
+assumes events in time order; run_engine checks the order of the batch it
+folds.
 """
 
 from __future__ import annotations
@@ -58,6 +61,7 @@ class AlarmEngineState:
 
 
 # Events. step() assumes non-decreasing time order; run_engine checks it.
+# A reading is the estimator's BpmEstimate itself.
 
 @dataclass(frozen=True)
 class ClockTick:
@@ -65,33 +69,11 @@ class ClockTick:
 
 
 @dataclass(frozen=True)
-class BpmReading:
-    estimate: BpmEstimate
-
-    @property
-    def t_ms(self) -> int:
-        return self.estimate.t_ms
-
-
-@dataclass(frozen=True)
 class Disarm:
     t_ms: int
 
 
-EngineEvent = Union[ClockTick, BpmReading, Disarm]
-
-
-# Actions emitted by step(); BuzzerOn exactly on entry to RINGING,
-# BuzzerOff exactly on exit.
-
-@dataclass(frozen=True)
-class BuzzerOn:
-    t_ms: int
-
-
-@dataclass(frozen=True)
-class BuzzerOff:
-    t_ms: int
+EngineEvent = Union[ClockTick, BpmEstimate, Disarm]
 
 
 @dataclass(frozen=True)
@@ -109,9 +91,6 @@ class LogTransition:
             "to": self.to_phase.value,
             "trigger": self.trigger,
         }
-
-
-EngineAction = Union[BuzzerOn, BuzzerOff, LogTransition]
 
 
 def initial_state(config: EngineConfig = EngineConfig()) -> AlarmEngineState:
@@ -132,24 +111,21 @@ def set_alarm(state: AlarmEngineState, clock_time_ms: int) -> AlarmEngineState:
 
 def step(
     state: AlarmEngineState, event: EngineEvent
-) -> tuple[AlarmEngineState, list[EngineAction]]:
+) -> tuple[AlarmEngineState, list[LogTransition]]:
     """Advance the state machine by one event.
 
-    Deterministic; buzzer actions are derived purely from the phase change.
-    Order is assumed, not checked. A no-op returns the same state and [].
+    Deterministic. Returns the new state and a list of the zero or one
+    transitions the event caused; the buzzer follows from them, on when
+    RINGING is entered and off when it is left. Order is assumed, not
+    checked. A no-op returns the same state and [].
     """
     t = event.t_ms
-    actions: list[EngineAction] = []
 
     if isinstance(event, Disarm):
-        if state.phase is Phase.RINGING:
-            actions.append(BuzzerOff(t))
-        if state.phase is not Phase.IDLE:
-            actions.append(LogTransition(t, state.phase, Phase.IDLE, "disarm"))
-        return (
-            replace(state, phase=Phase.IDLE, alarm_time_ms=None, in_band_streak=0),
-            actions,
-        )
+        idle = replace(state, phase=Phase.IDLE, alarm_time_ms=None, in_band_streak=0)
+        if state.phase is Phase.IDLE:
+            return idle, []
+        return idle, [LogTransition(t, state.phase, Phase.IDLE, "disarm")]
 
     if isinstance(event, ClockTick):
         if (
@@ -157,26 +133,25 @@ def step(
             and state.alarm_time_ms is not None
             and t >= state.alarm_time_ms
         ):
-            actions.append(BuzzerOn(t))
-            actions.append(LogTransition(t, Phase.ARMED, Phase.RINGING, "clock_tick"))
-            return replace(state, phase=Phase.RINGING), actions
-        return state, actions
+            return replace(state, phase=Phase.RINGING), [
+                LogTransition(t, Phase.ARMED, Phase.RINGING, "clock_tick")
+            ]
+        return state, []
 
-    # BpmReading: only meaningful while ringing.
+    # A reading: only meaningful while ringing.
     if state.phase is not Phase.RINGING:
-        return state, actions
-    est = event.estimate
-    in_band = est.status is BpmStatus.VALID and state.config.satisfaction_band.contains(
-        est.bpm
+        return state, []
+    in_band = event.status is BpmStatus.VALID and state.config.satisfaction_band.contains(
+        event.bpm
     )
     if not in_band:
-        return replace(state, in_band_streak=0), actions
+        return replace(state, in_band_streak=0), []
     streak = state.in_band_streak + 1
     if streak >= state.config.required_streak:
-        actions.append(BuzzerOff(t))
-        actions.append(LogTransition(t, Phase.RINGING, Phase.STOPPED, "bpm_reading"))
-        return replace(state, phase=Phase.STOPPED, in_band_streak=0), actions
-    return replace(state, in_band_streak=streak), actions
+        return replace(state, phase=Phase.STOPPED, in_band_streak=0), [
+            LogTransition(t, Phase.RINGING, Phase.STOPPED, "bpm_reading")
+        ]
+    return replace(state, in_band_streak=streak), []
 
 
 def run_engine(
@@ -186,9 +161,10 @@ def run_engine(
 ) -> tuple[AlarmEngineState, list[LogTransition]]:
     """Fold step() over an event stream, the engine's one order check.
 
-    Returns the final state and the ordered transition log. Raises
-    StreamOrderError, with its index, at an event earlier than the last
-    one; only the given events are compared, not a supplied state's past.
+    Returns the final state and the transitions step reported, in order.
+    Raises StreamOrderError, with its index, at an event earlier than the
+    last one; only the given events are compared, not a supplied state's
+    past.
     """
     if state is None:
         state = initial_state(config)
@@ -198,6 +174,6 @@ def run_engine(
         if last_t is not None and event.t_ms < last_t:
             raise StreamOrderError(f"event {i}: t_ms={event.t_ms} precedes {last_t}")
         last_t = event.t_ms
-        state, actions = step(state, event)
-        log.extend(a for a in actions if isinstance(a, LogTransition))
+        state, transitions = step(state, event)
+        log.extend(transitions)
     return state, log

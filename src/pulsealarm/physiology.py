@@ -9,7 +9,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .detector import PLAUSIBLE_MAX_BPM, PLAUSIBLE_MIN_BPM
-from .errors import ConfigError
 
 MIN_AGE_YEARS = 1
 MAX_AGE_YEARS = 120
@@ -96,7 +95,7 @@ def satisfaction_band(
     if mode is BandMode.FIXED:
         return FIXED_SATISFACTION_BAND
     if profile is None:
-        raise ConfigError("AGE_DERIVED satisfaction band requires a user profile")
+        raise ValueError("AGE_DERIVED satisfaction band requires a user profile")
     band = moderate_exercise_band(profile.age_years)
     return BpmBand(
         max(band.low, PLAUSIBLE_MIN_BPM), min(band.high, PLAUSIBLE_MAX_BPM)

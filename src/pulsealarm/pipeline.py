@@ -19,7 +19,6 @@ from .detector import (
 )
 from .engine import (
     AlarmEngineState,
-    BpmReading,
     ClockTick,
     EngineConfig,
     LogTransition,
@@ -128,8 +127,8 @@ class Pipeline:
         return self._engine_state
 
     def _engine_step(self, event) -> None:
-        self._engine_state, actions = step(self._engine_state, event)
-        self.transitions.extend(a for a in actions if isinstance(a, LogTransition))
+        self._engine_state, transitions = step(self._engine_state, event)
+        self.transitions.extend(transitions)
 
     def push(self, sample: Sample) -> None:
         """Feed one sample. A sample whose time does not advance raises
@@ -143,7 +142,7 @@ class Pipeline:
         estimate = self._estimator.add(beat)
         if estimate is not None:
             self.readings.append(estimate)
-            self._engine_step(BpmReading(estimate))
+            self._engine_step(estimate)
 
     def report(
         self, gap_count: int = 0, corrupt_count: int = 0, resync_count: int = 0

@@ -139,20 +139,19 @@ def replay_file(
     speed is a real-time multiplier: 1.0 paces frames at the recorded
     sample intervals, 2.0 twice as fast, 0 disables pacing entirely.
     Returns the number of frames sent. Refuses non-monotone timestamps
-    and a t_ms that the 4-byte frame field cannot hold.
+    and a t_ms that the 4-byte frame field cannot hold, anywhere in the
+    file, before it sends the first frame.
     """
     samples = read_waveform(path)
-    prev_t = None
     for i, sample in enumerate(samples):
         if sample.t_ms >= 2**32:
             raise PulseAlarmError(f"sample {i}: t_ms={sample.t_ms} exceeds the 2**32 frame limit")
-        if prev_t is not None:
-            if sample.t_ms <= prev_t:
-                raise StreamOrderError(
-                    f"sample {i} at t_ms={sample.t_ms} does not advance past {prev_t}"
-                )
-            if speed > 0:
-                time.sleep((sample.t_ms - prev_t) / 1000.0 / speed)
-        prev_t = sample.t_ms
+        if i and sample.t_ms <= samples[i - 1].t_ms:
+            raise StreamOrderError(
+                f"sample {i} at t_ms={sample.t_ms} does not advance past {samples[i - 1].t_ms}"
+            )
+    for i, sample in enumerate(samples):
+        if i and speed > 0:
+            time.sleep((sample.t_ms - samples[i - 1].t_ms) / 1000.0 / speed)
         sink(encode_frame(i % 256, sample))
     return len(samples)

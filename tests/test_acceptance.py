@@ -18,10 +18,7 @@ import pytest
 from pulsealarm import (
     BpmEstimate,
     BpmEstimator,
-    BpmReading,
     BpmStatus,
-    BuzzerOff,
-    BuzzerOn,
     ClockTick,
     CorruptFrame,
     Disarm,
@@ -204,7 +201,7 @@ def _random_event(rng, t):
             status = BpmStatus.REJECTED_HIGH
         else:
             status = BpmStatus.VALID
-        return BpmReading(BpmEstimate(t, bpm, status))
+        return BpmEstimate(t, bpm, status)
     if kind < 0.85:
         return ClockTick(t)
     if kind < 0.95:
@@ -220,9 +217,9 @@ def test_criterion_7_state_machine_safety():
 
     def qualifies(event):
         return (
-            isinstance(event, BpmReading)
-            and event.estimate.status is BpmStatus.VALID
-            and config.satisfaction_band.contains(event.estimate.bpm)
+            isinstance(event, BpmEstimate)
+            and event.status is BpmStatus.VALID
+            and config.satisfaction_band.contains(event.bpm)
         )
 
     rng = random.Random(2024)
@@ -235,18 +232,22 @@ def test_criterion_7_state_machine_safety():
             t += rng.randrange(0, 400)
             event = _random_event(rng, t)
             was_ringing = state.phase is Phase.RINGING
-            if was_ringing and isinstance(event, BpmReading):
+            if was_ringing and isinstance(event, BpmEstimate):
                 recent.append(qualifies(event))
-            state, actions = step(state, event)
+            state, transitions = step(state, event)
+            # the buzzer turns on entering RINGING and off leaving it
             buzzer.extend(
-                type(a) for a in actions if isinstance(a, (BuzzerOn, BuzzerOff))
+                tr.to_phase is Phase.RINGING
+                for tr in transitions
+                if Phase.RINGING in (tr.from_phase, tr.to_phase)
             )
             if was_ringing and state.phase is Phase.STOPPED:
                 if len(recent) < 3 or not all(recent[-3:]):
                     ok = False
             if state.phase is not Phase.RINGING:
                 recent = []
-        alternating = [BuzzerOn, BuzzerOff] * len(buzzer)
+        # entries into RINGING and exits from it alternate, entry first
+        alternating = [True, False] * len(buzzer)
         if buzzer != alternating[: len(buzzer)]:
             ok = False
 
@@ -257,9 +258,7 @@ def test_criterion_7_state_machine_safety():
     for _ in range(600):
         t += 60_000
         state, _ = step(state, ClockTick(t))
-        state, _ = step(
-            state, BpmReading(BpmEstimate(t, 82.0, BpmStatus.VALID))
-        )
+        state, _ = step(state, BpmEstimate(t, 82.0, BpmStatus.VALID))
     if state.phase is not Phase.RINGING:
         ok = False
     report(7, "state-machine safety", ok, 60.0, time.monotonic() - start)

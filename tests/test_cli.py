@@ -308,6 +308,17 @@ class TestServeSend:
         assert json.loads(report.splitlines()[-1])["samples"] == len(samples)
         assert "dropped 1 samples" in caplog.text
 
+    def test_protocol_damage_reported(self, tmp_path, capsys):
+        samples, _ = synthesize(WaveformSpec(duration_ms=5000, heart_rate_bpm=60))
+        data = bytearray(encode_stream(samples))
+        data[2 * FRAME_LEN - 1] ^= 0xFF  # checksum byte of frame 1
+        code, report = serve_loopback(tmp_path, {"alarm_time_ms": 0}, send_bytes(bytes(data)))
+        assert code == 0
+        summary = json.loads(report.splitlines()[-1])
+        assert (summary["gaps"], summary["corrupt_frames"], summary["resyncs"]) == (1, 1, 1)
+        assert summary["samples"] == len(samples) - 1
+        assert "protocol: 1 gaps, 1 corrupt frames, 1 resyncs\n" in capsys.readouterr().out
+
     def test_stalled_sender_times_out(self, tmp_path, caplog, monkeypatch):
         monkeypatch.setattr(cli, "IDLE_TIMEOUT_S", 0.3)
         samples, _ = synthesize(WaveformSpec(duration_ms=5000, heart_rate_bpm=60))
@@ -406,6 +417,8 @@ def amend(config, path, value):
             ("run", WAVEFORM_RUN, "profile", 5),
             ("run", WAVEFORM_RUN, "profile.age_years", None),
             ("run", WAVEFORM_RUN, "engine", [1]),
+            ("run", {"waveform": {"duration_ms": 1000}, "alarm_time_ms": 0},
+             "engine.band_mode", "age_derived"),  # no profile to derive the band from
             ("run", WAVEFORM_RUN, "schmitt.upper_threshold", None),
             ("run", WAVEFORM_RUN, "alarm_time_ms", "x"),
             ("run", SCENARIO_RUN, "scenario", 3),

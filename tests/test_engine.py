@@ -4,10 +4,7 @@ import pytest
 
 from pulsealarm import (
     BpmEstimate,
-    BpmReading,
     BpmStatus,
-    BuzzerOff,
-    BuzzerOn,
     ClockTick,
     Disarm,
     EngineConfig,
@@ -31,12 +28,12 @@ def reading(t_ms, bpm):
         status = BpmStatus.REJECTED_HIGH
     else:
         status = BpmStatus.VALID
-    return BpmReading(BpmEstimate(t_ms, bpm, status))
+    return BpmEstimate(t_ms, bpm, status)
 
 
 def ringing_state(config=CONFIG, t=1000):
     state = set_alarm(initial_state(config), t)
-    state, actions = step(state, ClockTick(t))
+    state, _ = step(state, ClockTick(t))
     assert state.phase is Phase.RINGING
     return state
 
@@ -64,18 +61,18 @@ class TestSetAlarm:
 class TestStep:
     def test_alarm_fires_at_set_time(self):
         state = set_alarm(initial_state(CONFIG), 1000)
-        state, actions = step(state, ClockTick(1000))
+        state, transitions = step(state, ClockTick(1000))
         assert state.phase is Phase.RINGING
-        assert any(isinstance(a, BuzzerOn) for a in actions)
+        assert transitions == [LogTransition(1000, Phase.ARMED, Phase.RINGING, "clock_tick")]
 
     def test_streak_of_in_band_readings_stops(self):
         state = ringing_state()
-        actions = []
+        transitions = []
         for t in (2000, 3000, 4000):
-            state, acts = step(state, reading(t, 150))
-            actions.extend(acts)
+            state, new = step(state, reading(t, 150))
+            transitions.extend(new)
         assert state.phase is Phase.STOPPED
-        assert any(isinstance(a, BuzzerOff) for a in actions)
+        assert transitions == [LogTransition(4000, Phase.RINGING, Phase.STOPPED, "bpm_reading")]
 
     def test_boundary_100_not_in_band(self):
         state = ringing_state()
@@ -102,15 +99,15 @@ class TestStep:
 
     def test_rings_forever_without_in_band_readings(self):
         state = ringing_state(t=1000)
-        state, actions = step(state, ClockTick(1000 + 10 * 3600 * 1000))
+        state, transitions = step(state, ClockTick(1000 + 10 * 3600 * 1000))
         assert state.phase is Phase.RINGING
-        assert actions == []
+        assert transitions == []
 
     def test_disarm_silences(self):
         state = ringing_state()
-        state, actions = step(state, Disarm(2000))
+        state, transitions = step(state, Disarm(2000))
         assert state.phase is Phase.IDLE
-        assert any(isinstance(a, BuzzerOff) for a in actions)
+        assert transitions == [LogTransition(2000, Phase.RINGING, Phase.IDLE, "disarm")]
 
     @pytest.mark.parametrize(
         "state,event",
@@ -128,17 +125,17 @@ class TestStep:
         ],
     )
     def test_no_op_returns_same_state(self, state, event):
-        new_state, actions = step(state, event)
+        new_state, transitions = step(state, event)
         assert new_state is state
-        assert actions == []
+        assert transitions == []
 
     def test_stopped_is_latched(self):
         state = ringing_state()
         for t in (2000, 3000, 4000):
             state, _ = step(state, reading(t, 150))
-        state, actions = step(state, reading(5000, 60))
+        state, transitions = step(state, reading(5000, 60))
         assert state.phase is Phase.STOPPED
-        assert actions == []
+        assert transitions == []
 
 
 class TestRunEngine:
@@ -196,16 +193,17 @@ def random_events(rng, n, t_step=500):
 
 def qualifies(event, config):
     return (
-        isinstance(event, BpmReading)
-        and event.estimate.status is BpmStatus.VALID
-        and config.satisfaction_band.contains(event.estimate.bpm)
+        isinstance(event, BpmEstimate)
+        and event.status is BpmStatus.VALID
+        and config.satisfaction_band.contains(event.bpm)
     )
 
 
 @pytest.mark.parametrize("streak", [1, 3])
 def test_randomized_streams_safety(streak):
     # Every RINGING -> STOPPED must be immediately preceded by a run of
-    # `streak` consecutive qualifying readings; buzzer actions alternate.
+    # `streak` consecutive qualifying readings; entries into RINGING and
+    # exits from it (buzzer on, buzzer off) alternate, starting with an entry.
     config = EngineConfig(required_streak=streak)
     rng = random.Random(42 + streak)
     for _ in range(300):
@@ -214,18 +212,18 @@ def test_randomized_streams_safety(streak):
         buzzer = []
         for event in random_events(rng, 40):
             was_ringing = state.phase is Phase.RINGING
-            if was_ringing and isinstance(event, BpmReading):
+            if was_ringing and isinstance(event, BpmEstimate):
                 recent.append(qualifies(event, config))
-            state, actions = step(state, event)
-            for a in actions:
-                if isinstance(a, (BuzzerOn, BuzzerOff)):
-                    buzzer.append(type(a))
+            state, transitions = step(state, event)
+            for tr in transitions:
+                if Phase.RINGING in (tr.from_phase, tr.to_phase):
+                    buzzer.append(tr.to_phase is Phase.RINGING)
             if was_ringing and state.phase is Phase.STOPPED:
                 assert len(recent) >= streak
                 assert all(recent[-streak:])
             if state.phase is not Phase.RINGING:
                 recent = []
-        expected = [BuzzerOn, BuzzerOff] * (len(buzzer) // 2 + 1)
+        expected = [True, False] * (len(buzzer) // 2 + 1)
         assert buzzer == expected[: len(buzzer)]
 
 

@@ -3,7 +3,6 @@ import pytest
 from pulsealarm import (
     BandMode,
     BpmBand,
-    ConfigError,
     UserProfile,
     max_heart_rate,
     moderate_exercise_band,
@@ -83,7 +82,7 @@ class TestSatisfactionBand:
         assert band == BpmBand(110, 151)
 
     def test_age_derived_requires_profile(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError, match="requires a user profile"):
             satisfaction_band(None, BandMode.AGE_DERIVED)
 
     def test_age_derived_clipped_to_plausible(self):

@@ -7,7 +7,6 @@ from pulsealarm import (
     BpmEstimate,
     BpmEstimator,
     BpmStatus,
-    BpmReading,
     ClockTick,
     EngineConfig,
     Phase,
@@ -85,7 +84,7 @@ def test_pipeline_agrees_with_batch_layers(seed):
     for s in samples:
         events.append(ClockTick(s.t_ms))
         if s.t_ms in readings:
-            events.append(BpmReading(readings[s.t_ms]))
+            events.append(readings[s.t_ms])
     final, log = run_engine(events, config, set_alarm(initial_state(config), alarm_time))
     assert report.transitions == log
     assert report.final_phase is final.phase

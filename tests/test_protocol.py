@@ -8,6 +8,7 @@ from pulsealarm import (
     CorruptFrame,
     FrameDecoder,
     Gap,
+    PulseAlarmError,
     Resync,
     Sample,
     SampleOutcome,
@@ -155,3 +156,17 @@ class TestReplayFile:
         path.write_text("t_ms,value\n0,10\n10,10\n10,10\n")
         with pytest.raises(StreamOrderError):
             replay_file(path, lambda b: None)
+
+    @pytest.mark.parametrize(
+        "last_row,error",
+        [("100,10", StreamOrderError), (f"{2**32},10", PulseAlarmError)],
+        ids=["out-of-order", "beyond-frame-field"],
+    )
+    def test_bad_last_row_refused_before_any_frame(self, tmp_path, last_row, error):
+        path = tmp_path / "bad.csv"
+        rows = "".join(f"{10 * i},300\n" for i in range(500))
+        path.write_text(f"t_ms,value\n{rows}{last_row}\n")
+        chunks = []
+        with pytest.raises(error, match="sample 500"):
+            replay_file(path, chunks.append)
+        assert chunks == []
