@@ -59,7 +59,6 @@ from .protocol import (
     Gap,
     Resync,
     SampleOutcome,
-    decode_all,
     encode_frame,
     encode_stream,
     replay_file,

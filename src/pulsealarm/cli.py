@@ -14,8 +14,9 @@ does not advance, logging their count at WARNING, instead of aborting. It
 waits IDLE_TIMEOUT_S for a sender (else exit 3) and for data (else closed).
 
 Exit codes: 0 expected final phase (or nothing to check), 1 unexpected
-final phase, 2 configuration error (any malformed config value or
-PULSEALARM_PORT), 3 I/O or protocol-fatal error.
+final phase, 2 configuration error (any malformed config value,
+PULSEALARM_PORT, PULSEALARM_LOG or `send --speed`), 3 I/O or
+protocol-fatal error.
 """
 
 from __future__ import annotations
@@ -283,8 +284,13 @@ def _resolve_port(args) -> int:
 
 def cmd_send(args) -> int:
     port = _resolve_port(args)
-    with socket.create_connection((args.host, port)) as sock:
-        sent = replay_file(args.file, sock.sendall, speed=args.speed)
+    if not args.speed >= 0:  # NaN included
+        raise ConfigError(f"--speed: must be >= 0, got {args.speed:g}")
+    with contextlib.ExitStack() as stack:
+        def connect():  # called only once the whole CSV has been read and checked
+            return stack.enter_context(socket.create_connection((args.host, port))).sendall
+
+        sent = replay_file(args.file, connect, speed=args.speed)
     print(f"sent {sent} frames to {args.host}:{port}")
     return EXIT_OK
 
@@ -362,12 +368,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    logging.basicConfig(
-        level=os.environ.get("PULSEALARM_LOG", "WARNING").upper(),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
     args = build_parser().parse_args(argv)
     try:
+        with _values("PULSEALARM_LOG"):
+            logging.basicConfig(
+                level=os.environ.get("PULSEALARM_LOG", "WARNING").upper(),
+                format="%(levelname)s %(name)s: %(message)s",
+            )
         if args.command == "send":
             return cmd_send(args)
         config = _load_json(args.config)

@@ -16,6 +16,7 @@ the next plausible sync byte.
 
 from __future__ import annotations
 
+import struct
 import time
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
@@ -26,6 +27,7 @@ from .synth import read_waveform
 
 SYNC_BYTE = 0xAA
 FRAME_LEN = 9
+_PAYLOAD = struct.Struct(">BIH")  # seq, t_ms, value: frame offsets 1-7
 
 
 @dataclass(frozen=True)
@@ -65,7 +67,7 @@ def encode_frame(seq: int, sample: Sample) -> bytes:
         raise ValueError(f"seq must fit one byte, got {seq}")
     if not 0 <= sample.t_ms < 2**32:
         raise ValueError(f"t_ms must fit 4 bytes, got {sample.t_ms}")
-    payload = bytes([seq]) + sample.t_ms.to_bytes(4, "big") + sample.value.to_bytes(2, "big")
+    payload = _PAYLOAD.pack(seq, sample.t_ms, sample.value)
     return bytes([SYNC_BYTE]) + payload + bytes([_checksum(payload)])
 
 
@@ -88,40 +90,28 @@ class FrameDecoder:
         out: list[ParseOutcome] = []
         buf = self._buf
         i = 0
-        skipped = 0
-        while i < len(buf):
-            if buf[i] != SYNC_BYTE:
-                skipped += 1
-                i += 1
-                continue
-            if skipped:
-                out.append(Resync(skipped))
-                skipped = 0
+        while True:
+            sync = buf.find(SYNC_BYTE, i)
+            sync = len(buf) if sync < 0 else sync  # no sync byte: skip to the end
+            if sync > i:
+                out.append(Resync(sync - i))
+            i = sync
             if len(buf) - i < FRAME_LEN:
-                break  # partial frame, wait for more bytes
-            frame = bytes(buf[i : i + FRAME_LEN])
-            payload = frame[1:-1]
-            value = int.from_bytes(frame[6:8], "big")
-            if _checksum(payload) != frame[-1] or value > ADC_MAX:
+                break  # a partial frame, or none: wait for more bytes
+            seq, t_ms, value = _PAYLOAD.unpack_from(buf, i + 1)
+            # a good frame's payload XORed with its checksum byte gives 0
+            if _checksum(buf[i + 1 : i + FRAME_LEN]) or value > ADC_MAX:
                 out.append(CorruptFrame(self._offset + i))
                 i += 1  # drop only the sync byte, rescan inside the frame
                 continue
-            seq = frame[1]
-            t_ms = int.from_bytes(frame[2:6], "big")
             out.append(SampleOutcome(seq, Sample(t_ms, value)))
             if self._last_seq is not None and (seq - self._last_seq) % 256 != 1:
                 out.append(Gap((self._last_seq + 1) % 256, seq))
             self._last_seq = seq
             i += FRAME_LEN
-        if skipped:
-            out.append(Resync(skipped))
         del buf[:i]
         self._offset += i
         return out
-
-
-def decode_all(data: bytes) -> list[ParseOutcome]:
-    return FrameDecoder().feed(data)
 
 
 def encode_stream(samples: Sequence[Sample], start_seq: int = 0) -> bytes:
@@ -132,15 +122,15 @@ def encode_stream(samples: Sequence[Sample], start_seq: int = 0) -> bytes:
 
 
 def replay_file(
-    path, sink: Callable[[bytes], None], speed: float = 0.0
+    path, connect: Callable[[], Callable[[bytes], None]], speed: float = 0.0
 ) -> int:
-    """Encode a waveform CSV frame by frame into `sink`.
+    """Encode a waveform CSV frame by frame into the sink `connect()` returns.
 
     speed is a real-time multiplier: 1.0 paces frames at the recorded
     sample intervals, 2.0 twice as fast, 0 disables pacing entirely.
     Returns the number of frames sent. Refuses non-monotone timestamps
     and a t_ms that the 4-byte frame field cannot hold, anywhere in the
-    file, before it sends the first frame.
+    file, before it calls `connect`, so a refused file opens no sink.
     """
     samples = read_waveform(path)
     for i, sample in enumerate(samples):
@@ -150,6 +140,7 @@ def replay_file(
             raise StreamOrderError(
                 f"sample {i} at t_ms={sample.t_ms} does not advance past {samples[i - 1].t_ms}"
             )
+    sink = connect()
     for i, sample in enumerate(samples):
         if i and speed > 0:
             time.sleep((sample.t_ms - samples[i - 1].t_ms) / 1000.0 / speed)

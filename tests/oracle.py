@@ -1,8 +1,9 @@
 """Offline reference implementations used as test oracles.
 
-Kept deliberately independent of the package's streaming code: these work
-over fully buffered arrays in a single literal pass of the hysteresis
-definition, so agreement with the streaming detector is meaningful.
+Kept deliberately independent of the package's streaming code: the beat
+scans work over fully buffered arrays in a single literal pass of the
+hysteresis definition, and the frame scan walks its bytes one at a time,
+so agreement with the streaming detector and decoder is meaningful.
 """
 
 
@@ -46,3 +47,56 @@ def offline_crossing_scan(times, values, threshold):
             prev_beat = t
         prev_value = v
     return beats
+
+
+def reference_frame_scan(chunks, sync=0xAA, frame_len=9, adc_max=1023):
+    """Byte-by-byte reference for the framed protocol's incremental decoder.
+
+    Feeds `chunks` in order into one buffer, walking it a byte at a time:
+    a run of non-sync bytes is one ("Resync", count) when the walk reaches
+    a sync byte or the end of the chunk; a sync byte with fewer than
+    `frame_len` bytes behind it waits for the next chunk; a frame whose XOR
+    of bytes 1..7 differs from byte 8, or whose value exceeds `adc_max`, is
+    ("CorruptFrame", absolute offset) and only its sync byte is dropped; a
+    valid frame is ("SampleOutcome", seq, (t_ms, value)), followed by
+    ("Gap", expected_seq, seq) when seq does not follow the last valid one
+    modulo 256. Returns the outcomes as tuples.
+    """
+    out = []
+    buf = b""
+    offset = 0  # absolute stream offset of buf[0]
+    last_seq = None
+    for chunk in chunks:
+        buf += chunk
+        i = 0
+        skipped = 0
+        while i < len(buf):
+            if buf[i] != sync:
+                skipped += 1
+                i += 1
+                continue
+            if skipped:
+                out.append(("Resync", skipped))
+                skipped = 0
+            if len(buf) - i < frame_len:
+                break
+            check = 0
+            for b in buf[i + 1 : i + frame_len - 1]:
+                check ^= b
+            seq = buf[i + 1]
+            t_ms = (buf[i + 2] << 24) | (buf[i + 3] << 16) | (buf[i + 4] << 8) | buf[i + 5]
+            value = (buf[i + 6] << 8) | buf[i + 7]
+            if check != buf[i + frame_len - 1] or value > adc_max:
+                out.append(("CorruptFrame", offset + i))
+                i += 1
+                continue
+            out.append(("SampleOutcome", seq, (t_ms, value)))
+            if last_seq is not None and (seq - last_seq) % 256 != 1:
+                out.append(("Gap", (last_seq + 1) % 256, seq))
+            last_seq = seq
+            i += frame_len
+        if skipped:
+            out.append(("Resync", skipped))
+        buf = buf[i:]
+        offset += i
+    return out

@@ -32,7 +32,6 @@ from pulsealarm import (
     StrayPulse,
     UserProfile,
     WaveformSpec,
-    decode_all,
     detect_beats,
     encode_frame,
     encode_stream,
@@ -287,7 +286,7 @@ def test_criterion_8_protocol_totality_and_round_trip():
     for _ in range(10_000):
         t += rng.randrange(1, 1000)
         samples.append(Sample(t, rng.randrange(0, 1024)))
-    outcomes = decode_all(encode_stream(samples))
+    outcomes = FrameDecoder().feed(encode_stream(samples))
     got = [o.sample for o in outcomes if isinstance(o, SampleOutcome)]
     if got != samples:
         ok = False
@@ -313,7 +312,7 @@ def test_criterion_8_protocol_totality_and_round_trip():
         frames[i][8] ^= 0x01
         if frames[i][8] == 0xAA:
             frames[i][8] ^= 0x03
-    outcomes = decode_all(b"".join(bytes(f) for f in frames))
+    outcomes = FrameDecoder().feed(b"".join(bytes(f) for f in frames))
     n_corrupt = sum(isinstance(o, CorruptFrame) for o in outcomes)
     n_gaps = sum(isinstance(o, Gap) for o in outcomes)
     n_samples = sum(isinstance(o, SampleOutcome) for o in outcomes)

@@ -5,6 +5,8 @@ import os
 import pathlib
 import re
 import socket
+import subprocess
+import sys
 import tempfile
 import threading
 import time
@@ -270,6 +272,19 @@ class TestServeSend:
         assert err == "error: sample 2: t_ms=4294967296 exceeds the 2**32 frame limit\n"
         assert run_or_send(tmp_path, "run", csv) == 0  # run has no frame field
 
+    def test_refused_csv_opens_no_connection(self, tmp_path, capsys):
+        csv = tmp_path / "wave.csv"
+        rows = "".join(f"{10 * i},300\n" for i in range(500))
+        csv.write_text(f"t_ms,value\n{rows}100,300\n")
+        with socket.create_server(("127.0.0.1", 0)) as server:
+            port = str(server.getsockname()[1])
+            assert main(["send", "--port", port, "--file", str(csv)]) == 3
+            server.settimeout(0.2)
+            with pytest.raises(TimeoutError):
+                server.accept()
+        err = capsys.readouterr().err
+        assert err == "error: sample 500 at t_ms=100 does not advance past 4990\n"
+
     def test_no_connection_times_out(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "IDLE_TIMEOUT_S", 0.3)
         cfg = write_config(tmp_path, {"alarm_time_ms": 0})
@@ -429,19 +444,41 @@ def amend(config, path, value):
             ("bench", BENCH, "bench.stray_counts", "ab"),
             ("send", None, "PULSEALARM_PORT", "abc"),
             ("serve", {"alarm_time_ms": 0}, "PULSEALARM_PORT", "abc"),
+            # port 9 has no listener: a connection attempt would exit 3
+            ("send", None, "--speed", "-1"),
+            ("send", None, "--speed", "nan"),
         ]
     ],
 )
 def test_bad_config_value_exit_2(tmp_path, capsys, monkeypatch, command, base, path, value):
+    flags = []
     if path == "PULSEALARM_PORT":
         monkeypatch.setenv(path, value)
+    elif path.startswith("--"):
+        flags = ["--port", "9", path, value]
     else:
         base = amend(base, path, value)
     argv = ["--file", "unused.csv"] if base is None else ["--config", write_config(tmp_path, base)]
-    assert main([command, *argv]) == 2
+    assert main([command, *argv, *flags]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path.split('.')[0]}: ")
     assert "Traceback" not in err
+
+
+def test_bad_log_level_exit_2(tmp_path):
+    # in a fresh process: under pytest the root logger already has handlers,
+    # and logging.basicConfig then ignores its level
+    src = pathlib.Path(cli.__file__).parents[1]
+    env = {**os.environ, "PULSEALARM_LOG": "bogus",
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    cfg = write_config(tmp_path, WAVEFORM_RUN)
+    result = subprocess.run(
+        [sys.executable, "-m", "pulsealarm", "run", "--config", cfg],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: PULSEALARM_LOG: ")
+    assert "Traceback" not in result.stderr
 
 
 FUZZ_BASES = [

@@ -1,4 +1,5 @@
 import random
+from dataclasses import astuple
 
 import pytest
 from hypothesis import given, settings
@@ -14,13 +15,15 @@ from pulsealarm import (
     SampleOutcome,
     StreamOrderError,
     WaveformSpec,
-    decode_all,
     encode_frame,
     encode_stream,
     replay_file,
     synthesize,
     write_waveform,
 )
+from pulsealarm.detector import ADC_MAX
+
+from oracle import reference_frame_scan
 
 
 class TestEncodeFrame:
@@ -52,7 +55,7 @@ class TestFeed:
 
     def test_three_valid_frames(self):
         data = encode_stream(self.frames(3))
-        outcomes = decode_all(data)
+        outcomes = FrameDecoder().feed(data)
         assert [o for o in outcomes if isinstance(o, SampleOutcome)] == [
             SampleOutcome(i, s) for i, s in enumerate(self.frames(3))
         ]
@@ -62,7 +65,7 @@ class TestFeed:
         samples = self.frames(3)
         raw = bytearray(encode_stream(samples))
         raw[17] ^= 0xFF  # checksum byte of the middle frame
-        outcomes = decode_all(bytes(raw))
+        outcomes = FrameDecoder().feed(bytes(raw))
         kinds = [type(o) for o in outcomes]
         assert kinds == [SampleOutcome, CorruptFrame, Resync, SampleOutcome, Gap]
         assert outcomes[1] == CorruptFrame(9)
@@ -72,7 +75,7 @@ class TestFeed:
 
     def test_garbage_without_sync(self):
         garbage = bytes(b for b in range(256) if b != 0xAA) * 4
-        outcomes = decode_all(garbage)
+        outcomes = FrameDecoder().feed(garbage)
         assert outcomes == [Resync(len(garbage))]
 
     def test_partial_frames_buffer_across_calls(self):
@@ -87,13 +90,13 @@ class TestFeed:
         raw = bytearray(encode_frame(0, Sample(0, 1023)))
         raw[6] = 0x04  # value 1024
         raw[8] ^= 0x04 ^ 0x03  # keep the checksum consistent
-        outcomes = decode_all(bytes(raw))
+        outcomes = FrameDecoder().feed(bytes(raw))
         assert any(isinstance(o, CorruptFrame) for o in outcomes)
         assert not any(isinstance(o, SampleOutcome) for o in outcomes)
 
     def test_seq_wraps_mod_256(self):
         samples = [Sample(10 * i, 5) for i in range(300)]
-        outcomes = decode_all(encode_stream(samples))
+        outcomes = FrameDecoder().feed(encode_stream(samples))
         assert not any(isinstance(o, Gap) for o in outcomes)
 
     def test_recovery_with_garbage_between_frames(self):
@@ -105,7 +108,7 @@ class TestFeed:
             junk = bytes(rng.choice([b for b in range(256) if b != 0xAA])
                          for _ in range(rng.randrange(0, 5)))
             chunks.append(junk)
-        outcomes = decode_all(b"".join(chunks))
+        outcomes = FrameDecoder().feed(b"".join(chunks))
         got = [o.sample for o in outcomes if isinstance(o, SampleOutcome)]
         assert got == samples
 
@@ -131,9 +134,47 @@ def test_feed_total_over_arbitrary_bytes(data):
 )
 def test_round_trip_identity(start_seq, specs):
     samples = [Sample(t, v) for t, v in specs]
-    outcomes = decode_all(encode_stream(samples, start_seq))
+    outcomes = FrameDecoder().feed(encode_stream(samples, start_seq))
     assert [o.sample for o in outcomes if isinstance(o, SampleOutcome)] == samples
     assert not any(isinstance(o, (CorruptFrame, Resync)) for o in outcomes)
+
+
+@st.composite
+def _damaged_stream(draw):
+    """Frames with random damage: flipped bytes, junk (rich in sync bytes),
+    cut, repeated and skipped frames, and checksum-valid frames whose value
+    exceeds the ADC bound."""
+    byte = st.sampled_from([0xAA, 0x00, 0xFF]) | st.integers(0, 255)
+    parts = []
+    seq = draw(st.integers(0, 255))
+    for _ in range(draw(st.integers(0, 40))):
+        t_ms = draw(st.sampled_from([0xAAAAAAAA, 0xAA00AA]) | st.integers(0, 2**32 - 1))
+        frame = bytearray(encode_frame(seq, Sample(t_ms, draw(st.integers(0, ADC_MAX)))))
+        kind = draw(st.sampled_from(["frame", "frame", "flip", "junk", "cut", "repeat", "skip",
+                                     "too_big"]))
+        if kind == "flip":
+            frame[draw(st.integers(0, len(frame) - 1))] ^= draw(st.integers(1, 255))
+        elif kind == "junk":
+            parts.append(bytes(draw(st.lists(byte, max_size=12))))
+        elif kind == "cut":
+            frame = frame[: draw(st.integers(1, len(frame) - 1))]
+        elif kind == "repeat":
+            parts.append(bytes(frame))
+        elif kind == "too_big":
+            frame[6] |= 0x04
+            frame[8] = frame[1] ^ frame[2] ^ frame[3] ^ frame[4] ^ frame[5] ^ frame[6] ^ frame[7]
+        parts.append(bytes(frame))
+        seq = (seq + (2 if kind == "skip" else 1)) % 256
+    return b"".join(parts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=_damaged_stream(), size=st.sampled_from([1, 7, 4096]))
+def test_feed_matches_reference_scan(data, size):
+    chunks = [data[i : i + size] for i in range(0, len(data), size)]
+    decoder = FrameDecoder()
+    got = [(type(o).__name__, *astuple(o)) for chunk in chunks for o in decoder.feed(chunk)]
+    assert got == reference_frame_scan(chunks)
 
 
 class TestReplayFile:
@@ -142,11 +183,11 @@ class TestReplayFile:
         path = tmp_path / "wave.csv"
         write_waveform(samples, path)
         chunks = []
-        sent = replay_file(path, chunks.append)
+        sent = replay_file(path, lambda: chunks.append)
         assert sent == 1000
         data = b"".join(chunks)
         assert len(data) == 9 * 1000
-        outcomes = decode_all(data)
+        outcomes = FrameDecoder().feed(data)
         got = [o.sample for o in outcomes if isinstance(o, SampleOutcome)]
         assert got == samples
         assert not any(isinstance(o, Gap) for o in outcomes)
@@ -155,7 +196,7 @@ class TestReplayFile:
         path = tmp_path / "bad.csv"
         path.write_text("t_ms,value\n0,10\n10,10\n10,10\n")
         with pytest.raises(StreamOrderError):
-            replay_file(path, lambda b: None)
+            replay_file(path, lambda: pytest.fail("connected"))
 
     @pytest.mark.parametrize(
         "last_row,error",
@@ -166,7 +207,5 @@ class TestReplayFile:
         path = tmp_path / "bad.csv"
         rows = "".join(f"{10 * i},300\n" for i in range(500))
         path.write_text(f"t_ms,value\n{rows}{last_row}\n")
-        chunks = []
         with pytest.raises(error, match="sample 500"):
-            replay_file(path, chunks.append)
-        assert chunks == []
+            replay_file(path, lambda: pytest.fail("connected"))
