@@ -30,6 +30,7 @@ from .engine import (
     LogTransition,
     Phase,
     initial_state,
+    next_tick_ms,
     run_engine,
     set_alarm,
     step,

@@ -370,11 +370,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # the level goes on our own logger: basicConfig ignores its level
+        # when the host process has already given the root logger a handler
         with _values("PULSEALARM_LOG"):
-            logging.basicConfig(
-                level=os.environ.get("PULSEALARM_LOG", "WARNING").upper(),
-                format="%(levelname)s %(name)s: %(message)s",
-            )
+            log.setLevel(os.environ.get("PULSEALARM_LOG", "WARNING").upper())
+        logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
         if args.command == "send":
             return cmd_send(args)
         config = _load_json(args.config)

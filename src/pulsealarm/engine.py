@@ -9,6 +9,10 @@ turns on when the engine enters RINGING and off when it leaves, so step
 reports only the phase transitions. There is deliberately no snooze. step
 assumes events in time order; run_engine checks the order of the batch it
 folds.
+
+A ClockTick changes the state only while ARMED, at or after the alarm
+time; next_tick_ms names that deadline. A caller may skip every tick
+before it and get the states and transitions of ticking at every sample.
 """
 
 from __future__ import annotations
@@ -107,6 +111,12 @@ def set_alarm(state: AlarmEngineState, clock_time_ms: int) -> AlarmEngineState:
     return replace(
         state, phase=Phase.ARMED, alarm_time_ms=clock_time_ms, in_band_streak=0
     )
+
+
+def next_tick_ms(state: AlarmEngineState) -> Optional[int]:
+    """The earliest time a ClockTick could change the state: the alarm time
+    while ARMED, else None, because a tick changes nothing in other phases."""
+    return state.alarm_time_ms if state.phase is Phase.ARMED else None
 
 
 def step(

@@ -24,6 +24,7 @@ from .engine import (
     LogTransition,
     Phase,
     initial_state,
+    next_tick_ms,
     set_alarm,
     step,
 )
@@ -103,8 +104,10 @@ class RunReport:
 class Pipeline:
     """Streaming pipeline: push samples, the alarm engine reacts.
 
-    The engine is armed for alarm_time_ms up front; every sample drives a
-    clock tick, every detected beat drives a rate reading.
+    The engine is armed for alarm_time_ms up front; every detected beat
+    drives a rate reading. A sample drives a clock tick only once its time
+    reaches the engine's deadline (next_tick_ms), because no earlier tick
+    can change the state; the transitions are those of ticking every sample.
     """
 
     def __init__(
@@ -117,6 +120,7 @@ class Pipeline:
         self._detector = BeatDetector(schmitt)
         self._estimator = BpmEstimator(smoothing_window)
         self._engine_state = set_alarm(initial_state(engine_config), alarm_time_ms)
+        self._deadline = next_tick_ms(self._engine_state)
         self.transitions: list[LogTransition] = []
         self.readings: list[BpmEstimate] = []
         self.beat_count = 0
@@ -128,6 +132,7 @@ class Pipeline:
 
     def _engine_step(self, event) -> None:
         self._engine_state, transitions = step(self._engine_state, event)
+        self._deadline = next_tick_ms(self._engine_state)
         self.transitions.extend(transitions)
 
     def push(self, sample: Sample) -> None:
@@ -135,7 +140,8 @@ class Pipeline:
         StreamOrderError from the detector and changes nothing."""
         beat = self._detector.push(sample)
         self.sample_count += 1
-        self._engine_step(ClockTick(sample.t_ms))
+        if self._deadline is not None and sample.t_ms >= self._deadline:
+            self._engine_step(ClockTick(sample.t_ms))
         if beat is None:
             return
         self.beat_count += 1

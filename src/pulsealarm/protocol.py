@@ -26,8 +26,8 @@ from .errors import PulseAlarmError, StreamOrderError
 from .synth import read_waveform
 
 SYNC_BYTE = 0xAA
-FRAME_LEN = 9
-_PAYLOAD = struct.Struct(">BIH")  # seq, t_ms, value: frame offsets 1-7
+_FRAME = struct.Struct(">BBIHB")  # sync, seq, t_ms, value, checksum
+FRAME_LEN = _FRAME.size  # 9
 
 
 @dataclass(frozen=True)
@@ -55,11 +55,11 @@ class Resync:
 ParseOutcome = Union[SampleOutcome, Gap, CorruptFrame, Resync]
 
 
-def _checksum(payload: bytes) -> int:
-    c = 0
-    for b in payload:
-        c ^= b
-    return c
+def _checksum(seq: int, t_ms: int, value: int) -> int:
+    """XOR of frame bytes 1-7, folded from the fields: the high and low
+    halves of t_ms and value XOR to 16 bits, then its two bytes to one."""
+    x = t_ms ^ (t_ms >> 16) ^ value
+    return (seq ^ x ^ (x >> 8)) & 0xFF
 
 
 def encode_frame(seq: int, sample: Sample) -> bytes:
@@ -67,8 +67,8 @@ def encode_frame(seq: int, sample: Sample) -> bytes:
         raise ValueError(f"seq must fit one byte, got {seq}")
     if not 0 <= sample.t_ms < 2**32:
         raise ValueError(f"t_ms must fit 4 bytes, got {sample.t_ms}")
-    payload = _PAYLOAD.pack(seq, sample.t_ms, sample.value)
-    return bytes([SYNC_BYTE]) + payload + bytes([_checksum(payload)])
+    t_ms, value = sample.t_ms, sample.value
+    return _FRAME.pack(SYNC_BYTE, seq, t_ms, value, _checksum(seq, t_ms, value))
 
 
 class FrameDecoder:
@@ -98,9 +98,8 @@ class FrameDecoder:
             i = sync
             if len(buf) - i < FRAME_LEN:
                 break  # a partial frame, or none: wait for more bytes
-            seq, t_ms, value = _PAYLOAD.unpack_from(buf, i + 1)
-            # a good frame's payload XORed with its checksum byte gives 0
-            if _checksum(buf[i + 1 : i + FRAME_LEN]) or value > ADC_MAX:
+            _, seq, t_ms, value, check = _FRAME.unpack_from(buf, i)
+            if check != _checksum(seq, t_ms, value) or value > ADC_MAX:
                 out.append(CorruptFrame(self._offset + i))
                 i += 1  # drop only the sync byte, rescan inside the frame
                 continue

@@ -1,6 +1,7 @@
 import copy
 import io
 import json
+import logging.handlers
 import os
 import pathlib
 import re
@@ -466,8 +467,7 @@ def test_bad_config_value_exit_2(tmp_path, capsys, monkeypatch, command, base, p
 
 
 def test_bad_log_level_exit_2(tmp_path):
-    # in a fresh process: under pytest the root logger already has handlers,
-    # and logging.basicConfig then ignores its level
+    # in a fresh process, where main's logging.basicConfig installs the handler
     src = pathlib.Path(cli.__file__).parents[1]
     env = {**os.environ, "PULSEALARM_LOG": "bogus",
            "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
@@ -479,6 +479,33 @@ def test_bad_log_level_exit_2(tmp_path):
     assert result.returncode == 2
     assert result.stderr.startswith("error: PULSEALARM_LOG: ")
     assert "Traceback" not in result.stderr
+
+
+@pytest.fixture
+def root_handler():
+    """A handler installed on the root logger before main runs, as a host
+    process that configured logging would have."""
+    handler, root = logging.handlers.BufferingHandler(10_000), logging.getLogger()
+    root.addHandler(handler)
+    yield handler
+    root.removeHandler(handler)
+    logging.getLogger("pulsealarm").setLevel(logging.NOTSET)
+
+
+def test_bad_log_level_exit_2_under_configured_logging(tmp_path, capsys, monkeypatch, root_handler):
+    monkeypatch.setenv("PULSEALARM_LOG", "bogus")
+    assert main(["run", "--config", write_config(tmp_path, WAVEFORM_RUN)]) == 2
+    assert capsys.readouterr().err.startswith("error: PULSEALARM_LOG: ")
+
+
+@pytest.mark.parametrize("level, shown", [("info", True), ("warning", False)])
+def test_log_level_applies_under_configured_logging(tmp_path, monkeypatch, root_handler, level, shown):
+    monkeypatch.setenv("PULSEALARM_LOG", level)
+    samples, _ = synthesize(WaveformSpec(duration_ms=1000))
+    code, _ = serve_loopback(tmp_path, {"alarm_time_ms": 0}, send_bytes(encode_stream(samples)))
+    assert code == 0
+    listening = [r for r in root_handler.buffer if r.getMessage().startswith("listening on port")]
+    assert bool(listening) is shown
 
 
 FUZZ_BASES = [

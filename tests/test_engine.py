@@ -13,6 +13,7 @@ from pulsealarm import (
     StateConflictError,
     StreamOrderError,
     initial_state,
+    next_tick_ms,
     run_engine,
     set_alarm,
     step,
@@ -225,6 +226,22 @@ def test_randomized_streams_safety(streak):
                 recent = []
         expected = [True, False] * (len(buzzer) // 2 + 1)
         assert buzzer == expected[: len(buzzer)]
+
+
+def test_only_a_tick_at_the_deadline_changes_the_state():
+    # the rule Pipeline relies on to skip ticks: before next_tick_ms, or
+    # with no deadline, a ClockTick is a no-op
+    rng = random.Random(7)
+    for _ in range(300):
+        state = set_alarm(initial_state(CONFIG), rng.randrange(0, 2000))
+        for event in random_events(rng, 40):
+            deadline = next_tick_ms(state)
+            new_state, transitions = step(state, event)
+            if isinstance(event, ClockTick):
+                due = deadline is not None and event.t_ms >= deadline
+                assert (new_state is not state) is due
+                assert bool(transitions) is due
+            state = new_state
 
 
 def test_determinism():

@@ -72,22 +72,59 @@ def test_pipeline_agrees_with_batch_layers(seed):
     assert report.beat_count == len(oracle)
     assert [r.t_ms for r in report.readings] == oracle[1:]
 
+    readings, final, log = tick_every_sample(samples, config, alarm_time, smoothing)
+    assert report.readings == readings
+    assert report.transitions == log
+    assert report.final_phase is final.phase
+
+
+def tick_every_sample(samples, config, alarm_time, smoothing):
+    """The batch layers, with a ClockTick for every sample and each
+    reading after the tick of its beat's sample. Returns the readings,
+    the engine's final state and its transitions."""
     estimator = BpmEstimator(smoothing)
     readings = {}
     for beat in detect_beats(samples, SCHMITT):
         estimate = estimator.add(beat)
         if estimate is not None:
             readings[beat.t_ms] = estimate
-    assert report.readings == list(readings.values())
-
     events = []
     for s in samples:
         events.append(ClockTick(s.t_ms))
         if s.t_ms in readings:
             events.append(readings[s.t_ms])
     final, log = run_engine(events, config, set_alarm(initial_state(config), alarm_time))
+    return list(readings.values()), final, log
+
+
+DEADLINE_SAMPLES, _ = synthesize(
+    WaveformSpec(duration_ms=DURATION_MS, sample_rate_hz=100, heart_rate_bpm=120, rng_seed=5)
+)
+LAST_T = DEADLINE_SAMPLES[-1].t_ms
+
+
+@pytest.mark.parametrize(
+    "alarm_time, rings_at",
+    [
+        (-500, 0),  # before the first sample: its tick rings
+        (0, 0),  # on the first sample
+        (3000, 3000),  # exactly on a sample time
+        (3005, 3010),  # between two samples: the next one rings
+        (LAST_T, LAST_T),  # on the last sample
+        (LAST_T + 1, None),  # after the last sample: never rings
+    ],
+)
+def test_deadline_tick_matches_ticking_every_sample(alarm_time, rings_at):
+    config = EngineConfig(required_streak=2)
+    report = run_pipeline(DEADLINE_SAMPLES, SCHMITT, config, alarm_time)
+    readings, final, log = tick_every_sample(DEADLINE_SAMPLES, config, alarm_time, 5)
+    assert report.readings == readings
     assert report.transitions == log
     assert report.final_phase is final.phase
+    ringing = [t.t_ms for t in log if t.to_phase is Phase.RINGING]
+    assert ringing == ([] if rings_at is None else [rings_at])
+    if rings_at is None:
+        assert final.phase is Phase.ARMED
 
 
 def test_non_advancing_sample_refused_without_effect():

@@ -2,7 +2,7 @@ import random
 from dataclasses import astuple
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pulsealarm import (
@@ -22,6 +22,7 @@ from pulsealarm import (
     write_waveform,
 )
 from pulsealarm.detector import ADC_MAX
+from pulsealarm.protocol import FRAME_LEN
 
 from oracle import reference_frame_scan
 
@@ -137,6 +138,27 @@ def test_round_trip_identity(start_seq, specs):
     outcomes = FrameDecoder().feed(encode_stream(samples, start_seq))
     assert [o.sample for o in outcomes if isinstance(o, SampleOutcome)] == samples
     assert not any(isinstance(o, (CorruptFrame, Resync)) for o in outcomes)
+
+
+@settings(max_examples=200)
+@given(
+    seq=st.integers(0, 255),
+    t_ms=st.integers(0, 2**32 - 1),
+    value=st.integers(0, ADC_MAX),
+)
+@example(seq=0xAA, t_ms=0xAAAAAAAA, value=ADC_MAX)
+@example(seq=255, t_ms=2**32 - 1, value=0)
+def test_checksum_is_xor_of_payload_and_catches_any_bit_flip(seq, t_ms, value):
+    frame = encode_frame(seq, Sample(t_ms, value))
+    xor = 0
+    for b in frame[1:8]:
+        xor ^= b
+    assert frame[8] == xor
+    for bit in range(8, 8 * FRAME_LEN):
+        damaged = bytearray(frame)
+        damaged[bit // 8] ^= 1 << (bit % 8)
+        outcomes = FrameDecoder().feed(bytes(damaged))
+        assert not any(isinstance(o, SampleOutcome) for o in outcomes)
 
 
 @st.composite
