@@ -29,7 +29,6 @@ from .engine import (
     EngineConfig,
     LogTransition,
     Phase,
-    initial_state,
     next_tick_ms,
     run_engine,
     set_alarm,

@@ -149,7 +149,7 @@ def cmd_synth(config: dict, args) -> int:
     with _values("waveform"):
         samples, truth = synthesize(spec)
     write_waveform(samples, out)
-    segments = ", ".join(f"{bpm:g} bpm from {start:g} ms" for start, bpm in truth.segments)
+    segments = ", ".join(f"{bpm:g} bpm from {start:g} ms" for start, bpm in spec.segments())
     print(f"wrote {len(samples)} samples to {out}")
     print(f"ground truth: {len(truth.beat_times_ms)} beats ({segments})")
     return EXIT_OK

@@ -6,13 +6,17 @@ inside the satisfaction band: ring-until-satisfied. RINGING is the latch
 the paper builds from a bistable circuit; only that in-band streak or a
 Disarm leaves it. The buzzer sounds exactly while the phase is RINGING: it
 turns on when the engine enters RINGING and off when it leaves, so step
-reports only the phase transitions. There is deliberately no snooze. step
-assumes events in time order; run_engine checks the order of the batch it
-folds.
+reports only the phase transitions. There is deliberately no snooze.
 
-A ClockTick changes the state only while ARMED, at or after the alarm
-time; next_tick_ms names that deadline. A caller may skip every tick
-before it and get the states and transitions of ticking at every sample.
+The idle state is AlarmEngineState(config); set_alarm arms it, and every
+later state carries the same config. step assumes events in time order;
+run_engine(events, state) folds step from a state and checks the order of
+the batch it folds.
+
+A ClockTick changes the state only at or after next_tick_ms, the alarm
+time while ARMED; step rings by that same rule. A caller may skip every
+tick before it and get the states and transitions of ticking at every
+sample.
 """
 
 from __future__ import annotations
@@ -87,19 +91,6 @@ class LogTransition:
     to_phase: Phase
     trigger: str
 
-    def to_record(self) -> dict:
-        return {
-            "kind": "transition",
-            "t_ms": self.t_ms,
-            "from": self.from_phase.value,
-            "to": self.to_phase.value,
-            "trigger": self.trigger,
-        }
-
-
-def initial_state(config: EngineConfig = EngineConfig()) -> AlarmEngineState:
-    return AlarmEngineState(config=config)
-
 
 def set_alarm(state: AlarmEngineState, clock_time_ms: int) -> AlarmEngineState:
     """Arm the alarm for a clock time. Only legal from IDLE or STOPPED;
@@ -132,17 +123,14 @@ def step(
     t = event.t_ms
 
     if isinstance(event, Disarm):
-        idle = replace(state, phase=Phase.IDLE, alarm_time_ms=None, in_band_streak=0)
         if state.phase is Phase.IDLE:
-            return idle, []
+            return state, []
+        idle = replace(state, phase=Phase.IDLE, alarm_time_ms=None, in_band_streak=0)
         return idle, [LogTransition(t, state.phase, Phase.IDLE, "disarm")]
 
     if isinstance(event, ClockTick):
-        if (
-            state.phase is Phase.ARMED
-            and state.alarm_time_ms is not None
-            and t >= state.alarm_time_ms
-        ):
+        deadline = next_tick_ms(state)
+        if deadline is not None and t >= deadline:
             return replace(state, phase=Phase.RINGING), [
                 LogTransition(t, Phase.ARMED, Phase.RINGING, "clock_tick")
             ]
@@ -165,19 +153,15 @@ def step(
 
 
 def run_engine(
-    events: Iterable[EngineEvent],
-    config: EngineConfig = EngineConfig(),
-    state: Optional[AlarmEngineState] = None,
+    events: Iterable[EngineEvent], state: AlarmEngineState
 ) -> tuple[AlarmEngineState, list[LogTransition]]:
-    """Fold step() over an event stream, the engine's one order check.
+    """Fold step() over an event stream from `state`, which carries the
+    config; the engine's one order check.
 
     Returns the final state and the transitions step reported, in order.
     Raises StreamOrderError, with its index, at an event earlier than the
-    last one; only the given events are compared, not a supplied state's
-    past.
+    last one; only the given events are compared, not the state's past.
     """
-    if state is None:
-        state = initial_state(config)
     log: list[LogTransition] = []
     last_t = None
     for i, event in enumerate(events):

@@ -23,7 +23,6 @@ from .engine import (
     EngineConfig,
     LogTransition,
     Phase,
-    initial_state,
     next_tick_ms,
     set_alarm,
     step,
@@ -50,35 +49,33 @@ class RunReport:
     def to_jsonl(self) -> str:
         """Line-delimited records: transitions, readings, then a summary.
         Deterministic byte-for-byte for identical runs."""
-        lines = [json.dumps(t.to_record(), sort_keys=True) for t in self.transitions]
-        lines.extend(
-            json.dumps(
-                {
-                    "kind": "reading",
-                    "t_ms": r.t_ms,
-                    "bpm": round(r.bpm, 4),
-                    "status": r.status.value,
-                },
-                sort_keys=True,
-            )
+        records = [
+            {
+                "kind": "transition",
+                "t_ms": t.t_ms,
+                "from": t.from_phase.value,
+                "to": t.to_phase.value,
+                "trigger": t.trigger,
+            }
+            for t in self.transitions
+        ]
+        records.extend(
+            {"kind": "reading", "t_ms": r.t_ms, "bpm": round(r.bpm, 4), "status": r.status.value}
             for r in self.readings
         )
-        lines.append(
-            json.dumps(
-                {
-                    "kind": "summary",
-                    "samples": self.sample_count,
-                    "beats": self.beat_count,
-                    **{status.value: n for status, n in self.status_counts().items()},
-                    "gaps": self.gap_count,
-                    "corrupt_frames": self.corrupt_count,
-                    "resyncs": self.resync_count,
-                    "final_phase": self.final_phase.value,
-                },
-                sort_keys=True,
-            )
+        records.append(
+            {
+                "kind": "summary",
+                "samples": self.sample_count,
+                "beats": self.beat_count,
+                **{status.value: n for status, n in self.status_counts().items()},
+                "gaps": self.gap_count,
+                "corrupt_frames": self.corrupt_count,
+                "resyncs": self.resync_count,
+                "final_phase": self.final_phase.value,
+            }
         )
-        return "\n".join(lines) + "\n"
+        return "".join(json.dumps(record, sort_keys=True) + "\n" for record in records)
 
     def summary_text(self) -> str:
         counts = ", ".join(f"{s.value} {n}" for s, n in self.status_counts().items())
@@ -119,7 +116,7 @@ class Pipeline:
     ):
         self._detector = BeatDetector(schmitt)
         self._estimator = BpmEstimator(smoothing_window)
-        self._engine_state = set_alarm(initial_state(engine_config), alarm_time_ms)
+        self._engine_state = set_alarm(AlarmEngineState(engine_config), alarm_time_ms)
         self._deadline = next_tick_ms(self._engine_state)
         self.transitions: list[LogTransition] = []
         self.readings: list[BpmEstimate] = []

@@ -118,7 +118,6 @@ class WaveformSpec:
 @dataclass(frozen=True)
 class GroundTruth:
     beat_times_ms: tuple[float, ...]
-    segments: tuple[tuple[float, float], ...]
 
 
 def _stamp_raised_cosine(
@@ -161,7 +160,7 @@ def synthesize(spec: WaveformSpec) -> tuple[list[Sample], GroundTruth]:
 
     counts = np.clip(np.round(values), 0, ADC_MAX).astype(np.int64)
     samples = [Sample(int(t), int(v)) for t, v in zip(t_ms, counts)]
-    return samples, GroundTruth(tuple(beats), spec.segments())
+    return samples, GroundTruth(tuple(beats))
 
 
 def write_waveform(samples: Sequence[Sample], path) -> None:
@@ -232,8 +231,6 @@ def make_wake_scenario(
     the alarm, the device's literal behavior.
     """
     band = satisfaction_band(profile, band_mode)
-    if band.low > band.high:
-        raise ScenarioError(f"satisfaction band {band} is empty for this profile")
     sleep_bpm = sleep_rate_range(profile.resting_bpm).midpoint()
     if band.contains(sleep_bpm):
         raise ScenarioError(
@@ -252,17 +249,14 @@ def make_wake_scenario(
     engine_config = EngineConfig(
         satisfaction_band=band, required_streak=required_streak
     )
-    transitions: list[tuple[Phase, Phase]] = [(Phase.ARMED, Phase.RINGING)]
+    transitions = [(Phase.ARMED, Phase.RINGING)]
     if band.contains(exercise_bpm):
         transitions.append((Phase.RINGING, Phase.STOPPED))
-        final = Phase.STOPPED
-    else:
-        final = Phase.RINGING
     return WakeScenario(
         spec=spec,
         alarm_time_ms=sleep_duration_ms,
         engine_config=engine_config,
         exercise_bpm=exercise_bpm,
         expected_transitions=tuple(transitions),
-        expected_final_phase=final,
+        expected_final_phase=transitions[-1][1],
     )

@@ -16,6 +16,7 @@ import time
 import pytest
 
 from pulsealarm import (
+    AlarmEngineState,
     BpmEstimate,
     BpmEstimator,
     BpmStatus,
@@ -35,7 +36,6 @@ from pulsealarm import (
     detect_beats,
     encode_frame,
     encode_stream,
-    initial_state,
     make_wake_scenario,
     naive_detect_beats,
     plausibility_filter,
@@ -223,7 +223,7 @@ def test_criterion_7_state_machine_safety():
 
     rng = random.Random(2024)
     for _ in range(10_000):
-        state = set_alarm(initial_state(config), rng.randrange(0, 1000))
+        state = set_alarm(AlarmEngineState(config), rng.randrange(0, 1000))
         recent = []
         buzzer = []
         t = 0
@@ -251,7 +251,7 @@ def test_criterion_7_state_machine_safety():
             ok = False
 
     # ten simulated hours of ringing with no in-band reading
-    state = set_alarm(initial_state(config), 0)
+    state = set_alarm(AlarmEngineState(config), 0)
     state, _ = step(state, ClockTick(0))
     t = 0
     for _ in range(600):

@@ -2,7 +2,7 @@ import pytest
 
 from pulsealarm import SchmittConfig, WaveformSpec, synthesize
 from pulsealarm import bench
-from pulsealarm.bench import bench_corpus
+from pulsealarm.bench import bench_corpus, match_beats
 
 
 @pytest.mark.parametrize("seed", [3, 8])
@@ -29,3 +29,9 @@ def test_strays_placed_from_synthesized_truth(monkeypatch, seed):
     )
     assert run() == (rows, specs)
     assert any(row.naive_false for row in rows)
+
+
+def test_match_skips_truth_beats_passed_over():
+    # the detection at 2000 passes over the truth beats at 0 and 1000, which
+    # no detection claims: no false beat, two missed
+    assert match_beats([2000], [0, 1000, 2000], tolerance_ms=100) == (0, 2)

@@ -466,6 +466,40 @@ def test_bad_config_value_exit_2(tmp_path, capsys, monkeypatch, command, base, p
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "command,config,flags,message",
+    [
+        pytest.param("run", "not json", [], "config.json: Expecting value", id="malformed-json"),
+        pytest.param("synth", {"output_path": "x.csv"}, [],
+                     "synth requires a 'waveform' section", id="synth-no-waveform"),
+        pytest.param("synth", {"waveform": {"duration_ms": 1000}}, [],
+                     "synth requires --out or 'output_path'", id="synth-no-out"),
+        pytest.param("bench", {}, [], "bench requires a 'bench' section", id="bench-no-section"),
+        pytest.param("run", {"scenario": {}}, [], "scenario: requires a 'profile' section",
+                     id="scenario-no-profile"),
+        pytest.param("run", {"waveform": {"duration_ms": 1000}}, [],
+                     "alarm_time_ms: run requires it", id="run-no-alarm-time"),
+        pytest.param("send", None, [], "no port given (--port or PULSEALARM_PORT)",
+                     id="send-no-port"),
+        pytest.param("send", None, ["--port", "70000"], "--port: port 70000 outside [0, 65535]",
+                     id="send-port-out-of-range"),
+    ],
+)
+def test_missing_config_exit_2(tmp_path, capsys, monkeypatch, command, config, flags, message):
+    monkeypatch.delenv("PULSEALARM_PORT", raising=False)
+    if config is None:
+        argv = ["--file", "unused.csv"]
+    else:
+        path = tmp_path / "config.json"
+        path.write_text(config if isinstance(config, str) else json.dumps(config))
+        argv = ["--config", str(path)]
+    assert main([command, *argv, *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert message in err
+    assert "Traceback" not in err
+
+
 def test_bad_log_level_exit_2(tmp_path):
     # in a fresh process, where main's logging.basicConfig installs the handler
     src = pathlib.Path(cli.__file__).parents[1]

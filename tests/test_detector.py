@@ -253,3 +253,22 @@ def test_scale_invariance(values, shift):
     base_beats = [b.t_ms for b in detect_beats(base, CONFIG)]
     shifted_beats = [b.t_ms for b in detect_beats(shifted, cfg)]
     assert base_beats == shifted_beats
+
+
+@pytest.mark.parametrize(
+    "make,message",
+    [
+        pytest.param(lambda: Sample(-1, 0), "t_ms must be non-negative", id="sample-negative-t"),
+        pytest.param(lambda: SchmittConfig(upper_threshold=500, lower_threshold=500),
+                     "lower_threshold must be strictly below", id="schmitt-lower-not-below"),
+        pytest.param(lambda: SchmittConfig(refractory_ms=0), "refractory_ms must be positive",
+                     id="schmitt-refractory"),
+        pytest.param(lambda: plausibility_filter(-1.0, 0), "bpm must be non-negative",
+                     id="filter-negative-bpm"),
+    ],
+)
+def test_constructor_checks(make, message):
+    with pytest.raises(ValueError) as exc:
+        make()
+    assert exc.type is ValueError
+    assert str(exc.value).startswith(message)

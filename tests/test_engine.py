@@ -1,8 +1,11 @@
+import json
 import random
 
 import pytest
 
 from pulsealarm import (
+    AlarmEngineState,
+    BpmBand,
     BpmEstimate,
     BpmStatus,
     ClockTick,
@@ -10,9 +13,9 @@ from pulsealarm import (
     EngineConfig,
     LogTransition,
     Phase,
+    RunReport,
     StateConflictError,
     StreamOrderError,
-    initial_state,
     next_tick_ms,
     run_engine,
     set_alarm,
@@ -33,7 +36,7 @@ def reading(t_ms, bpm):
 
 
 def ringing_state(config=CONFIG, t=1000):
-    state = set_alarm(initial_state(config), t)
+    state = set_alarm(AlarmEngineState(config), t)
     state, _ = step(state, ClockTick(t))
     assert state.phase is Phase.RINGING
     return state
@@ -41,7 +44,7 @@ def ringing_state(config=CONFIG, t=1000):
 
 class TestSetAlarm:
     def test_arm_from_idle(self):
-        state = set_alarm(initial_state(CONFIG), 6 * 3600 * 1000)
+        state = set_alarm(AlarmEngineState(CONFIG), 6 * 3600 * 1000)
         assert state.phase is Phase.ARMED
         assert state.alarm_time_ms == 6 * 3600 * 1000
         assert state.in_band_streak == 0
@@ -61,7 +64,7 @@ class TestSetAlarm:
 
 class TestStep:
     def test_alarm_fires_at_set_time(self):
-        state = set_alarm(initial_state(CONFIG), 1000)
+        state = set_alarm(AlarmEngineState(CONFIG), 1000)
         state, transitions = step(state, ClockTick(1000))
         assert state.phase is Phase.RINGING
         assert transitions == [LogTransition(1000, Phase.ARMED, Phase.RINGING, "clock_tick")]
@@ -113,16 +116,17 @@ class TestStep:
     @pytest.mark.parametrize(
         "state,event",
         [
-            pytest.param(initial_state(CONFIG), ClockTick(500), id="idle-tick"),
-            pytest.param(set_alarm(initial_state(CONFIG), 1000), ClockTick(999),
+            pytest.param(AlarmEngineState(CONFIG), ClockTick(500), id="idle-tick"),
+            pytest.param(set_alarm(AlarmEngineState(CONFIG), 1000), ClockTick(999),
                          id="armed-before-alarm-tick"),
             pytest.param(ringing_state(), ClockTick(2000), id="ringing-tick"),
             pytest.param(
                 step(ringing_state(EngineConfig(required_streak=1)), reading(2000, 150))[0],
                 ClockTick(3000), id="stopped-tick",
             ),
-            pytest.param(set_alarm(initial_state(CONFIG), 1000), reading(500, 150),
+            pytest.param(set_alarm(AlarmEngineState(CONFIG), 1000), reading(500, 150),
                          id="armed-reading"),
+            pytest.param(AlarmEngineState(CONFIG), Disarm(5), id="idle-disarm"),
         ],
     )
     def test_no_op_returns_same_state(self, state, event):
@@ -141,37 +145,59 @@ class TestStep:
 
 class TestRunEngine:
     def test_empty_stream_stays_armed(self):
-        state = set_alarm(initial_state(CONFIG), 1000)
-        final, log = run_engine([], CONFIG, state)
+        state = set_alarm(AlarmEngineState(CONFIG), 1000)
+        final, log = run_engine([], state)
         assert final.phase is Phase.ARMED
         assert log == []
 
     def test_full_wake_scenario(self):
-        state = set_alarm(initial_state(CONFIG), 1000)
+        state = set_alarm(AlarmEngineState(CONFIG), 1000)
         events = [ClockTick(1000)] + [reading(1000 + 500 * i, 150) for i in range(1, 4)]
-        final, log = run_engine(events, CONFIG, state)
+        final, log = run_engine(events, state)
         assert final.phase is Phase.STOPPED
         assert [(t.from_phase, t.to_phase) for t in log] == [
             (Phase.ARMED, Phase.RINGING),
             (Phase.RINGING, Phase.STOPPED),
         ]
 
+    def test_runs_with_the_state_config(self):
+        state = set_alarm(AlarmEngineState(EngineConfig(required_streak=1)), 1000)
+        final, _ = run_engine([ClockTick(1000), reading(1500, 150)], state)
+        assert final.phase is Phase.STOPPED
+
     def test_disarm_while_idle_no_buzzer(self):
-        final, log = run_engine([Disarm(0)], CONFIG)
+        final, log = run_engine([Disarm(0)], AlarmEngineState(CONFIG))
         assert final.phase is Phase.IDLE
         assert log == []
 
     def test_error_carries_event_index(self):
-        state = set_alarm(initial_state(CONFIG), 1000)
+        state = set_alarm(AlarmEngineState(CONFIG), 1000)
         events = [ClockTick(1000), ClockTick(500)]
         with pytest.raises(StreamOrderError, match="event 1"):
-            run_engine(events, CONFIG, state)
+            run_engine(events, state)
 
     def test_equal_times_are_legal(self):
-        state = set_alarm(initial_state(CONFIG), 1000)
+        state = set_alarm(AlarmEngineState(CONFIG), 1000)
         events = [ClockTick(1000)] + [reading(1000, 150)] * 3
-        final, _ = run_engine(events, CONFIG, state)
+        final, _ = run_engine(events, state)
         assert final.phase is Phase.STOPPED
+
+
+@pytest.mark.parametrize(
+    "kwargs,message",
+    [
+        pytest.param({"satisfaction_band": BpmBand(20, 150)}, "satisfaction_band",
+                     id="band-below-plausible"),
+        pytest.param({"satisfaction_band": BpmBand(101, 210)}, "satisfaction_band",
+                     id="band-above-plausible"),
+        pytest.param({"required_streak": 0}, "required_streak", id="streak-zero"),
+    ],
+)
+def test_config_checks(kwargs, message):
+    with pytest.raises(ValueError) as exc:
+        EngineConfig(**kwargs)
+    assert exc.type is ValueError
+    assert str(exc.value).startswith(message)
 
 
 def random_events(rng, n, t_step=500):
@@ -208,7 +234,7 @@ def test_randomized_streams_safety(streak):
     config = EngineConfig(required_streak=streak)
     rng = random.Random(42 + streak)
     for _ in range(300):
-        state = set_alarm(initial_state(config), rng.randrange(0, 2000))
+        state = set_alarm(AlarmEngineState(config), rng.randrange(0, 2000))
         recent = []
         buzzer = []
         for event in random_events(rng, 40):
@@ -233,7 +259,7 @@ def test_only_a_tick_at_the_deadline_changes_the_state():
     # with no deadline, a ClockTick is a no-op
     rng = random.Random(7)
     for _ in range(300):
-        state = set_alarm(initial_state(CONFIG), rng.randrange(0, 2000))
+        state = set_alarm(AlarmEngineState(CONFIG), rng.randrange(0, 2000))
         for event in random_events(rng, 40):
             deadline = next_tick_ms(state)
             new_state, transitions = step(state, event)
@@ -249,15 +275,16 @@ def test_determinism():
     events = random_events(random.Random(7), 100)
     runs = []
     for _ in range(2):
-        state = set_alarm(initial_state(config), 500)
-        final, log = run_engine(events, config, state)
+        state = set_alarm(AlarmEngineState(config), 500)
+        final, log = run_engine(events, state)
         runs.append((final, log))
     assert runs[0] == runs[1]
 
 
 def test_transition_log_serializes():
     t = LogTransition(1000, Phase.ARMED, Phase.RINGING, "clock_tick")
-    assert t.to_record() == {
+    report = RunReport([t], [], beat_count=0, sample_count=0, final_phase=Phase.RINGING)
+    assert json.loads(report.to_jsonl().splitlines()[0]) == {
         "kind": "transition",
         "t_ms": 1000,
         "from": "armed",

@@ -100,3 +100,19 @@ class TestUserProfile:
     def test_age_bounds(self, age):
         with pytest.raises(ValueError):
             UserProfile(age, 70)
+
+
+@pytest.mark.parametrize(
+    "make,message",
+    [
+        pytest.param(lambda: BpmBand(150, 100), "band must satisfy 0 <= low <= high",
+                     id="band-low-above-high"),
+        pytest.param(lambda: BpmBand(-1, 100), "band must satisfy 0 <= low <= high",
+                     id="band-negative-low"),
+    ],
+)
+def test_constructor_checks(make, message):
+    with pytest.raises(ValueError) as exc:
+        make()
+    assert exc.type is ValueError
+    assert str(exc.value).startswith(message)

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from pulsealarm import (
+    AlarmEngineState,
     BpmEstimate,
     BpmEstimator,
     BpmStatus,
@@ -18,7 +19,6 @@ from pulsealarm import (
     StreamOrderError,
     WaveformSpec,
     detect_beats,
-    initial_state,
     run_engine,
     run_pipeline,
     set_alarm,
@@ -93,7 +93,7 @@ def tick_every_sample(samples, config, alarm_time, smoothing):
         events.append(ClockTick(s.t_ms))
         if s.t_ms in readings:
             events.append(readings[s.t_ms])
-    final, log = run_engine(events, config, set_alarm(initial_state(config), alarm_time))
+    final, log = run_engine(events, set_alarm(AlarmEngineState(config), alarm_time))
     return list(readings.values()), final, log
 
 

@@ -46,6 +46,10 @@ class TestEncodeFrame:
         with pytest.raises(ValueError):
             encode_frame(256, Sample(0, 0))
 
+    def test_time_beyond_frame_field(self):
+        with pytest.raises(ValueError, match="t_ms must fit 4 bytes"):
+            encode_frame(0, Sample(2**32, 0))
+
     def test_frame_length(self):
         assert len(encode_frame(7, Sample(123456, 1023))) == 9
 
@@ -213,6 +217,21 @@ class TestReplayFile:
         got = [o.sample for o in outcomes if isinstance(o, SampleOutcome)]
         assert got == samples
         assert not any(isinstance(o, Gap) for o in outcomes)
+
+    def test_paced_at_recorded_intervals(self, tmp_path, monkeypatch):
+        path = tmp_path / "wave.csv"
+        path.write_text("t_ms,value\n0,300\n10,300\n30,300\n")
+        events = []
+        monkeypatch.setattr(
+            "pulsealarm.protocol.time.sleep", lambda s: events.append(("sleep", s))
+        )
+        assert replay_file(path, lambda: lambda frame: events.append(("frame", frame[1])),
+                           speed=2.0) == 3
+        # twice real time: half of each recorded interval, none before frame 0
+        assert events == [
+            ("frame", 0), ("sleep", pytest.approx(0.005)),
+            ("frame", 1), ("sleep", pytest.approx(0.010)), ("frame", 2),
+        ]
 
     def test_non_monotone_refused(self, tmp_path):
         path = tmp_path / "bad.csv"

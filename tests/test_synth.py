@@ -122,6 +122,24 @@ class TestSpecValidation:
         with pytest.raises(WaveformSpecError, match=f"^{field}: "):
             WaveformSpec(duration_ms=1000, **kwargs)
 
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("duration_ms", 0, "must be positive"),
+            ("sample_rate_hz", 0, "must be in (0, 1000]"),
+            ("sample_rate_hz", 1001, "must be in (0, 1000]"),
+            ("baseline", -1, "must be non-negative"),
+            ("heart_rate_bpm", ((100, 60),), "schedule must start at 0 ms"),
+            ("noise_stddev", -0.5, "must be non-negative"),
+            ("wander_period_ms", 0, "must be positive"),
+        ],
+    )
+    def test_out_of_range_names_field(self, field, value, message):
+        with pytest.raises(WaveformSpecError) as exc:
+            WaveformSpec(**{"duration_ms": 1000, field: value})
+        assert exc.value.field == field
+        assert str(exc.value).startswith(f"{field}: {message}")
+
 
 class TestWaveformCsv:
     def test_round_trip_identity(self, tmp_path):
@@ -151,6 +169,15 @@ class TestWaveformCsv:
         path.write_text("t_ms,value\n0,1,2\n")
         with pytest.raises(WaveformParseError, match="line 2"):
             read_waveform(path)
+
+    @pytest.mark.parametrize("text", ["value,t_ms\n0,300\n", "0,300\n", ""],
+                             ids=["swapped", "missing", "empty-file"])
+    def test_bad_header_is_parse_error_on_line_1(self, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(WaveformParseError, match="^line 1: expected header") as exc:
+            read_waveform(path)
+        assert exc.value.line_number == 1
 
     def test_header_only_is_empty_stream(self, tmp_path):
         path = tmp_path / "empty.csv"
