@@ -25,20 +25,17 @@ from .detector import (
 from .engine import (
     AlarmEngineState,
     ClockTick,
-    Disarm,
     EngineConfig,
     LogTransition,
     Phase,
     next_tick_ms,
     run_engine,
-    set_alarm,
     step,
 )
 from .errors import (
     ConfigError,
     PulseAlarmError,
     ScenarioError,
-    StateConflictError,
     StreamOrderError,
     WaveformParseError,
     WaveformSpecError,

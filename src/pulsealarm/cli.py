@@ -61,14 +61,36 @@ _CONFIG_KEYS = (
     "scenario", "input_path", "alarm_time_ms", "expected_final_phase",
     "output_path", "bench",
 )
-_SCENARIO_KEYS = (
-    "exercise_bpm", "sleep_duration_ms", "exercise_duration_ms",
-    "sample_rate_hz", "noise_stddev", "required_streak",
-)
-_BENCH_VALUES = {  # bench key -> coercion; bench_corpus owns the defaults
-    "stray_counts": lambda v: _list(v, int), "noise_levels": lambda v: _list(v, float),
-    "runs_per_cell": int, "naive_threshold": int, "stray_peak": int,
-    "stray_width_ms": float, "match_tolerance_ms": float,
+
+
+# Config values are checked, never coerced: a JSON integer where an int is
+# wanted, a JSON number (int or float) where a float is. A bool is neither.
+def _int(value) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _number(value) -> float:
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _list(value, kind) -> list:
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list, got {value!r}")
+    return [kind(v) for v in value]
+
+
+_SCENARIO_VALUES = {  # scenario key -> check; make_wake_scenario owns the defaults
+    "exercise_bpm": _number, "sleep_duration_ms": _int, "exercise_duration_ms": _int,
+    "sample_rate_hz": _number, "noise_stddev": _number, "required_streak": _int,
+}
+_BENCH_VALUES = {  # bench key -> check; bench_corpus owns the defaults
+    "stray_counts": lambda v: _list(v, _int), "noise_levels": lambda v: _list(v, _number),
+    "runs_per_cell": _int, "naive_threshold": _int, "stray_peak": _int,
+    "stray_width_ms": _number, "match_tolerance_ms": _number,
 }
 
 
@@ -105,12 +127,6 @@ def _load_json(path: str) -> dict:
     return _section({"config": data}, "config", _CONFIG_KEYS)
 
 
-def _list(value, kind) -> list:
-    if not isinstance(value, list):
-        raise TypeError(f"expected a list, got {value!r}")
-    return [kind(v) for v in value]
-
-
 def _path(config: dict, key: str) -> Optional[str]:
     """config[key] if present, which must then be a string."""
     path = config.get(key)
@@ -122,7 +138,7 @@ def _path(config: dict, key: str) -> Optional[str]:
 def _schmitt(config: dict) -> SchmittConfig:
     section = _section(config, "schmitt", [f.name for f in fields(SchmittConfig)])
     with _values("schmitt"):
-        return SchmittConfig(**{k: int(v) for k, v in section.items()})
+        return SchmittConfig(**{k: _int(v) for k, v in section.items()})
 
 
 def _waveform(config: dict, name: str, seed: Optional[int]) -> WaveformSpec:
@@ -132,7 +148,7 @@ def _waveform(config: dict, name: str, seed: Optional[int]) -> WaveformSpec:
             kwargs["heart_rate_bpm"] = tuple(map(tuple, kwargs["heart_rate_bpm"]))
         if "stray_pulses" in kwargs:
             kwargs["stray_pulses"] = tuple(
-                StrayPulse(float(t), int(p), float(w)) for t, p, w in kwargs["stray_pulses"]
+                StrayPulse(_number(t), _int(p), _number(w)) for t, p, w in kwargs["stray_pulses"]
             )
         if seed is not None:
             kwargs["rng_seed"] = seed
@@ -171,7 +187,7 @@ def _load_run(
     if "profile" in config:
         section = _section(config, "profile", ("age_years", "resting_bpm"))
         with _values("profile"):
-            profile = UserProfile(int(section["age_years"]), float(section["resting_bpm"]))
+            profile = UserProfile(_int(section["age_years"]), _number(section["resting_bpm"]))
     scenario_mode = "scenario" in config
     # a scenario sets its own required_streak
     engine_keys = ("band_mode",) if scenario_mode else ("band_mode", "required_streak")
@@ -187,10 +203,9 @@ def _load_run(
     if scenario_mode:
         if profile is None:
             raise ConfigError("scenario: requires a 'profile' section")
-        kwargs = dict(_section(config, "scenario", _SCENARIO_KEYS))
+        section = _section(config, "scenario", _SCENARIO_VALUES)
         with _values("scenario"):
-            if "exercise_bpm" in kwargs:
-                kwargs["exercise_bpm"] = float(kwargs["exercise_bpm"])
+            kwargs = {k: _SCENARIO_VALUES[k](v) for k, v in section.items()}
             scenario = make_wake_scenario(
                 profile, band_mode=mode, rng_seed=args.seed or 0, **kwargs
             )
@@ -201,17 +216,17 @@ def _load_run(
     else:
         with _values("engine"):
             engine_cfg = EngineConfig(
-                satisfaction_band(profile, mode), int(engine.get("required_streak", 3))
+                satisfaction_band(profile, mode), _int(engine.get("required_streak", 3))
             )
         if "alarm_time_ms" not in config:
             raise ConfigError(f"alarm_time_ms: {command} requires it unless using a scenario")
         with _values("alarm_time_ms"):
-            alarm_time = int(config["alarm_time_ms"])
+            alarm_time = _int(config["alarm_time_ms"])
         if "waveform" in config:
             spec = _waveform(config, "waveform", args.seed)
     with _values("smoothing_window"):
         pipeline = Pipeline(
-            schmitt, engine_cfg, alarm_time, int(config.get("smoothing_window", 5))
+            schmitt, engine_cfg, alarm_time, _int(config.get("smoothing_window", 5))
         )
     if command == "serve":
         return pipeline, None, expected
@@ -250,7 +265,7 @@ def cmd_bench(config: dict, args) -> int:
     # bench_corpus only synthesizes and detects, so any bad value it meets
     # comes from this section
     with _values("bench"):
-        kwargs = {k: coerce(b[k]) for k, coerce in _BENCH_VALUES.items() if k in b}
+        kwargs = {k: check(b[k]) for k, check in _BENCH_VALUES.items() if k in b}
         rows = bench_corpus(base, schmitt=schmitt, seed=args.seed or 0, **kwargs)
     header = "strays,noise_stddev,schmitt_false,schmitt_missed,naive_false,naive_missed"
     lines = [header] + [

@@ -1,16 +1,16 @@
 """Alarm lifecycle state machine.
 
-The engine arms on a scheduled time, rings indefinitely, and stops ringing
-only after a configurable run of consecutive valid heart-rate readings
-inside the satisfaction band: ring-until-satisfied. RINGING is the latch
-the paper builds from a bistable circuit; only that in-band streak or a
-Disarm leaves it. The buzzer sounds exactly while the phase is RINGING: it
-turns on when the engine enters RINGING and off when it leaves, so step
-reports only the phase transitions. There is deliberately no snooze.
+The engine is built armed, AlarmEngineState(config, alarm_time_ms), and
+goes ARMED -> RINGING -> STOPPED. It rings at the alarm time, indefinitely,
+and stops only after a configurable run of consecutive valid heart-rate
+readings inside the satisfaction band: ring-until-satisfied. RINGING is
+the latch the paper builds from a bistable circuit, only that in-band
+streak leaves it, and STOPPED is final. The buzzer sounds exactly while
+the phase is RINGING, so step reports only the phase transitions. There
+is deliberately no snooze.
 
-The idle state is AlarmEngineState(config); set_alarm arms it, and every
-later state carries the same config. step assumes events in time order;
-run_engine(events, state) folds step from a state and checks the order of
+step assumes events in time order; run_engine(events, state) folds step
+from a state, which carries the engine config, and checks the order of
 the batch it folds.
 
 A ClockTick changes the state only at or after next_tick_ms, the alarm
@@ -31,12 +31,11 @@ from .detector import (
     BpmEstimate,
     BpmStatus,
 )
-from .errors import StateConflictError, StreamOrderError
+from .errors import StreamOrderError
 from .physiology import FIXED_SATISFACTION_BAND, BpmBand
 
 
 class Phase(enum.Enum):
-    IDLE = "idle"
     ARMED = "armed"
     RINGING = "ringing"
     STOPPED = "stopped"
@@ -63,8 +62,8 @@ class EngineConfig:
 @dataclass(frozen=True)
 class AlarmEngineState:
     config: EngineConfig
-    phase: Phase = Phase.IDLE
-    alarm_time_ms: Optional[int] = None
+    alarm_time_ms: int
+    phase: Phase = Phase.ARMED
     in_band_streak: int = 0
 
 
@@ -76,12 +75,7 @@ class ClockTick:
     t_ms: int
 
 
-@dataclass(frozen=True)
-class Disarm:
-    t_ms: int
-
-
-EngineEvent = Union[ClockTick, BpmEstimate, Disarm]
+EngineEvent = Union[ClockTick, BpmEstimate]
 
 
 @dataclass(frozen=True)
@@ -90,18 +84,6 @@ class LogTransition:
     from_phase: Phase
     to_phase: Phase
     trigger: str
-
-
-def set_alarm(state: AlarmEngineState, clock_time_ms: int) -> AlarmEngineState:
-    """Arm the alarm for a clock time. Only legal from IDLE or STOPPED;
-    in particular the alarm cannot be re-set while it is ringing."""
-    if state.phase not in (Phase.IDLE, Phase.STOPPED):
-        raise StateConflictError(
-            f"cannot set alarm while {state.phase.value}"
-        )
-    return replace(
-        state, phase=Phase.ARMED, alarm_time_ms=clock_time_ms, in_band_streak=0
-    )
 
 
 def next_tick_ms(state: AlarmEngineState) -> Optional[int]:
@@ -113,20 +95,15 @@ def next_tick_ms(state: AlarmEngineState) -> Optional[int]:
 def step(
     state: AlarmEngineState, event: EngineEvent
 ) -> tuple[AlarmEngineState, list[LogTransition]]:
-    """Advance the state machine by one event.
+    """Advance the state machine by one event, a ClockTick or a BpmEstimate.
 
     Deterministic. Returns the new state and a list of the zero or one
     transitions the event caused; the buzzer follows from them, on when
-    RINGING is entered and off when it is left. Order is assumed, not
-    checked. A no-op returns the same state and [].
+    RINGING is entered and off when it is left. Only the in-band streak
+    leaves RINGING, and STOPPED is final. Order is assumed, not checked.
+    A no-op returns the same state and [].
     """
     t = event.t_ms
-
-    if isinstance(event, Disarm):
-        if state.phase is Phase.IDLE:
-            return state, []
-        idle = replace(state, phase=Phase.IDLE, alarm_time_ms=None, in_band_streak=0)
-        return idle, [LogTransition(t, state.phase, Phase.IDLE, "disarm")]
 
     if isinstance(event, ClockTick):
         deadline = next_tick_ms(state)

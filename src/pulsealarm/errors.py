@@ -9,10 +9,6 @@ class StreamOrderError(PulseAlarmError):
     """A stream delivered timestamps out of order."""
 
 
-class StateConflictError(PulseAlarmError):
-    """An operation was attempted in a phase that forbids it."""
-
-
 class WaveformSpecError(PulseAlarmError, ValueError):
     """A waveform specification field violates its invariant."""
 

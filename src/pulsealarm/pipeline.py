@@ -24,7 +24,6 @@ from .engine import (
     LogTransition,
     Phase,
     next_tick_ms,
-    set_alarm,
     step,
 )
 
@@ -116,7 +115,7 @@ class Pipeline:
     ):
         self._detector = BeatDetector(schmitt)
         self._estimator = BpmEstimator(smoothing_window)
-        self._engine_state = set_alarm(AlarmEngineState(engine_config), alarm_time_ms)
+        self._engine_state = AlarmEngineState(engine_config, alarm_time_ms)
         self._deadline = next_tick_ms(self._engine_state)
         self.transitions: list[LogTransition] = []
         self.readings: list[BpmEstimate] = []

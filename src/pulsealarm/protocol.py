@@ -126,7 +126,9 @@ def replay_file(
     """Encode a waveform CSV frame by frame into the sink `connect()` returns.
 
     speed is a real-time multiplier: 1.0 paces frames at the recorded
-    sample intervals, 2.0 twice as fast, 0 disables pacing entirely.
+    sample intervals, 2.0 twice as fast, 0 disables pacing entirely. Each
+    frame waits for its own due time on the monotonic clock, so a late
+    wake-up delays one frame, not every frame after it.
     Returns the number of frames sent. Refuses non-monotone timestamps
     and a t_ms that the 4-byte frame field cannot hold, anywhere in the
     file, before it calls `connect`, so a refused file opens no sink.
@@ -140,8 +142,11 @@ def replay_file(
                 f"sample {i} at t_ms={sample.t_ms} does not advance past {samples[i - 1].t_ms}"
             )
     sink = connect()
+    start = time.monotonic()
     for i, sample in enumerate(samples):
-        if i and speed > 0:
-            time.sleep((sample.t_ms - samples[i - 1].t_ms) / 1000.0 / speed)
+        if speed > 0:
+            delay = start + (sample.t_ms - samples[0].t_ms) / 1000.0 / speed - time.monotonic()
+            if delay > 0:
+                time.sleep(delay)
         sink(encode_frame(i % 256, sample))
     return len(samples)

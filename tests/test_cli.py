@@ -441,6 +441,15 @@ def amend(config, path, value):
             ("run", SCENARIO_RUN, "scenario.exercise_bpm", "x"),
             ("run", SCENARIO_RUN, "scenario.sleep_duration_ms", "x"),
             ("run", SCENARIO_RUN, "scenario.required_streak", float("nan")),
+            # a number of the wrong type is refused, not coerced
+            ("run", WAVEFORM_RUN, "alarm_time_ms", "1000"),
+            ("run", WAVEFORM_RUN, "schmitt.upper_threshold", "600"),
+            ("run", WAVEFORM_RUN, "engine.required_streak", 2.9),
+            ("run", WAVEFORM_RUN, "smoothing_window", True),
+            ("run", SCENARIO_RUN, "scenario.required_streak", 2.5),
+            ("bench", BENCH, "bench.runs_per_cell", 1.5),
+            # a run is armed from its first sample, so it cannot end idle
+            ("run", WAVEFORM_RUN, "expected_final_phase", "idle"),
             ("bench", BENCH, "bench.runs_per_cell", "x"),
             ("bench", BENCH, "bench.stray_counts", "ab"),
             ("send", None, "PULSEALARM_PORT", "abc"),

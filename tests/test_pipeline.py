@@ -21,7 +21,6 @@ from pulsealarm import (
     detect_beats,
     run_engine,
     run_pipeline,
-    set_alarm,
     synthesize,
 )
 
@@ -93,7 +92,7 @@ def tick_every_sample(samples, config, alarm_time, smoothing):
         events.append(ClockTick(s.t_ms))
         if s.t_ms in readings:
             events.append(readings[s.t_ms])
-    final, log = run_engine(events, set_alarm(AlarmEngineState(config), alarm_time))
+    final, log = run_engine(events, AlarmEngineState(config, alarm_time))
     return list(readings.values()), final, log
 
 

@@ -203,6 +203,25 @@ def test_feed_matches_reference_scan(data, size):
     assert got == reference_frame_scan(chunks)
 
 
+class FakeClock:
+    """Stands in for the time module inside pulsealarm.protocol: monotonic()
+    reads `now`, and sleep(s) logs ("sleep", s) in `events` and advances
+    `now` by s plus `overshoot`, as a late wake-up would."""
+
+    def __init__(self, monkeypatch, overshoot=0.0):
+        self.now = 0.0
+        self.overshoot = overshoot
+        self.events = []
+        monkeypatch.setattr("pulsealarm.protocol.time", self)
+
+    def monotonic(self):
+        return self.now
+
+    def sleep(self, seconds):
+        self.events.append(("sleep", seconds))
+        self.now += seconds + self.overshoot
+
+
 class TestReplayFile:
     def test_round_trip_through_file(self, tmp_path):
         samples, _ = synthesize(WaveformSpec(duration_ms=10000))
@@ -221,17 +240,25 @@ class TestReplayFile:
     def test_paced_at_recorded_intervals(self, tmp_path, monkeypatch):
         path = tmp_path / "wave.csv"
         path.write_text("t_ms,value\n0,300\n10,300\n30,300\n")
-        events = []
-        monkeypatch.setattr(
-            "pulsealarm.protocol.time.sleep", lambda s: events.append(("sleep", s))
-        )
-        assert replay_file(path, lambda: lambda frame: events.append(("frame", frame[1])),
+        clock = FakeClock(monkeypatch)
+        assert replay_file(path, lambda: lambda frame: clock.events.append(("frame", frame[1])),
                            speed=2.0) == 3
         # twice real time: half of each recorded interval, none before frame 0
-        assert events == [
+        assert clock.events == [
             ("frame", 0), ("sleep", pytest.approx(0.005)),
             ("frame", 1), ("sleep", pytest.approx(0.010)), ("frame", 2),
         ]
+
+    def test_late_wake_ups_do_not_add_up(self, tmp_path, monkeypatch):
+        path = tmp_path / "wave.csv"
+        path.write_text("t_ms,value\n" + "".join(f"{10 * i},300\n" for i in range(101)))
+        clock = FakeClock(monkeypatch, overshoot=0.001)
+        sent_at = []
+        replay_file(path, lambda: lambda frame: sent_at.append(clock.now), speed=2.0)
+        # a 1000 ms span at twice real time: the last frame leaves at 0.5 s
+        # plus one sleep's overshoot, not the overshoot of all 100 sleeps
+        assert sent_at[0] == 0.0
+        assert sent_at[-1] == pytest.approx(0.5 + 0.001)
 
     def test_non_monotone_refused(self, tmp_path):
         path = tmp_path / "bad.csv"
