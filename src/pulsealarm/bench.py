@@ -88,6 +88,12 @@ def bench_corpus(
     missed beats of both detectors across runs_per_cell seeded waveforms.
     The defaults are `pulsealarm bench`'s: 80 ms strays peak at 510 counts,
     inside the default Schmitt band and above the naive threshold of 500."""
+    if runs_per_cell < 1:
+        raise ValueError(f"runs_per_cell must be >= 1, got {runs_per_cell}")
+    if any(count < 0 for count in stray_counts):
+        raise ValueError(f"stray_counts must be >= 0, got {list(stray_counts)}")
+    if not match_tolerance_ms >= 0:  # rejects NaN too
+        raise ValueError(f"match_tolerance_ms must be >= 0, got {match_tolerance_ms}")
     rows = []
     grid_ms = 1000.0 / base_spec.sample_rate_hz
     base_beats = base_spec.beat_times()

@@ -28,7 +28,7 @@ import logging
 import os
 import socket
 import sys
-from dataclasses import fields
+from dataclasses import replace
 from typing import Optional
 
 from .bench import bench_corpus
@@ -56,110 +56,120 @@ EXIT_IO = 3
 
 IDLE_TIMEOUT_S = 60.0  # serve's wait for a connection, and for data on it
 
-_CONFIG_KEYS = (
-    "profile", "schmitt", "engine", "smoothing_window", "waveform",
-    "scenario", "input_path", "alarm_time_ms", "expected_final_phase",
-    "output_path", "bench",
-)
+
+def _scalar(kind, name: str, convert):
+    """A check for a JSON value of `kind`, returned as convert(value). Config
+    values are checked, never coerced, and a bool is not a number."""
+    def check_scalar(value):
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise TypeError(f"expected {name}, got {value!r}")
+        return convert(value)
+    return check_scalar
 
 
-# Config values are checked, never coerced: a JSON integer where an int is
-# wanted, a JSON number (int or float) where a float is. A bool is neither.
-def _int(value) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise TypeError(f"expected an integer, got {value!r}")
-    return value
+_int = _scalar(int, "an integer", int)
+_number = _scalar((int, float), "a number", float)
+_str = _scalar(str, "a string", str)
 
 
-def _number(value) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise TypeError(f"expected a number, got {value!r}")
-    return float(value)
+def _list(check):
+    """A check for a JSON list whose every item passes `check`."""
+    def check_list(value) -> tuple:
+        if not isinstance(value, list):
+            raise TypeError(f"expected a list, got {value!r}")
+        return tuple(check(v) for v in value)
+    return check_list
 
 
-def _list(value, kind) -> list:
-    if not isinstance(value, list):
-        raise TypeError(f"expected a list, got {value!r}")
-    return [kind(v) for v in value]
+def _row(build, *checks):
+    """A check for a JSON list of one value per check, built by build(*values)."""
+    def check_row(value):
+        if not isinstance(value, list) or len(value) != len(checks):
+            raise TypeError(f"expected a list of {len(checks)} values, got {value!r}")
+        return build(*(check(v) for check, v in zip(checks, value)))
+    return check_row
 
 
-_SCENARIO_VALUES = {  # scenario key -> check; make_wake_scenario owns the defaults
-    "exercise_bpm": _number, "sleep_duration_ms": _int, "exercise_duration_ms": _int,
-    "sample_rate_hz": _number, "noise_stddev": _number, "required_streak": _int,
-}
-_BENCH_VALUES = {  # bench key -> check; bench_corpus owns the defaults
-    "stray_counts": lambda v: _list(v, _int), "noise_levels": lambda v: _list(v, _number),
-    "runs_per_cell": _int, "naive_threshold": _int, "stray_peak": _int,
-    "stray_width_ms": _number, "match_tolerance_ms": _number,
-}
+def _rate(value):
+    """A constant bpm, or a schedule of [start_ms, bpm] segments."""
+    if isinstance(value, list):
+        return _list(_row(lambda *segment: segment, _number, _number))(value)
+    return _number(value)
 
 
-def _section(config: dict, name: str, keys) -> dict:
-    """config[name] ({} if absent), checked to be an object with only `keys`."""
-    section = config.get(name, {})
-    if not isinstance(section, dict):
-        raise ConfigError(f"{name}: must be an object, got {section!r}")
-    unknown = sorted(set(section) - set(keys))
-    if unknown:
-        raise ConfigError(f"{name}: unknown keys {', '.join(unknown)}")
-    return section
+def _object(build, **checks):
+    """A check for a JSON object with only the keys of `checks`: each value
+    passes its key's check, and the checked values are built by build(**values)."""
+    def check_object(value):
+        if not isinstance(value, dict):
+            raise TypeError(f"must be an object, got {value!r}")
+        unknown = sorted(set(value) - set(checks))
+        if unknown:
+            raise ValueError(f"unknown keys {', '.join(unknown)}")
+        checked = {}
+        for key, v in value.items():
+            with _values(key):
+                checked[key] = checks[key](v)
+        return build(**checked)
+    return check_object
 
 
 @contextlib.contextmanager
 def _values(where: str):
-    """Report a bad value met while building objects from config as
-    ConfigError("<where>: ..."). Wrap no I/O and no pipeline work in it, so
-    a runtime fault is never reported as a config error."""
+    """Report a bad value met while checking config or building objects from
+    it as ConfigError("<where>: ..."). Wrap no I/O and no pipeline work in
+    it, so a runtime fault is never reported as a config error."""
     try:
         yield
-    except KeyError as exc:
-        raise ConfigError(f"{where}: missing key {exc}") from exc
-    except (TypeError, ValueError, LookupError, ArithmeticError) as exc:
+    except (ConfigError, TypeError, ValueError, LookupError, ArithmeticError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
+_WAVEFORM = _object(
+    WaveformSpec, duration_ms=_int, sample_rate_hz=_number, heart_rate_bpm=_rate,
+    pulse_amplitude=_int, baseline=_int, pulse_width_ms=_number, noise_stddev=_number,
+    wander_amplitude=_number, wander_period_ms=_number,
+    stray_pulses=_list(_row(StrayPulse, _number, _int, _number)), rng_seed=_int,
+)
+# Every config key, its check and what it builds. An absent key takes its
+# default where it is read, the scenario's and bench's in their functions.
+_CONFIG = _object(
+    dict,
+    profile=_object(UserProfile, age_years=_int, resting_bpm=_number),
+    schmitt=_object(SchmittConfig, upper_threshold=_int, lower_threshold=_int, refractory_ms=_int),
+    engine=_object(dict, band_mode=BandMode, required_streak=_int),
+    smoothing_window=_int,
+    waveform=_WAVEFORM,
+    scenario=_object(
+        dict, exercise_bpm=_number, sleep_duration_ms=_int, exercise_duration_ms=_int,
+        sample_rate_hz=_number, noise_stddev=_number, required_streak=_int,
+    ),
+    input_path=_str,
+    alarm_time_ms=_int,
+    expected_final_phase=Phase,
+    output_path=_str,
+    bench=_object(
+        dict, base=_WAVEFORM, stray_counts=_list(_int), noise_levels=_list(_number),
+        runs_per_cell=_int, naive_threshold=_int, stray_peak=_int,
+        stray_width_ms=_number, match_tolerance_ms=_number,
+    ),
+)
+
+
 def _load_json(path: str) -> dict:
+    """The config at path, every value checked and built by _CONFIG."""
     try:
         with open(path) as f:
-            data = json.load(f)
-    except ValueError as exc:  # malformed JSON or text
+            return _CONFIG(json.load(f))
+    except (TypeError, ValueError) as exc:  # malformed JSON or text, or a bad top level
         raise ConfigError(f"{path}: {exc}") from exc
-    return _section({"config": data}, "config", _CONFIG_KEYS)
-
-
-def _path(config: dict, key: str) -> Optional[str]:
-    """config[key] if present, which must then be a string."""
-    path = config.get(key)
-    if key in config and not isinstance(path, str):
-        raise ConfigError(f"{key}: must be a string, got {path!r}")
-    return path
-
-
-def _schmitt(config: dict) -> SchmittConfig:
-    section = _section(config, "schmitt", [f.name for f in fields(SchmittConfig)])
-    with _values("schmitt"):
-        return SchmittConfig(**{k: _int(v) for k, v in section.items()})
-
-
-def _waveform(config: dict, name: str, seed: Optional[int]) -> WaveformSpec:
-    kwargs = dict(_section(config, name, [f.name for f in fields(WaveformSpec)]))
-    with _values(name):
-        if isinstance(kwargs.get("heart_rate_bpm"), list):
-            kwargs["heart_rate_bpm"] = tuple(map(tuple, kwargs["heart_rate_bpm"]))
-        if "stray_pulses" in kwargs:
-            kwargs["stray_pulses"] = tuple(
-                StrayPulse(_number(t), _int(p), _number(w)) for t, p, w in kwargs["stray_pulses"]
-            )
-        if seed is not None:
-            kwargs["rng_seed"] = seed
-        return WaveformSpec(**kwargs)
 
 
 def cmd_synth(config: dict, args) -> int:
     if "waveform" not in config:
         raise ConfigError("synth requires a 'waveform' section")
-    spec = _waveform(config, "waveform", args.seed)
-    out = args.out or _path(config, "output_path")
+    spec = config["waveform"]
+    out = args.out or config.get("output_path")
     if out is None:
         raise ConfigError("synth requires --out or 'output_path'")
     with _values("waveform"):
@@ -183,31 +193,19 @@ def _load_run(
             f"{command} takes {'exactly' if command == 'run' else 'at most'} "
             "one of 'waveform', 'scenario', 'input_path'"
         )
-    profile = None
-    if "profile" in config:
-        section = _section(config, "profile", ("age_years", "resting_bpm"))
-        with _values("profile"):
-            profile = UserProfile(_int(section["age_years"]), _number(section["resting_bpm"]))
-    scenario_mode = "scenario" in config
-    # a scenario sets its own required_streak
-    engine_keys = ("band_mode",) if scenario_mode else ("band_mode", "required_streak")
-    engine = _section(config, "engine", engine_keys)
-    with _values("engine"):
-        mode = BandMode(engine.get("band_mode", "fixed"))
-    with _values("expected_final_phase"):
-        name = config.get("expected_final_phase")
-        expected = None if name is None else Phase(name)
-    schmitt = _schmitt(config)
-
-    spec = None
-    if scenario_mode:
+    profile = config.get("profile")
+    engine = config.get("engine", {})
+    mode = engine.get("band_mode", BandMode.FIXED)
+    expected = config.get("expected_final_phase")
+    spec = config.get("waveform")
+    if "scenario" in config:
         if profile is None:
             raise ConfigError("scenario: requires a 'profile' section")
-        section = _section(config, "scenario", _SCENARIO_VALUES)
+        if "required_streak" in engine:
+            raise ConfigError("engine: required_streak is set by the scenario")
         with _values("scenario"):
-            kwargs = {k: _SCENARIO_VALUES[k](v) for k, v in section.items()}
             scenario = make_wake_scenario(
-                profile, band_mode=mode, rng_seed=args.seed or 0, **kwargs
+                profile, band_mode=mode, rng_seed=args.seed or 0, **config["scenario"]
             )
         spec, alarm_time = scenario.spec, scenario.alarm_time_ms
         engine_cfg = scenario.engine_config
@@ -216,22 +214,20 @@ def _load_run(
     else:
         with _values("engine"):
             engine_cfg = EngineConfig(
-                satisfaction_band(profile, mode), _int(engine.get("required_streak", 3))
+                satisfaction_band(profile, mode), engine.get("required_streak", 3)
             )
         if "alarm_time_ms" not in config:
             raise ConfigError(f"alarm_time_ms: {command} requires it unless using a scenario")
-        with _values("alarm_time_ms"):
-            alarm_time = _int(config["alarm_time_ms"])
-        if "waveform" in config:
-            spec = _waveform(config, "waveform", args.seed)
+        alarm_time = config["alarm_time_ms"]
     with _values("smoothing_window"):
         pipeline = Pipeline(
-            schmitt, engine_cfg, alarm_time, _int(config.get("smoothing_window", 5))
+            config.get("schmitt", SchmittConfig()), engine_cfg, alarm_time,
+            config.get("smoothing_window", 5),
         )
     if command == "serve":
         return pipeline, None, expected
     if spec is None:
-        return pipeline, read_waveform(_path(config, "input_path")), expected
+        return pipeline, read_waveform(config["input_path"]), expected
     with _values(sources[0]):
         return pipeline, synthesize(spec)[0], expected
 
@@ -249,7 +245,7 @@ def _finish_run(report: RunReport, out: Optional[str], expected: Optional[Phase]
 
 def cmd_run(config: dict, args) -> int:
     pipeline, samples, expected = _load_run(config, args, "run")
-    out = args.out or _path(config, "output_path")
+    out = args.out or config.get("output_path")
     for sample in samples:
         pipeline.push(sample)
     return _finish_run(pipeline.report(), out, expected)
@@ -258,15 +254,15 @@ def cmd_run(config: dict, args) -> int:
 def cmd_bench(config: dict, args) -> int:
     if "bench" not in config:
         raise ConfigError("bench requires a 'bench' section")
-    b = _section(config, "bench", ("base", *_BENCH_VALUES))
-    base = _waveform({"base": {"duration_ms": 30000}, **b}, "base", args.seed)
-    schmitt = _schmitt(config)
-    out = args.out or _path(config, "output_path")
+    kwargs = dict(config["bench"])
+    base = kwargs.pop("base", WaveformSpec(duration_ms=30000))
+    out = args.out or config.get("output_path")
     # bench_corpus only synthesizes and detects, so any bad value it meets
     # comes from this section
     with _values("bench"):
-        kwargs = {k: check(b[k]) for k, check in _BENCH_VALUES.items() if k in b}
-        rows = bench_corpus(base, schmitt=schmitt, seed=args.seed or 0, **kwargs)
+        rows = bench_corpus(
+            base, schmitt=config.get("schmitt", SchmittConfig()), seed=args.seed or 0, **kwargs
+        )
     header = "strays,noise_stddev,schmitt_false,schmitt_missed,naive_false,naive_missed"
     lines = [header] + [
         f"{r.stray_count},{r.noise_stddev:g},{r.schmitt_false},"
@@ -313,7 +309,7 @@ def cmd_send(args) -> int:
 def cmd_serve(config: dict, args) -> int:
     port = _resolve_port(args)
     pipeline, _, expected = _load_run(config, args, "serve")
-    out = args.out or _path(config, "output_path")
+    out = args.out or config.get("output_path")
     decoder = FrameDecoder()
     gaps = corrupt = resyncs = dropped = 0
     with socket.create_server(("", port)) as server:
@@ -393,6 +389,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.command == "send":
             return cmd_send(args)
         config = _load_json(args.config)
+        if args.seed is not None and "waveform" in config:
+            config["waveform"] = replace(config["waveform"], rng_seed=args.seed)
         commands = {"synth": cmd_synth, "run": cmd_run, "bench": cmd_bench, "serve": cmd_serve}
         return commands[args.command](config, args)
     except (ConfigError, ScenarioError) as exc:

@@ -8,8 +8,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .detector import PLAUSIBLE_MAX_BPM, PLAUSIBLE_MIN_BPM
-
 MIN_AGE_YEARS = 1
 MAX_AGE_YEARS = 120
 
@@ -90,13 +88,10 @@ def satisfaction_band(
     """The bpm band that interrupts the ringing alarm.
 
     FIXED mode returns [101, 199] regardless of profile. AGE_DERIVED takes
-    the moderate-exercise band clipped to the plausibility range [23, 200].
+    the moderate-exercise band.
     """
     if mode is BandMode.FIXED:
         return FIXED_SATISFACTION_BAND
     if profile is None:
         raise ValueError("AGE_DERIVED satisfaction band requires a user profile")
-    band = moderate_exercise_band(profile.age_years)
-    return BpmBand(
-        max(band.low, PLAUSIBLE_MIN_BPM), min(band.high, PLAUSIBLE_MAX_BPM)
-    )
+    return moderate_exercise_band(profile.age_years)

@@ -452,6 +452,19 @@ def amend(config, path, value):
             ("run", WAVEFORM_RUN, "expected_final_phase", "idle"),
             ("bench", BENCH, "bench.runs_per_cell", "x"),
             ("bench", BENCH, "bench.stray_counts", "ab"),
+            # a fraction where an integer is wanted, and null, are malformed
+            ("run", WAVEFORM_RUN, "waveform.baseline", 300.7),
+            ("run", WAVEFORM_RUN, "waveform.duration_ms", 1000.5),
+            ("bench", BENCH, "bench.base.duration_ms", 1.5),
+            ("run", WAVEFORM_RUN, "expected_final_phase", None),
+            # bench values out of range
+            ("bench", BENCH, "bench.runs_per_cell", 0),
+            ("bench", BENCH, "bench.runs_per_cell", -1),
+            ("bench", BENCH, "bench.stray_counts", [-5]),
+            ("bench", BENCH, "bench.match_tolerance_ms", -1),
+            # a section the command does not read is still checked
+            ("synth", {"waveform": {"duration_ms": 1000}}, "schmitt.upper_threshold", "x"),
+            ("run", WAVEFORM_RUN, "bench.runs_per_cell", "x"),
             ("send", None, "PULSEALARM_PORT", "abc"),
             ("serve", {"alarm_time_ms": 0}, "PULSEALARM_PORT", "abc"),
             # port 9 has no listener: a connection attempt would exit 3
@@ -610,3 +623,72 @@ def test_config_fuzz_exits_cleanly(base, data):
     assert "Traceback" not in err.getvalue()
     if code == 1:
         assert re.search(r"^final phase \w+, expected \w+$", out.getvalue(), re.M)
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+SWEEP_VALUES = [True, 1.5, "x", None, [], {}, -1, 0, [[1]], 7]
+SWEEP_CONFIGS = {
+    # every waveform, engine and trigger key, a rate schedule and one stray
+    "waveform-run": ("run", json.loads((GOLDEN / "waveform.json").read_text())),
+    "scenario-run": ("run", {
+        "profile": PROFILE,
+        "scenario": {"exercise_bpm": 150, "sleep_duration_ms": 1000,
+                     "exercise_duration_ms": 2000, "sample_rate_hz": 100,
+                     "noise_stddev": 2.0, "required_streak": 1},
+        "engine": {"band_mode": "fixed"},
+        "schmitt": {"upper_threshold": 550, "lower_threshold": 470, "refractory_ms": 250},
+        "smoothing_window": 3,
+        "expected_final_phase": "stopped",
+    }),
+    "bench": ("bench", {
+        "bench": {
+            "base": {"duration_ms": 3000, "sample_rate_hz": 100,
+                     "heart_rate_bpm": [[0, 60], [1500, 90]], "pulse_amplitude": 400,
+                     "baseline": 300, "pulse_width_ms": 40, "noise_stddev": 1.0,
+                     "wander_amplitude": 5, "wander_period_ms": 2000,
+                     "stray_pulses": [[700, 510, 80]], "rng_seed": 1},
+            "stray_counts": [0, 2], "noise_levels": [0.0, 4.0], "runs_per_cell": 1,
+            "naive_threshold": 500, "stray_peak": 510, "stray_width_ms": 80,
+            "match_tolerance_ms": 100,
+        },
+        "schmitt": {"upper_threshold": 550, "lower_threshold": 470, "refractory_ms": 250},
+    }),
+}
+
+
+def _leaves(config, prefix=""):
+    """(dotted path, value) of every value in config that is not an object."""
+    for key, value in config.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, prefix + key + ".")
+        else:
+            yield prefix + key, value
+
+
+def _kind(value):
+    """The JSON kind of a value: a bool is not a number."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return "number"
+    return type(value).__name__
+
+
+@pytest.mark.parametrize("name", SWEEP_CONFIGS)
+def test_config_mutation_sweep(tmp_path, name):
+    """Each leaf of a full config, replaced by each of SWEEP_VALUES, ends in
+    a documented exit code, and a value of another JSON kind in exit 2. The
+    one leaf that takes two kinds is heart_rate_bpm: a rate or a schedule."""
+    command, base = SWEEP_CONFIGS[name]
+    cfg = tmp_path / "config.json"
+    taken = []
+    for path, original in _leaves(base):
+        for value in SWEEP_VALUES:
+            cfg.write_text(json.dumps(amend(base, path, value)))
+            err = io.StringIO()
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                code = main([command, "--config", str(cfg)])
+            assert code in (0, 1, 2), (path, value, code, err.getvalue())
+            assert "Traceback" not in err.getvalue()
+            rate = path.endswith("heart_rate_bpm") and _kind(value) == "number"
+            if _kind(value) != _kind(original) and not rate and code != 2:
+                taken.append(f"{path}={json.dumps(value)} exited {code}")
+    assert taken == []

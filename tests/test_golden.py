@@ -1,13 +1,19 @@
-"""Golden reports: `run` and `bench` output pinned byte for byte.
+"""Golden reports: `synth`, `run` and `bench` output pinned byte for byte.
 
 The files under tests/golden/ were written by the CLI itself, from the
-config files next to them:
+config files next to them, run in that directory:
 
-    pulsealarm run --config tests/golden/run.json --seed 11 \\
-        --out tests/golden/run_seed11.jsonl > tests/golden/run_seed11.txt
-    pulsealarm bench --config tests/golden/bench.json --seed 3 \\
-        --out tests/golden/bench_seed3.csv > tests/golden/bench_seed3.txt
+    pulsealarm run --config run.json --seed 11 \\
+        --out run_seed11.jsonl > run_seed11.txt
+    pulsealarm bench --config bench.json --seed 3 \\
+        --out bench_seed3.csv > bench_seed3.txt
+    pulsealarm synth --config waveform.json --seed 7 \\
+        --out waveform_synth_seed7.csv > waveform_synth_seed7.txt
+    pulsealarm run --config waveform.json --seed 7 \\
+        --out waveform_run_seed7.jsonl > waveform_run_seed7.txt
 
+`waveform.json` sets every waveform, engine and trigger key, so its two
+reports pin the spec, rate schedule and strays the config loader builds.
 A change that means to alter a report regenerates them with these commands
 and says why; any other change must leave them as they are.
 """
@@ -21,13 +27,23 @@ from pulsealarm.cli import main
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
+def assert_golden(tmp_path, capsys, monkeypatch, command, config, seed, name, suffix):
+    monkeypatch.chdir(tmp_path)  # synth prints its --out path
+    out = f"{name}{suffix}"
+    assert main([command, "--config", str(GOLDEN / config), "--seed", str(seed), "--out", out]) == 0
+    assert (tmp_path / out).read_bytes() == (GOLDEN / out).read_bytes()
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.txt").read_text()
+
+
 @pytest.mark.parametrize(
     "command,seed,name,suffix",
     [("run", 11, "run_seed11", ".jsonl"), ("bench", 3, "bench_seed3", ".csv")],
 )
-def test_report_matches_golden(tmp_path, capsys, command, seed, name, suffix):
-    out = tmp_path / f"{name}{suffix}"
-    config = GOLDEN / f"{command}.json"
-    assert main([command, "--config", str(config), "--seed", str(seed), "--out", str(out)]) == 0
-    assert out.read_bytes() == (GOLDEN / f"{name}{suffix}").read_bytes()
-    assert capsys.readouterr().out == (GOLDEN / f"{name}.txt").read_text()
+def test_report_matches_golden(tmp_path, capsys, monkeypatch, command, seed, name, suffix):
+    assert_golden(tmp_path, capsys, monkeypatch, command, f"{command}.json", seed, name, suffix)
+
+
+@pytest.mark.parametrize("command,suffix", [("synth", ".csv"), ("run", ".jsonl")])
+def test_explicit_waveform_matches_golden(tmp_path, capsys, monkeypatch, command, suffix):
+    name = f"waveform_{command}_seed7"
+    assert_golden(tmp_path, capsys, monkeypatch, command, "waveform.json", 7, name, suffix)
