@@ -35,7 +35,6 @@ from .engine import (
 from .errors import (
     ConfigError,
     PulseAlarmError,
-    ScenarioError,
     StreamOrderError,
     WaveformParseError,
     WaveformSpecError,

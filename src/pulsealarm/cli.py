@@ -7,16 +7,19 @@ Subcommands:
     send   replay a waveform CSV as frames over a TCP socket
     serve  receive frames on a TCP socket and run the pipeline live
 
-`run` and `serve` share one config loader: a `scenario` sets the alarm
-time, the engine config and the expected phase, else `alarm_time_ms` is
-required. `serve` needs no sample source, and it drops samples whose time
-does not advance, logging their count at WARNING, instead of aborting. It
-waits IDLE_TIMEOUT_S for a sender (else exit 3) and for data (else closed).
+`run` and `serve` share one config loader. A `scenario` sets the alarm
+time, the required streak and the expected phase; without one
+`alarm_time_ms` is required. `--out` names the output, and `--seed` (not
+on `serve`, which synthesizes nothing) overrides every seed the command
+synthesizes from. `serve` needs no sample source, and it drops samples
+whose time does not advance, logging their count at WARNING, instead of
+aborting. It waits IDLE_TIMEOUT_S for a sender (else exit 3) and for data
+(else closed).
 
 Exit codes: 0 expected final phase (or nothing to check), 1 unexpected
-final phase, 2 configuration error (any malformed config value,
-PULSEALARM_PORT, PULSEALARM_LOG or `send --speed`), 3 I/O or
-protocol-fatal error.
+final phase, 2 configuration error (a malformed config value, a value a
+`scenario` or the bench grid sets, a bad PULSEALARM_PORT, PULSEALARM_LOG,
+`--seed` or `send --speed`), 3 I/O or protocol-fatal error.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from typing import Optional
 from .bench import bench_corpus
 from .detector import Sample, SchmittConfig
 from .engine import EngineConfig, Phase
-from .errors import ConfigError, PulseAlarmError, ScenarioError, StreamOrderError
+from .errors import ConfigError, PulseAlarmError, StreamOrderError
 from .physiology import BandMode, UserProfile, satisfaction_band
 from .pipeline import Pipeline, RunReport
 from .protocol import CorruptFrame, FrameDecoder, Gap, Resync, SampleOutcome, replay_file
@@ -103,12 +106,11 @@ def _object(build, **checks):
     def check_object(value):
         if not isinstance(value, dict):
             raise TypeError(f"must be an object, got {value!r}")
-        unknown = sorted(set(value) - set(checks))
-        if unknown:
-            raise ValueError(f"unknown keys {', '.join(unknown)}")
         checked = {}
         for key, v in value.items():
             with _values(key):
+                if key not in checks:
+                    raise ValueError("unknown key")
                 checked[key] = checks[key](v)
         return build(**checked)
     return check_object
@@ -125,11 +127,11 @@ def _values(where: str):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-_WAVEFORM = _object(
-    WaveformSpec, duration_ms=_int, sample_rate_hz=_number, heart_rate_bpm=_rate,
-    pulse_amplitude=_int, baseline=_int, pulse_width_ms=_number, noise_stddev=_number,
-    wander_amplitude=_number, wander_period_ms=_number,
-    stray_pulses=_list(_row(StrayPulse, _number, _int, _number)), rng_seed=_int,
+# The WaveformSpec fields that bench.base takes: bench_corpus sets the noise,
+# the strays and the seed of each cell, so the base does not.
+_SHAPE = dict(
+    duration_ms=_int, sample_rate_hz=_number, heart_rate_bpm=_rate, pulse_amplitude=_int,
+    baseline=_int, pulse_width_ms=_number, wander_amplitude=_number, wander_period_ms=_number,
 )
 # Every config key, its check and what it builds. An absent key takes its
 # default where it is read, the scenario's and bench's in their functions.
@@ -139,7 +141,10 @@ _CONFIG = _object(
     schmitt=_object(SchmittConfig, upper_threshold=_int, lower_threshold=_int, refractory_ms=_int),
     engine=_object(dict, band_mode=BandMode, required_streak=_int),
     smoothing_window=_int,
-    waveform=_WAVEFORM,
+    waveform=_object(
+        WaveformSpec, **_SHAPE, noise_stddev=_number,
+        stray_pulses=_list(_row(StrayPulse, _number, _int, _number)), rng_seed=_int,
+    ),
     scenario=_object(
         dict, exercise_bpm=_number, sleep_duration_ms=_int, exercise_duration_ms=_int,
         sample_rate_hz=_number, noise_stddev=_number, required_streak=_int,
@@ -147,10 +152,9 @@ _CONFIG = _object(
     input_path=_str,
     alarm_time_ms=_int,
     expected_final_phase=Phase,
-    output_path=_str,
     bench=_object(
-        dict, base=_WAVEFORM, stray_counts=_list(_int), noise_levels=_list(_number),
-        runs_per_cell=_int, naive_threshold=_int, stray_peak=_int,
+        dict, base=_object(WaveformSpec, **_SHAPE), stray_counts=_list(_int),
+        noise_levels=_list(_number), runs_per_cell=_int, naive_threshold=_int, stray_peak=_int,
         stray_width_ms=_number, match_tolerance_ms=_number,
     ),
 )
@@ -169,20 +173,19 @@ def cmd_synth(config: dict, args) -> int:
     if "waveform" not in config:
         raise ConfigError("synth requires a 'waveform' section")
     spec = config["waveform"]
-    out = args.out or config.get("output_path")
-    if out is None:
-        raise ConfigError("synth requires --out or 'output_path'")
+    if args.out is None:
+        raise ConfigError("synth requires --out")
     with _values("waveform"):
         samples, truth = synthesize(spec)
-    write_waveform(samples, out)
+    write_waveform(samples, args.out)
     segments = ", ".join(f"{bpm:g} bpm from {start:g} ms" for start, bpm in spec.segments())
-    print(f"wrote {len(samples)} samples to {out}")
+    print(f"wrote {len(samples)} samples to {args.out}")
     print(f"ground truth: {len(truth.beat_times_ms)} beats ({segments})")
     return EXIT_OK
 
 
 def _load_run(
-    config: dict, args, command: str
+    config: dict, command: str
 ) -> tuple[Pipeline, Optional[list[Sample]], Optional[Phase]]:
     """The pipeline a `run` or `serve` config describes, the samples `run`
     feeds it (None for `serve`, whose samples come off the socket), and the
@@ -203,10 +206,10 @@ def _load_run(
             raise ConfigError("scenario: requires a 'profile' section")
         if "required_streak" in engine:
             raise ConfigError("engine: required_streak is set by the scenario")
+        if "alarm_time_ms" in config:
+            raise ConfigError("alarm_time_ms: set by the scenario")
         with _values("scenario"):
-            scenario = make_wake_scenario(
-                profile, band_mode=mode, rng_seed=args.seed or 0, **config["scenario"]
-            )
+            scenario = make_wake_scenario(profile, band_mode=mode, **config["scenario"])
         spec, alarm_time = scenario.spec, scenario.alarm_time_ms
         engine_cfg = scenario.engine_config
         if expected is None:
@@ -244,11 +247,10 @@ def _finish_run(report: RunReport, out: Optional[str], expected: Optional[Phase]
 
 
 def cmd_run(config: dict, args) -> int:
-    pipeline, samples, expected = _load_run(config, args, "run")
-    out = args.out or config.get("output_path")
+    pipeline, samples, expected = _load_run(config, "run")
     for sample in samples:
         pipeline.push(sample)
-    return _finish_run(pipeline.report(), out, expected)
+    return _finish_run(pipeline.report(), args.out, expected)
 
 
 def cmd_bench(config: dict, args) -> int:
@@ -256,23 +258,19 @@ def cmd_bench(config: dict, args) -> int:
         raise ConfigError("bench requires a 'bench' section")
     kwargs = dict(config["bench"])
     base = kwargs.pop("base", WaveformSpec(duration_ms=30000))
-    out = args.out or config.get("output_path")
     # bench_corpus only synthesizes and detects, so any bad value it meets
     # comes from this section
     with _values("bench"):
-        rows = bench_corpus(
-            base, schmitt=config.get("schmitt", SchmittConfig()), seed=args.seed or 0, **kwargs
-        )
+        rows = bench_corpus(base, schmitt=config.get("schmitt", SchmittConfig()), **kwargs)
     header = "strays,noise_stddev,schmitt_false,schmitt_missed,naive_false,naive_missed"
     lines = [header] + [
         f"{r.stray_count},{r.noise_stddev:g},{r.schmitt_false},"
         f"{r.schmitt_missed},{r.naive_false},{r.naive_missed}"
         for r in rows
     ]
-    csv_text = "\n".join(lines) + "\n"
-    if out:
-        with open(out, "w", newline="\n") as f:
-            f.write(csv_text)
+    if args.out:
+        with open(args.out, "w", newline="\n") as f:
+            f.write("\n".join(lines) + "\n")
     print(f"{'strays':>7} {'noise':>7} {'schmitt F/M':>12} {'naive F/M':>12}")
     for r in rows:
         print(
@@ -308,8 +306,7 @@ def cmd_send(args) -> int:
 
 def cmd_serve(config: dict, args) -> int:
     port = _resolve_port(args)
-    pipeline, _, expected = _load_run(config, args, "serve")
-    out = args.out or config.get("output_path")
+    pipeline, _, expected = _load_run(config, "serve")
     decoder = FrameDecoder()
     gaps = corrupt = resyncs = dropped = 0
     with socket.create_server(("", port)) as server:
@@ -343,7 +340,7 @@ def cmd_serve(config: dict, args) -> int:
         if dropped:
             log.warning("dropped %d samples whose time did not advance", dropped)
     report = pipeline.report(gap_count=gaps, corrupt_count=corrupt, resync_count=resyncs)
-    return _finish_run(report, out, expected)
+    return _finish_run(report, args.out, expected)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -353,17 +350,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, seed=True):
         p.add_argument("--config", required=True, help="JSON config file")
-        p.add_argument("--seed", type=int, default=None, help="override the RNG seed")
+        if seed:
+            p.add_argument("--seed", type=int, default=None, help="override the RNG seed")
         p.add_argument("--out", default=None, help="output file path")
 
-    p = sub.add_parser("synth", help="generate a waveform CSV")
-    add_common(p)
-    p = sub.add_parser("run", help="run the pipeline end to end")
-    add_common(p)
-    p = sub.add_parser("bench", help="compare detectors on a stray-pulse corpus")
-    add_common(p)
+    add_common(sub.add_parser("synth", help="generate a waveform CSV"))
+    add_common(sub.add_parser("run", help="run the pipeline end to end"))
+    add_common(sub.add_parser("bench", help="compare detectors on a stray-pulse corpus"))
 
     p = sub.add_parser("send", help="replay a waveform file over TCP")
     p.add_argument("--port", type=int, default=None)
@@ -373,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="real-time multiplier, 0 = no pacing")
 
     p = sub.add_parser("serve", help="receive frames and run the pipeline")
-    add_common(p)
+    add_common(p, seed=False)  # serve synthesizes nothing
     p.add_argument("--port", type=int, default=None)
     return parser
 
@@ -389,11 +384,19 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.command == "send":
             return cmd_send(args)
         config = _load_json(args.config)
-        if args.seed is not None and "waveform" in config:
-            config["waveform"] = replace(config["waveform"], rng_seed=args.seed)
+        if args.command != "serve" and args.seed is not None:
+            # replaces the seed of every section that synthesizes
+            with _values("--seed"):
+                if args.seed < 0:
+                    raise ValueError(f"must be non-negative, got {args.seed}")
+                if "waveform" in config:
+                    config["waveform"] = replace(config["waveform"], rng_seed=args.seed)
+                for section, name in (("scenario", "rng_seed"), ("bench", "seed")):
+                    if section in config:
+                        config[section][name] = args.seed
         commands = {"synth": cmd_synth, "run": cmd_run, "bench": cmd_bench, "serve": cmd_serve}
         return commands[args.command](config, args)
-    except (ConfigError, ScenarioError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (OSError, PulseAlarmError) as exc:

@@ -25,9 +25,5 @@ class WaveformParseError(PulseAlarmError):
         self.line_number = line_number
 
 
-class ScenarioError(PulseAlarmError):
-    """A wake scenario cannot be built for the given profile."""
-
-
 class ConfigError(PulseAlarmError):
     """A CLI configuration file is invalid."""

@@ -17,7 +17,7 @@ import numpy as np
 
 from .detector import ADC_MAX, Sample
 from .engine import EngineConfig, Phase
-from .errors import ScenarioError, WaveformParseError, WaveformSpecError
+from .errors import WaveformParseError, WaveformSpecError
 from .physiology import BandMode, UserProfile, satisfaction_band, sleep_rate_range
 
 RateSchedule = Union[float, int, Sequence[tuple[float, float]]]
@@ -57,8 +57,9 @@ class WaveformSpec:
             raise WaveformSpecError(
                 "sample_rate_hz", "must be in (0, 1000] for integer-ms timestamps"
             )
-        if not self.baseline >= 0:
-            raise WaveformSpecError("baseline", "must be non-negative")
+        for name in ("baseline", "noise_stddev", "rng_seed"):
+            if not getattr(self, name) >= 0:
+                raise WaveformSpecError(name, "must be non-negative")
         if not self.baseline + self.pulse_amplitude <= ADC_MAX:
             raise WaveformSpecError(
                 "pulse_amplitude",
@@ -67,10 +68,12 @@ class WaveformSpec:
         segments = self.segments()
         if not segments or segments[0][0] != 0:
             raise WaveformSpecError("heart_rate_bpm", "schedule must start at 0 ms")
+        bpm_limit = 60 * self.sample_rate_hz  # one beat per sample
         for start, bpm in segments:
-            if not (math.isfinite(start) and 0 < bpm < math.inf):
+            if not (math.isfinite(start) and 0 < bpm <= bpm_limit):
                 raise WaveformSpecError(
-                    "heart_rate_bpm", f"segment ({start}, {bpm}) must be finite with bpm > 0"
+                    "heart_rate_bpm",
+                    f"segment ({start}, {bpm}) must be finite with bpm in (0, {bpm_limit:g}]",
                 )
         max_bpm = max(bpm for _, bpm in segments)
         if not 0 < self.pulse_width_ms < 60000.0 / max_bpm:
@@ -78,8 +81,6 @@ class WaveformSpec:
                 "pulse_width_ms",
                 f"must be in (0, {60000.0 / max_bpm:.1f}) ms, the shortest beat interval",
             )
-        if not self.noise_stddev >= 0:
-            raise WaveformSpecError("noise_stddev", "must be non-negative")
         if not self.wander_period_ms > 0:
             raise WaveformSpecError("wander_period_ms", "must be positive")
         for stray in self.stray_pulses:
@@ -233,7 +234,7 @@ def make_wake_scenario(
     band = satisfaction_band(profile, band_mode)
     sleep_bpm = sleep_rate_range(profile.resting_bpm).midpoint()
     if band.contains(sleep_bpm):
-        raise ScenarioError(
+        raise ValueError(
             f"sleep rate {sleep_bpm:.1f} bpm already inside the satisfaction band"
         )
     if exercise_bpm is None:

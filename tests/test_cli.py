@@ -359,7 +359,7 @@ class TestServeSend:
         )
         wave = tmp_path / "wave.csv"
         write_waveform(synthesize(scenario.spec)[0], wave)
-        code, report = serve_loopback(tmp_path, config, send_file(wave), "--seed", "11")
+        code, report = serve_loopback(tmp_path, config, send_file(wave))
         assert code == 0
         assert report == run_out.read_text()
 
@@ -470,6 +470,17 @@ def amend(config, path, value):
             # port 9 has no listener: a connection attempt would exit 3
             ("send", None, "--speed", "-1"),
             ("send", None, "--speed", "nan"),
+            # a value the bench grid or a scenario sets, and one no command reads
+            ("bench", BENCH, "bench.base.noise_stddev", 5.0),
+            ("bench", BENCH, "bench.base.stray_pulses", [[500, 510, 80]]),
+            ("bench", BENCH, "bench.base.rng_seed", 4),
+            ("run", SCENARIO_RUN, "alarm_time_ms", 999999),
+            ("run", WAVEFORM_RUN, "output_path", os.devnull),
+            # seeds and rates out of range, with or without noise to draw
+            ("run", WAVEFORM_RUN, "waveform.rng_seed", -1),
+            ("run", amend(WAVEFORM_RUN, "waveform.pulse_width_ms", 5),
+             "waveform.heart_rate_bpm", 6001),  # one bpm above one beat per sample at 100 Hz
+            ("run", SCENARIO_RUN, "--seed", "-1"),
         ]
     ],
 )
@@ -478,7 +489,7 @@ def test_bad_config_value_exit_2(tmp_path, capsys, monkeypatch, command, base, p
     if path == "PULSEALARM_PORT":
         monkeypatch.setenv(path, value)
     elif path.startswith("--"):
-        flags = ["--port", "9", path, value]
+        flags = (["--port", "9"] if command == "send" else []) + [path, value]
     else:
         base = amend(base, path, value)
     argv = ["--file", "unused.csv"] if base is None else ["--config", write_config(tmp_path, base)]
@@ -492,15 +503,19 @@ def test_bad_config_value_exit_2(tmp_path, capsys, monkeypatch, command, base, p
     "command,config,flags,message",
     [
         pytest.param("run", "not json", [], "config.json: Expecting value", id="malformed-json"),
-        pytest.param("synth", {"output_path": "x.csv"}, [],
-                     "synth requires a 'waveform' section", id="synth-no-waveform"),
+        pytest.param("synth", {}, [], "synth requires a 'waveform' section",
+                     id="synth-no-waveform"),
         pytest.param("synth", {"waveform": {"duration_ms": 1000}}, [],
-                     "synth requires --out or 'output_path'", id="synth-no-out"),
+                     "synth requires --out", id="synth-no-out"),
         pytest.param("bench", {}, [], "bench requires a 'bench' section", id="bench-no-section"),
         pytest.param("run", {"scenario": {}}, [], "scenario: requires a 'profile' section",
                      id="scenario-no-profile"),
         pytest.param("run", {"waveform": {"duration_ms": 1000}}, [],
                      "alarm_time_ms: run requires it", id="run-no-alarm-time"),
+        # resting 140 sleeps at about 127 bpm, already inside the fixed band
+        pytest.param("run", {"profile": {"age_years": 20, "resting_bpm": 140}, "scenario": {}}, [],
+                     "error: scenario: sleep rate 127.4 bpm already inside the satisfaction band",
+                     id="scenario-infeasible-profile"),
         pytest.param("send", None, [], "no port given (--port or PULSEALARM_PORT)",
                      id="send-no-port"),
         pytest.param("send", None, ["--port", "70000"], "--port: port 70000 outside [0, 65535]",
@@ -520,6 +535,26 @@ def test_missing_config_exit_2(tmp_path, capsys, monkeypatch, command, config, f
     assert err.startswith("error: ")
     assert message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command,config", [("run", "run.json"), ("run", "waveform.json"), ("synth", "waveform.json"),
+                       ("bench", "bench.json")],
+)
+def test_negative_seed_exit_2(tmp_path, capsys, command, config):
+    config = pathlib.Path(__file__).parent / "golden" / config
+    out = str(tmp_path / "out")
+    assert main([command, "--config", str(config), "--seed", "-1", "--out", out]) == 2
+    assert capsys.readouterr().err == "error: --seed: must be non-negative, got -1\n"
+
+
+def test_serve_takes_no_seed(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "IDLE_TIMEOUT_S", 0.1)  # a serve that starts stops soon
+    cfg = write_config(tmp_path, {"alarm_time_ms": 0})
+    with pytest.raises(SystemExit) as exc:  # before any socket opens
+        main(["serve", "--config", cfg, "--port", "0", "--seed", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
 
 
 def test_bad_log_level_exit_2(tmp_path):
@@ -644,9 +679,8 @@ SWEEP_CONFIGS = {
         "bench": {
             "base": {"duration_ms": 3000, "sample_rate_hz": 100,
                      "heart_rate_bpm": [[0, 60], [1500, 90]], "pulse_amplitude": 400,
-                     "baseline": 300, "pulse_width_ms": 40, "noise_stddev": 1.0,
-                     "wander_amplitude": 5, "wander_period_ms": 2000,
-                     "stray_pulses": [[700, 510, 80]], "rng_seed": 1},
+                     "baseline": 300, "pulse_width_ms": 40,
+                     "wander_amplitude": 5, "wander_period_ms": 2000},
             "stray_counts": [0, 2], "noise_levels": [0.0, 4.0], "runs_per_cell": 1,
             "naive_threshold": 500, "stray_peak": 510, "stray_width_ms": 80,
             "match_tolerance_ms": 100,

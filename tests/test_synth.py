@@ -6,7 +6,6 @@ from pulsealarm import (
     ADC_MAX,
     BandMode,
     Phase,
-    ScenarioError,
     SchmittConfig,
     StrayPulse,
     UserProfile,
@@ -132,6 +131,10 @@ class TestSpecValidation:
             ("heart_rate_bpm", ((100, 60),), "schedule must start at 0 ms"),
             ("noise_stddev", -0.5, "must be non-negative"),
             ("wander_period_ms", 0, "must be positive"),
+            ("rng_seed", -1, "must be non-negative"),
+            # above one beat per sample at the default 100 Hz
+            ("heart_rate_bpm", 6001, "segment (0.0, 6001.0) must be finite with bpm in (0, 6000]"),
+            ("heart_rate_bpm", ((0, 60), (500, 6001)), "segment (500.0, 6001.0)"),
         ],
     )
     def test_out_of_range_names_field(self, field, value, message):
@@ -139,6 +142,15 @@ class TestSpecValidation:
             WaveformSpec(**{"duration_ms": 1000, field: value})
         assert exc.value.field == field
         assert str(exc.value).startswith(f"{field}: {message}")
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"rng_seed": 0}, {"heart_rate_bpm": 6000, "pulse_width_ms": 5},
+         {"heart_rate_bpm": ((0, 60), (500, 6000)), "pulse_width_ms": 5}],
+    )
+    def test_at_bound_accepted(self, kwargs):
+        samples, truth = synthesize(WaveformSpec(duration_ms=1000, **kwargs))
+        assert len(truth.beat_times_ms) <= len(samples)  # at most one beat per sample
 
 
 class TestWaveformCsv:
@@ -225,5 +237,5 @@ class TestWakeScenario:
 
     def test_infeasible_profile_rejected(self):
         # Resting 140 sleeps at ~127 bpm, already inside the fixed band.
-        with pytest.raises(ScenarioError):
+        with pytest.raises(ValueError, match="already inside the satisfaction band"):
             make_wake_scenario(UserProfile(20, 140))
