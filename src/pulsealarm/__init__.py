@@ -15,6 +15,7 @@ from .detector import (
     BpmEstimator,
     BpmStatus,
     Sample,
+    SampleColumns,
     SchmittConfig,
     bpm_from_ibi,
     detect_beats,

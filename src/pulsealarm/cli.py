@@ -32,7 +32,7 @@ import os
 import socket
 import sys
 from dataclasses import replace
-from typing import Optional
+from typing import Optional, Sequence
 
 from .bench import bench_corpus
 from .detector import Sample, SchmittConfig
@@ -186,7 +186,7 @@ def cmd_synth(config: dict, args) -> int:
 
 def _load_run(
     config: dict, command: str
-) -> tuple[Pipeline, Optional[list[Sample]], Optional[Phase]]:
+) -> tuple[Pipeline, Optional[Sequence[Sample]], Optional[Phase]]:
     """The pipeline a `run` or `serve` config describes, the samples `run`
     feeds it (None for `serve`, whose samples come off the socket), and the
     expected final phase (None: nothing to check)."""

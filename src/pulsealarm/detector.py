@@ -4,17 +4,22 @@ BeatDetector is a streaming software Schmitt trigger: the output only goes
 HIGH once the signal reaches the upper threshold and only re-arms after it
 falls to the lower threshold, so excursions that stay inside the hysteresis
 band can never produce a beat. A refractory guard suppresses double-triggers
-on a single pulse. A deliberately fragile single-threshold detector is kept
-around as a comparison baseline.
+on a single pulse. push steps it one Sample at a time; push_chunk scans a
+whole block of SampleColumns with numpy, and the two can be mixed on one
+detector. A deliberately fragile single-threshold detector is kept around
+as a comparison baseline.
 """
 
 from __future__ import annotations
 
+import collections.abc
 import enum
 import statistics
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 from .errors import StreamOrderError
 
@@ -42,6 +47,76 @@ class Sample:
             raise ValueError(f"t_ms must be non-negative, got {self.t_ms}")
         if not 0 <= self.value <= ADC_MAX:
             raise ValueError(f"value must be in [0, {ADC_MAX}], got {self.value}")
+
+
+def _int64_column(name: str, values) -> np.ndarray:
+    """values as a new read-only int64 array. A value outside int64 raises
+    ValueError instead of wrapping, as a numpy cast would."""
+    if isinstance(values, np.ndarray) and not np.can_cast(values.dtype, np.int64):
+        raise ValueError(f"{name} must be integers below 2**63, got dtype {values.dtype}")
+    try:
+        column = np.array(values, dtype=np.int64)
+    except OverflowError:
+        raise ValueError(f"{name} must be below 2**63") from None
+    if column.ndim != 1:
+        raise ValueError(f"{name} must be one-dimensional, got shape {column.shape}")
+    column.flags.writeable = False
+    return column
+
+
+class SampleColumns(collections.abc.Sequence):
+    """A block of samples as two read-only int64 arrays, t_ms and value.
+
+    The constructor checks the whole block once with Sample's rules. As a
+    Sequence[Sample] it takes len, indexing, slicing and iteration, and it
+    equals another SampleColumns or a list holding the same Samples.
+    """
+
+    __slots__ = ("t_ms", "value")
+
+    def __init__(self, t_ms, value):
+        t_ms = _int64_column("t_ms", t_ms)
+        value = _int64_column("value", value)
+        if t_ms.shape != value.shape:
+            raise ValueError(
+                f"t_ms and value must have one length, got {t_ms.size} and {value.size}"
+            )
+        negative = t_ms[t_ms < 0]
+        if negative.size:
+            raise ValueError(f"t_ms must be non-negative, got {negative[0]}")
+        outside = value[(value < 0) | (value > ADC_MAX)]
+        if outside.size:
+            raise ValueError(f"value must be in [0, {ADC_MAX}], got {outside[0]}")
+        self.t_ms = t_ms
+        self.value = value
+
+    @classmethod
+    def of(cls, samples: Iterable[Sample]) -> SampleColumns:
+        """samples as columns; a SampleColumns is returned as it is."""
+        if isinstance(samples, SampleColumns):
+            return samples
+        samples = list(samples)
+        return cls([s.t_ms for s in samples], [s.value for s in samples])
+
+    def __len__(self) -> int:
+        return self.t_ms.size
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return SampleColumns(self.t_ms[index], self.value[index])
+        return Sample(int(self.t_ms[index]), int(self.value[index]))
+
+    def __iter__(self):
+        return map(Sample, self.t_ms.tolist(), self.value.tolist())
+
+    def __eq__(self, other):
+        if isinstance(other, SampleColumns):
+            return np.array_equal(self.t_ms, other.t_ms) and np.array_equal(
+                self.value, other.value
+            )
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
 
 
 @dataclass(frozen=True)
@@ -83,8 +158,9 @@ class BeatDetector:
     LOW -> HIGH requires value >= upper_threshold and emits a beat unless it
     falls inside the refractory window of the previous beat (the level still
     flips). HIGH -> LOW requires value <= lower_threshold and never emits.
-    Values inside the band change nothing. push raises StreamOrderError on a
-    timestamp that does not advance, before changing any state.
+    Values inside the band change nothing. push and push_chunk raise
+    StreamOrderError on a timestamp that does not advance, before changing
+    any state.
     """
 
     __slots__ = ("config", "high", "last_beat_t_ms", "last_t_ms")
@@ -115,25 +191,57 @@ class BeatDetector:
         self.last_beat_t_ms = t
         return BeatEvent(t, None if last is None else t - last)
 
+    def push_chunk(self, columns: SampleColumns) -> list[BeatEvent]:
+        """push over every sample of a block, in one numpy scan.
+
+        The level changes only at a marked sample, one at or above the
+        upper threshold (HIGH) or at or below the lower one (LOW), so it is
+        the last mark forward-filled from the carried level. Its rising
+        edges are the candidate beats, and only they pass through the
+        refractory check in Python.
+        """
+        t, v = columns.t_ms, columns.value
+        if not t.size:
+            return []
+        last_t = self.last_t_ms
+        if last_t is not None and t[0] <= last_t:
+            raise StreamOrderError(f"sample at t_ms={t[0]} does not advance past {last_t}")
+        stalled = np.flatnonzero(t[1:] <= t[:-1])
+        if stalled.size:
+            i = stalled[0]
+            raise StreamOrderError(f"sample at t_ms={t[i + 1]} does not advance past {t[i]}")
+        cfg = self.config
+        up = v >= cfg.upper_threshold
+        marked = np.flatnonzero(up | (v <= cfg.lower_threshold))
+        level = up[marked]
+        rising = level & ~np.concatenate(([self.high], level[:-1]))
+        last = self.last_beat_t_ms
+        beats = []
+        for edge in t[marked[rising]].tolist():
+            if last is None or edge - last >= cfg.refractory_ms:
+                beats.append(BeatEvent(edge, None if last is None else edge - last))
+                last = edge
+        if level.size:
+            self.high = bool(level[-1])
+        self.last_beat_t_ms = last
+        self.last_t_ms = int(t[-1])
+        return beats
+
 
 def detect_beats(
     samples: Iterable[Sample], config: SchmittConfig = SchmittConfig()
-) -> Iterator[BeatEvent]:
-    """Run a BeatDetector over an ordered sample stream.
+) -> list[BeatEvent]:
+    """A fresh BeatDetector's push_chunk over the whole sample block.
 
-    Yields one BeatEvent per accepted rising edge; single-pass and causal.
-    Raises StreamOrderError on a non-monotone timestamp.
+    Returns one BeatEvent per accepted rising edge. A timestamp that does
+    not advance raises StreamOrderError before any beat is returned.
     """
-    push = BeatDetector(config).push
-    for sample in samples:
-        beat = push(sample)
-        if beat is not None:
-            yield beat
+    return BeatDetector(config).push_chunk(SampleColumns.of(samples))
 
 
 def naive_detect_beats(
     samples: Iterable[Sample], single_threshold: int
-) -> Iterator[BeatEvent]:
+) -> list[BeatEvent]:
     """Single-threshold baseline: a beat on every upward crossing.
 
     No hysteresis and no refractory guard, so mid-amplitude stray pulses and

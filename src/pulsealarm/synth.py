@@ -15,7 +15,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .detector import ADC_MAX, Sample
+from .detector import ADC_MAX, Sample, SampleColumns
 from .engine import EngineConfig, Phase
 from .errors import WaveformParseError, WaveformSpecError
 from .physiology import BandMode, UserProfile, satisfaction_band, sleep_rate_range
@@ -133,8 +133,8 @@ def _stamp_raised_cosine(
     values[lo:hi] += amplitude * 0.5 * (1.0 + np.cos(math.pi * (window - center) / half))
 
 
-def synthesize(spec: WaveformSpec) -> tuple[list[Sample], GroundTruth]:
-    """Generate the sample stream and its ground truth for a spec."""
+def synthesize(spec: WaveformSpec) -> tuple[SampleColumns, GroundTruth]:
+    """Generate the sample columns and their ground truth for a spec."""
     period = 1000.0 / spec.sample_rate_hz
     n = int(round(spec.duration_ms / period))
     t_ms = np.round(np.arange(n) * period).astype(np.int64)
@@ -160,8 +160,7 @@ def synthesize(spec: WaveformSpec) -> tuple[list[Sample], GroundTruth]:
         values += rng.normal(0.0, spec.noise_stddev, n)
 
     counts = np.clip(np.round(values), 0, ADC_MAX).astype(np.int64)
-    samples = [Sample(int(t), int(v)) for t, v in zip(t_ms, counts)]
-    return samples, GroundTruth(tuple(beats))
+    return SampleColumns(t_ms, counts), GroundTruth(tuple(beats))
 
 
 def write_waveform(samples: Sequence[Sample], path) -> None:

@@ -1,7 +1,9 @@
 import random
+from itertools import pairwise
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pulsealarm import (
@@ -9,6 +11,7 @@ from pulsealarm import (
     BeatEvent,
     BpmStatus,
     Sample,
+    SampleColumns,
     SchmittConfig,
     StrayPulse,
     StreamOrderError,
@@ -66,6 +69,53 @@ class TestSchmittStep:
         with pytest.raises(StreamOrderError):
             detector.push(Sample(50, 560))
         assert pushed_beats([(300, 560)], detector) == [BeatEvent(300, 300)]
+
+
+class TestSampleColumns:
+    SAMPLES = [Sample(0, 5), Sample(10, 1023), Sample(25, 0), Sample(40, 600)]
+
+    def test_sequence_of_samples(self):
+        columns = SampleColumns.of(self.SAMPLES)
+        assert len(columns) == 4
+        assert columns[1] == Sample(10, 1023)
+        assert columns[-1] == Sample(40, 600)
+        assert list(columns) == self.SAMPLES
+        assert columns[1:3] == self.SAMPLES[1:3]
+        assert isinstance(columns[1:3], SampleColumns)
+        assert columns[::-1] == self.SAMPLES[::-1]
+        assert Sample(25, 0) in columns
+        with pytest.raises(IndexError):
+            columns[4]
+
+    def test_equality(self):
+        columns = SampleColumns([0, 10, 25, 40], [5, 1023, 0, 600])
+        assert columns == self.SAMPLES
+        assert self.SAMPLES == columns
+        assert columns == SampleColumns.of(self.SAMPLES)
+        assert columns != self.SAMPLES[:3]
+        assert columns != [*self.SAMPLES[:3], Sample(40, 601)]
+        assert columns != tuple(self.SAMPLES)
+
+    def test_columns_are_read_only_int64(self):
+        t_ms = np.array([0, 10], dtype=np.int32)
+        columns = SampleColumns(t_ms, [1, 2])
+        assert columns.t_ms.dtype == columns.value.dtype == np.int64
+        t_ms[0] = 5  # the columns are a copy
+        assert columns[0] == Sample(0, 1)
+        with pytest.raises(ValueError):
+            columns.value[0] = 3
+
+    def test_zero_sample_waveform(self):
+        samples, _ = synthesize(WaveformSpec(duration_ms=4, sample_rate_hz=100))
+        assert len(samples) == 0
+        assert samples == []
+        assert detect_beats(samples, CONFIG) == []
+        assert naive_detect_beats(samples, 500) == []
+
+    def test_time_beyond_int64_refused_not_wrapped(self):
+        samples = [Sample(0, 600), Sample(2**63, 600)]
+        with pytest.raises(ValueError, match=r"t_ms must be below 2\*\*63"):
+            detect_beats(samples, CONFIG)
 
 
 class TestDetectBeats:
@@ -233,6 +283,85 @@ def test_no_double_trigger_and_monotone_output(values):
         assert cur - prev >= CONFIG.refractory_ms
 
 
+NAIVE_500 = SchmittConfig(500, 499, 1)  # naive_detect_beats(samples, 500)
+
+
+@st.composite
+def chunked_streams(draw):
+    """Samples 1-125 ms apart, at most one of them not advancing, cut into
+    chunks (some empty), each fed whole to push_chunk or sample by sample
+    to push. Values favour the thresholds of CONFIG and NAIVE_500, and two
+    125 ms steps span CONFIG's refractory window exactly."""
+    steps = draw(st.lists(st.integers(1, 120) | st.just(125), max_size=80))
+    cuts = draw(st.lists(st.integers(0, len(steps)), min_size=1, max_size=8))
+    if steps and draw(st.booleans()):
+        bad = draw(st.integers(0, len(steps) - 1))
+        steps[bad] = draw(st.integers(-5, 0))
+        if draw(st.booleans()):  # the refused sample opens a chunk
+            cuts.append(bad)
+    t = draw(st.integers(0, 1000))
+    samples = []
+    for step in steps:
+        t = max(0, t + step)
+        value = draw(st.integers(0, 1023) | st.sampled_from([470, 471, 499, 500, 549, 550]))
+        samples.append(Sample(t, value))
+    bounds = [0, *sorted(cuts), len(samples)]
+    return samples, [(lo, hi, draw(st.booleans())) for lo, hi in pairwise(bounds)]
+
+
+def state(detector):
+    return detector.high, detector.last_beat_t_ms, detector.last_t_ms
+
+
+def feed_chunks(detector, samples, chunks):
+    """Beats from feeding the chunks in order, and the StreamOrderError
+    message with the index of the first sample of the call that raised it
+    (None, len(samples) when none did)."""
+    beats = []
+    for lo, hi, whole in chunks:
+        calls = [(lo, SampleColumns.of(samples[lo:hi]))] if whole else [
+            (i, samples[i]) for i in range(lo, hi)
+        ]
+        for start, arg in calls:
+            before = state(detector)
+            try:
+                out = detector.push_chunk(arg) if whole else detector.push(arg)
+            except StreamOrderError as exc:
+                assert state(detector) == before
+                return beats, str(exc), start
+            beats += out if whole else [out] if out else []
+    return beats, None, len(samples)
+
+
+@settings(max_examples=200)
+@given(stream=chunked_streams(), config=st.sampled_from([CONFIG, NAIVE_500]))
+# edges exactly the refractory window apart, in one chunk
+@example(stream=([Sample(0, 560), Sample(125, 400), Sample(250, 560)], [(0, 3, True)]),
+         config=CONFIG)
+# a chunk that ends HIGH, then one that opens HIGH: no edge between them
+@example(stream=([Sample(0, 600), Sample(10, 600)], [(0, 1, True), (1, 2, True)]),
+         config=NAIVE_500)
+def test_chunking_equals_push(stream, config):
+    samples, chunks = stream
+
+    def pushed(samples):
+        return feed_chunks(BeatDetector(config), samples, [(0, len(samples), False)])
+
+    beats, error, stop = feed_chunks(BeatDetector(config), samples, chunks)
+    _, reference_error, bad = pushed(samples)
+    assert error == reference_error
+    assert stop <= bad
+    # the calls before the raising one fed the samples before `stop`
+    assert beats == pushed(samples[:stop])[0]
+    reference = pushed(samples[:bad])[0]
+    times = [s.t_ms for s in samples[:bad]]
+    values = [s.value for s in samples[:bad]]
+    if config is CONFIG:
+        assert [b.t_ms for b in reference] == offline_beat_scan(times, values, 550, 470, 250)
+    else:
+        assert [(b.t_ms, b.ibi_ms) for b in reference] == offline_crossing_scan(times, values, 500)
+
+
 @given(bpm=st.floats(min_value=0, max_value=500, allow_nan=False))
 def test_filter_partition(bpm):
     status = plausibility_filter(bpm, 0).status
@@ -265,6 +394,22 @@ def test_scale_invariance(values, shift):
                      id="schmitt-refractory"),
         pytest.param(lambda: plausibility_filter(-1.0, 0), "bpm must be non-negative",
                      id="filter-negative-bpm"),
+        pytest.param(lambda: SampleColumns([0, -1], [0, 0]), "t_ms must be non-negative, got -1",
+                     id="columns-negative-t"),
+        pytest.param(lambda: SampleColumns([0, 1], [0, 1024]), "value must be in [0, 1023], got 1024",
+                     id="columns-value-above-adc"),
+        pytest.param(lambda: SampleColumns([0, 1], [-1, 0]), "value must be in [0, 1023], got -1",
+                     id="columns-value-negative"),
+        pytest.param(lambda: SampleColumns([0, 1], [0]), "t_ms and value must have one length",
+                     id="columns-length-mismatch"),
+        pytest.param(lambda: SampleColumns([[0, 1]], [[0, 0]]), "t_ms must be one-dimensional",
+                     id="columns-2d"),
+        pytest.param(lambda: SampleColumns([2**63], [0]), "t_ms must be below 2**63",
+                     id="columns-t-beyond-int64"),
+        pytest.param(lambda: SampleColumns(np.array([2**63], dtype=np.uint64), [0]),
+                     "t_ms must be integers below 2**63", id="columns-uint64-t"),
+        pytest.param(lambda: SampleColumns([0], np.array([0.5])),
+                     "value must be integers below 2**63", id="columns-float-value"),
     ],
 )
 def test_constructor_checks(make, message):
