@@ -6,8 +6,10 @@ falls to the lower threshold, so excursions that stay inside the hysteresis
 band can never produce a beat. A refractory guard suppresses double-triggers
 on a single pulse. push steps it one Sample at a time; push_chunk scans a
 whole block of SampleColumns with numpy, and the two can be mixed on one
-detector. A deliberately fragile single-threshold detector is kept around
-as a comparison baseline.
+detector. They differ only in how they find rising edges: both pass each
+edge through one refractory gate, the only place a beat is built. A
+deliberately fragile single-threshold detector is kept around as a
+comparison baseline.
 """
 
 from __future__ import annotations
@@ -50,14 +52,17 @@ class Sample:
 
 
 def _int64_column(name: str, values) -> np.ndarray:
-    """values as a new read-only int64 array. A value outside int64 raises
-    ValueError instead of wrapping, as a numpy cast would."""
-    if isinstance(values, np.ndarray) and not np.can_cast(values.dtype, np.int64):
-        raise ValueError(f"{name} must be integers below 2**63, got dtype {values.dtype}")
+    """values as a new read-only int64 array. A value outside int64, or a
+    dtype (for a list, numpy's inferred one) that is not integer, raises
+    ValueError instead of wrapping or truncating, as a numpy cast would.
+    An empty column has no value to cut, so [] (float64) passes."""
     try:
         column = np.array(values, dtype=np.int64)
     except OverflowError:
         raise ValueError(f"{name} must be below 2**63") from None
+    dtype = np.asarray(values).dtype
+    if column.size and not np.can_cast(dtype, np.int64):
+        raise ValueError(f"{name} must be integers below 2**63, got dtype {dtype}")
     if column.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional, got shape {column.shape}")
     column.flags.writeable = False
@@ -67,7 +72,8 @@ def _int64_column(name: str, values) -> np.ndarray:
 class SampleColumns(collections.abc.Sequence):
     """A block of samples as two read-only int64 arrays, t_ms and value.
 
-    The constructor checks the whole block once with Sample's rules. As a
+    The constructor finds the first row that breaks Sample's rules with one
+    mask and builds that row's Sample, which raises Sample's error. As a
     Sequence[Sample] it takes len, indexing, slicing and iteration, and it
     equals another SampleColumns or a list holding the same Samples.
     """
@@ -81,12 +87,9 @@ class SampleColumns(collections.abc.Sequence):
             raise ValueError(
                 f"t_ms and value must have one length, got {t_ms.size} and {value.size}"
             )
-        negative = t_ms[t_ms < 0]
-        if negative.size:
-            raise ValueError(f"t_ms must be non-negative, got {negative[0]}")
-        outside = value[(value < 0) | (value > ADC_MAX)]
-        if outside.size:
-            raise ValueError(f"value must be in [0, {ADC_MAX}], got {outside[0]}")
+        bad = np.flatnonzero((t_ms < 0) | (value < 0) | (value > ADC_MAX))
+        if bad.size:
+            Sample(int(t_ms[bad[0]]), int(value[bad[0]]))  # raises for this row
         self.t_ms = t_ms
         self.value = value
 
@@ -158,9 +161,11 @@ class BeatDetector:
     LOW -> HIGH requires value >= upper_threshold and emits a beat unless it
     falls inside the refractory window of the previous beat (the level still
     flips). HIGH -> LOW requires value <= lower_threshold and never emits.
-    Values inside the band change nothing. push and push_chunk raise
-    StreamOrderError on a timestamp that does not advance, before changing
-    any state.
+    Values inside the band change nothing. push and push_chunk differ only
+    in how they find rising edges; each edge goes through _gate, which
+    alone applies the refractory window and builds the BeatEvent. Both
+    raise StreamOrderError on a timestamp that does not advance, before
+    changing any state.
     """
 
     __slots__ = ("config", "high", "last_beat_t_ms", "last_t_ms")
@@ -185,11 +190,7 @@ class BeatDetector:
         if sample.value < self.config.upper_threshold:
             return None
         self.high = True
-        last = self.last_beat_t_ms
-        if last is not None and t - last < self.config.refractory_ms:
-            return None
-        self.last_beat_t_ms = t
-        return BeatEvent(t, None if last is None else t - last)
+        return self._gate(t)
 
     def push_chunk(self, columns: SampleColumns) -> list[BeatEvent]:
         """push over every sample of a block, in one numpy scan.
@@ -197,8 +198,8 @@ class BeatDetector:
         The level changes only at a marked sample, one at or above the
         upper threshold (HIGH) or at or below the lower one (LOW), so it is
         the last mark forward-filled from the carried level. Its rising
-        edges are the candidate beats, and only they pass through the
-        refractory check in Python.
+        edges are the candidate beats, and only they pass through _gate in
+        Python.
         """
         t, v = columns.t_ms, columns.value
         if not t.size:
@@ -215,17 +216,19 @@ class BeatDetector:
         marked = np.flatnonzero(up | (v <= cfg.lower_threshold))
         level = up[marked]
         rising = level & ~np.concatenate(([self.high], level[:-1]))
-        last = self.last_beat_t_ms
-        beats = []
-        for edge in t[marked[rising]].tolist():
-            if last is None or edge - last >= cfg.refractory_ms:
-                beats.append(BeatEvent(edge, None if last is None else edge - last))
-                last = edge
         if level.size:
             self.high = bool(level[-1])
-        self.last_beat_t_ms = last
         self.last_t_ms = int(t[-1])
-        return beats
+        return list(filter(None, map(self._gate, t[marked[rising]].tolist())))
+
+    def _gate(self, t: int) -> Optional[BeatEvent]:
+        """The beat at a rising edge at t, or None inside the refractory
+        window of the last beat."""
+        last = self.last_beat_t_ms
+        if last is not None and t - last < self.config.refractory_ms:
+            return None
+        self.last_beat_t_ms = t
+        return BeatEvent(t, None if last is None else t - last)
 
 
 def detect_beats(

@@ -18,16 +18,9 @@ class UserProfile:
     resting_bpm: float
 
     def __post_init__(self):
-        if not MIN_AGE_YEARS <= self.age_years <= MAX_AGE_YEARS:
-            raise ValueError(
-                f"age_years must be in [{MIN_AGE_YEARS}, {MAX_AGE_YEARS}], "
-                f"got {self.age_years}"
-            )
-        if not 0 < self.resting_bpm < 220 - self.age_years:
-            raise ValueError(
-                f"resting_bpm must be in (0, {220 - self.age_years}), "
-                f"got {self.resting_bpm}"
-            )
+        hr_max = max_heart_rate(self.age_years)
+        if not 0 < self.resting_bpm < hr_max:
+            raise ValueError(f"resting_bpm must be in (0, {hr_max}), got {self.resting_bpm}")
 
 
 @dataclass(frozen=True)

@@ -165,10 +165,10 @@ def synthesize(spec: WaveformSpec) -> tuple[SampleColumns, GroundTruth]:
 
 def write_waveform(samples: Sequence[Sample], path) -> None:
     """Write samples as CSV: one `t_ms,value` header then one line per sample."""
+    columns = SampleColumns.of(samples)
     with open(path, "w", newline="\n") as f:
         f.write("t_ms,value\n")
-        for s in samples:
-            f.write(f"{s.t_ms},{s.value}\n")
+        f.writelines(map("{},{}\n".format, columns.t_ms.tolist(), columns.value.tolist()))
 
 
 def read_waveform(path) -> list[Sample]:

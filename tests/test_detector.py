@@ -63,6 +63,16 @@ class TestSchmittStep:
         )
         assert oracle == [0, 400]
 
+    def test_carried_time_beyond_int64_printed_exactly(self):
+        # the carried time is a Python int above int64: push_chunk checks its
+        # first sample against it apart from the numpy scan of the block, so
+        # the message prints it whole, where a merged check prints a float
+        detector = BeatDetector(CONFIG)
+        detector.push(Sample(2**63 + 5, 0))
+        with pytest.raises(StreamOrderError) as exc:
+            detector.push_chunk(SampleColumns([5], [0]))
+        assert str(exc.value) == "sample at t_ms=5 does not advance past 9223372036854775813"
+
     def test_refused_sample_changes_nothing(self):
         detector = BeatDetector(CONFIG)
         assert pushed_beats([(0, 560), (50, 400)], detector) == [BeatEvent(0, None)]
@@ -109,6 +119,7 @@ class TestSampleColumns:
         samples, _ = synthesize(WaveformSpec(duration_ms=4, sample_rate_hz=100))
         assert len(samples) == 0
         assert samples == []
+        assert SampleColumns([], []) == samples  # [] infers float64 and passes
         assert detect_beats(samples, CONFIG) == []
         assert naive_detect_beats(samples, 500) == []
 
@@ -400,6 +411,9 @@ def test_scale_invariance(values, shift):
                      id="columns-value-above-adc"),
         pytest.param(lambda: SampleColumns([0, 1], [-1, 0]), "value must be in [0, 1023], got -1",
                      id="columns-value-negative"),
+        # the first row that breaks a rule, as a row-by-row reader meets it
+        pytest.param(lambda: SampleColumns([0, 10, 20, -5], [0, 1024, 0, 0]),
+                     "value must be in [0, 1023], got 1024", id="columns-first-bad-row"),
         pytest.param(lambda: SampleColumns([0, 1], [0]), "t_ms and value must have one length",
                      id="columns-length-mismatch"),
         pytest.param(lambda: SampleColumns([[0, 1]], [[0, 0]]), "t_ms must be one-dimensional",
@@ -410,6 +424,15 @@ def test_scale_invariance(values, shift):
                      "t_ms must be integers below 2**63", id="columns-uint64-t"),
         pytest.param(lambda: SampleColumns([0], np.array([0.5])),
                      "value must be integers below 2**63", id="columns-float-value"),
+        pytest.param(lambda: SampleColumns([0, 1.9], [600, 0]),
+                     "t_ms must be integers below 2**63, got dtype float64",
+                     id="columns-float-t-list"),
+        pytest.param(lambda: SampleColumns([0, 1], [600.7, 0]),
+                     "value must be integers below 2**63, got dtype float64",
+                     id="columns-float-value-list"),
+        # a fractional time is refused, not cut to one that does not advance
+        pytest.param(lambda: detect_beats([Sample(0, 600), Sample(0.5, 0), Sample(1, 600)]),
+                     "t_ms must be integers below 2**63", id="detect-fractional-t"),
     ],
 )
 def test_constructor_checks(make, message):

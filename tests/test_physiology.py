@@ -109,6 +109,10 @@ class TestUserProfile:
                      id="band-low-above-high"),
         pytest.param(lambda: BpmBand(-1, 100), "band must satisfy 0 <= low <= high",
                      id="band-negative-low"),
+        pytest.param(lambda: UserProfile(0, 70), "age_years must be in [1, 120], got 0",
+                     id="profile-age-below-range"),
+        pytest.param(lambda: UserProfile(30, 190), "resting_bpm must be in (0, 190), got 190",
+                     id="profile-resting-at-max"),
     ],
 )
 def test_constructor_checks(make, message):
