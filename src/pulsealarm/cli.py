@@ -11,10 +11,10 @@ Subcommands:
 time, the required streak and the expected phase; without one
 `alarm_time_ms` is required. `--out` names the output, and `--seed` (not
 on `serve`, which synthesizes nothing) overrides every seed the command
-synthesizes from. `serve` needs no sample source, and it drops samples
-whose time does not advance, logging their count at WARNING, instead of
-aborting. It waits IDLE_TIMEOUT_S for a sender (else exit 3) and for data
-(else closed).
+synthesizes from. `serve` takes its samples from the socket, so it refuses
+a `waveform` or `input_path`, and it drops samples whose time does not
+advance, logging their count at WARNING, instead of aborting. It waits
+IDLE_TIMEOUT_S for a sender (else exit 3) and for data (else closed).
 
 Exit codes: 0 expected final phase (or nothing to check), 1 unexpected
 final phase, 2 configuration error (a malformed config value, a value a
@@ -32,14 +32,14 @@ import os
 import socket
 import sys
 from dataclasses import replace
-from typing import Optional, Sequence
+from typing import Optional
 
 from .bench import bench_corpus
-from .detector import Sample, SchmittConfig
+from .detector import BpmEstimator, SchmittConfig
 from .engine import EngineConfig, Phase
 from .errors import ConfigError, PulseAlarmError, StreamOrderError
 from .physiology import BandMode, UserProfile, satisfaction_band
-from .pipeline import Pipeline, RunReport
+from .pipeline import Pipeline, RunReport, run_pipeline
 from .protocol import CorruptFrame, FrameDecoder, Gap, Resync, SampleOutcome, replay_file
 from .synth import (
     StrayPulse,
@@ -184,18 +184,15 @@ def cmd_synth(config: dict, args) -> int:
     return EXIT_OK
 
 
-def _load_run(
-    config: dict, command: str
-) -> tuple[Pipeline, Optional[Sequence[Sample]], Optional[Phase]]:
-    """The pipeline a `run` or `serve` config describes, the samples `run`
-    feeds it (None for `serve`, whose samples come off the socket), and the
-    expected final phase (None: nothing to check)."""
-    sources = [k for k in ("waveform", "scenario", "input_path") if k in config]
-    if len(sources) > 1 or (command == "run" and not sources):
-        raise ConfigError(
-            f"{command} takes {'exactly' if command == 'run' else 'at most'} "
-            "one of 'waveform', 'scenario', 'input_path'"
-        )
+def _load_run(config: dict, command: str) -> tuple[tuple, Optional[WaveformSpec], Optional[Phase]]:
+    """A `run` or `serve` config's pipeline arguments (run_pipeline's after the
+    samples), the waveform `run` synthesizes (None: it reads `input_path`) and
+    the expected final phase (None: nothing to check)."""
+    sources = [k for k in ("waveform", "input_path", "scenario") if k in config]
+    if command == "serve" and sources and sources[0] != "scenario":
+        raise ConfigError(f"{sources[0]}: serve takes its samples from the socket")
+    if command == "run" and len(sources) != 1:
+        raise ConfigError("run takes exactly one of 'waveform', 'scenario', 'input_path'")
     profile = config.get("profile")
     engine = config.get("engine", {})
     mode = engine.get("band_mode", BandMode.FIXED)
@@ -222,17 +219,10 @@ def _load_run(
         if "alarm_time_ms" not in config:
             raise ConfigError(f"alarm_time_ms: {command} requires it unless using a scenario")
         alarm_time = config["alarm_time_ms"]
+    window = config.get("smoothing_window", 5)
     with _values("smoothing_window"):
-        pipeline = Pipeline(
-            config.get("schmitt", SchmittConfig()), engine_cfg, alarm_time,
-            config.get("smoothing_window", 5),
-        )
-    if command == "serve":
-        return pipeline, None, expected
-    if spec is None:
-        return pipeline, read_waveform(config["input_path"]), expected
-    with _values(sources[0]):
-        return pipeline, synthesize(spec)[0], expected
+        BpmEstimator(window)  # refuses a bad window at load, before any sample is read
+    return (config.get("schmitt", SchmittConfig()), engine_cfg, alarm_time, window), spec, expected
 
 
 def _finish_run(report: RunReport, out: Optional[str], expected: Optional[Phase]) -> int:
@@ -247,10 +237,13 @@ def _finish_run(report: RunReport, out: Optional[str], expected: Optional[Phase]
 
 
 def cmd_run(config: dict, args) -> int:
-    pipeline, samples, expected = _load_run(config, "run")
-    for sample in samples:
-        pipeline.push(sample)
-    return _finish_run(pipeline.report(), args.out, expected)
+    pipeline_args, spec, expected = _load_run(config, "run")
+    if spec is None:
+        samples = read_waveform(config["input_path"])
+    else:
+        with _values("scenario" if "scenario" in config else "waveform"):
+            samples = synthesize(spec)[0]
+    return _finish_run(run_pipeline(samples, *pipeline_args), args.out, expected)
 
 
 def cmd_bench(config: dict, args) -> int:
@@ -305,8 +298,9 @@ def cmd_send(args) -> int:
 
 
 def cmd_serve(config: dict, args) -> int:
+    pipeline_args, _, expected = _load_run(config, "serve")
     port = _resolve_port(args)
-    pipeline, _, expected = _load_run(config, "serve")
+    pipeline = Pipeline(*pipeline_args)
     decoder = FrameDecoder()
     gaps = corrupt = resyncs = dropped = 0
     with socket.create_server(("", port)) as server:

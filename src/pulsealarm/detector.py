@@ -7,9 +7,9 @@ band can never produce a beat. A refractory guard suppresses double-triggers
 on a single pulse. push steps it one Sample at a time; push_chunk scans a
 whole block of SampleColumns with numpy, and the two can be mixed on one
 detector. They differ only in how they find rising edges: both pass each
-edge through one refractory gate, the only place a beat is built. A
-deliberately fragile single-threshold detector is kept around as a
-comparison baseline.
+edge through one refractory gate, the only place a beat is built. Sample
+states the one rule for a row, which SampleColumns applies to a block. A
+deliberately fragile single-threshold detector is kept as a baseline.
 """
 
 from __future__ import annotations
@@ -37,43 +37,44 @@ class BpmStatus(enum.Enum):
     REJECTED_HIGH = "rejected_high"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sample:
-    """One timestamped ADC reading, value in [0, 1023]."""
+    """One timestamped ADC reading, and the one rule for a row of samples:
+    t_ms is an integer in [0, 2**63) and value an integer in [0, 1023]. An
+    int or a numpy integer passes; a float or a bool does not."""
 
     t_ms: int
     value: int
 
     def __post_init__(self):
-        if self.t_ms < 0:
-            raise ValueError(f"t_ms must be non-negative, got {self.t_ms}")
-        if not 0 <= self.value <= ADC_MAX:
-            raise ValueError(f"value must be in [0, {ADC_MAX}], got {self.value}")
+        t, v = self.t_ms, self.value
+        if not (type(t) is int or isinstance(t, np.integer)):
+            raise ValueError(f"t_ms must be an integer, got {t!r}")
+        if not (type(v) is int or isinstance(v, np.integer)):
+            raise ValueError(f"value must be an integer, got {v!r}")
+        if not 0 <= t < 2**63:
+            raise ValueError(f"t_ms must be {'non-negative' if t < 0 else 'below 2**63'}, got {t}")
+        if not 0 <= v <= ADC_MAX:
+            raise ValueError(f"value must be in [0, {ADC_MAX}], got {v}")
 
 
-def _int64_column(name: str, values) -> np.ndarray:
-    """values as a new read-only int64 array. A value outside int64, or a
-    dtype (for a list, numpy's inferred one) that is not integer, raises
-    ValueError instead of wrapping or truncating, as a numpy cast would.
-    An empty column has no value to cut, so [] (float64) passes."""
-    try:
-        column = np.array(values, dtype=np.int64)
-    except OverflowError:
-        raise ValueError(f"{name} must be below 2**63") from None
-    dtype = np.asarray(values).dtype
-    if column.size and not np.can_cast(dtype, np.int64):
-        raise ValueError(f"{name} must be integers below 2**63, got dtype {dtype}")
+def _integer_column(name: str, values) -> np.ndarray:
+    """values as a one-dimensional integer array, converted once. A dtype
+    (a list's is numpy's inferred one) that is not integer, such as bool or
+    float64, raises ValueError; an empty column has none to refuse."""
+    column = np.asarray(values)
+    if column.size and column.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be integers below 2**63, got dtype {column.dtype}")
     if column.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional, got shape {column.shape}")
-    column.flags.writeable = False
     return column
 
 
 class SampleColumns(collections.abc.Sequence):
     """A block of samples as two read-only int64 arrays, t_ms and value.
 
-    The constructor finds the first row that breaks Sample's rules with one
-    mask and builds that row's Sample, which raises Sample's error. As a
+    The constructor states no rule of its own: one mask finds the first row
+    that Sample refuses, and that row's Sample raises Sample's error. As a
     Sequence[Sample] it takes len, indexing, slicing and iteration, and it
     equals another SampleColumns or a list holding the same Samples.
     """
@@ -81,17 +82,15 @@ class SampleColumns(collections.abc.Sequence):
     __slots__ = ("t_ms", "value")
 
     def __init__(self, t_ms, value):
-        t_ms = _int64_column("t_ms", t_ms)
-        value = _int64_column("value", value)
-        if t_ms.shape != value.shape:
-            raise ValueError(
-                f"t_ms and value must have one length, got {t_ms.size} and {value.size}"
-            )
-        bad = np.flatnonzero((t_ms < 0) | (value < 0) | (value > ADC_MAX))
+        t, v = _integer_column("t_ms", t_ms), _integer_column("value", value)
+        if t.shape != v.shape:
+            raise ValueError(f"t_ms and value must have one length, got {t.size} and {v.size}")
+        # a uint64 entry at or above 2**63 casts to a negative one
+        self.t_ms, self.value = t.astype(np.int64), v.astype(np.int64)
+        bad = np.flatnonzero((self.t_ms < 0) | (self.value < 0) | (self.value > ADC_MAX))
         if bad.size:
-            Sample(int(t_ms[bad[0]]), int(value[bad[0]]))  # raises for this row
-        self.t_ms = t_ms
-        self.value = value
+            Sample(t[bad[0]], v[bad[0]])  # raises for this row
+        self.t_ms.flags.writeable = self.value.flags.writeable = False
 
     @classmethod
     def of(cls, samples: Iterable[Sample]) -> SampleColumns:
@@ -204,13 +203,11 @@ class BeatDetector:
         t, v = columns.t_ms, columns.value
         if not t.size:
             return []
-        last_t = self.last_t_ms
-        if last_t is not None and t[0] <= last_t:
-            raise StreamOrderError(f"sample at t_ms={t[0]} does not advance past {last_t}")
-        stalled = np.flatnonzero(t[1:] <= t[:-1])
+        ts = t if self.last_t_ms is None else np.insert(t, 0, self.last_t_ms)
+        stalled = np.flatnonzero(ts[1:] <= ts[:-1])
         if stalled.size:
             i = stalled[0]
-            raise StreamOrderError(f"sample at t_ms={t[i + 1]} does not advance past {t[i]}")
+            raise StreamOrderError(f"sample at t_ms={ts[i + 1]} does not advance past {ts[i]}")
         cfg = self.config
         up = v >= cfg.upper_threshold
         marked = np.flatnonzero(up | (v <= cfg.lower_threshold))

@@ -5,13 +5,14 @@ Wire format, 9 bytes per frame, all multi-byte fields big-endian:
     offset 0  sync      0xAA
     offset 1  seq       modulo-256 frame counter
     offset 2  t_ms      4-byte unsigned timestamp
-    offset 6  value     2-byte unsigned ADC count, must be <= 1023
+    offset 6  value     2-byte unsigned ADC count
     offset 8  checksum  XOR of bytes 1..7 (everything except sync)
 
 The sync byte may legitimately occur inside payloads; the checksum, not
-byte-stuffing, disambiguates. The decoder is total over arbitrary input:
-corruption surfaces as outcomes, never exceptions, and parsing resumes at
-the next plausible sync byte.
+byte-stuffing, disambiguates. A frame is corrupt when its checksum fails
+or when Sample refuses its fields (a value above 1023). The decoder is
+total over arbitrary input: corruption surfaces as outcomes, never
+exceptions, and parsing resumes at the next plausible sync byte.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
-from .detector import ADC_MAX, Sample
+from .detector import Sample
 from .errors import PulseAlarmError, StreamOrderError
 from .synth import read_waveform
 
@@ -65,8 +66,8 @@ def _checksum(seq: int, t_ms: int, value: int) -> int:
 def encode_frame(seq: int, sample: Sample) -> bytes:
     if not 0 <= seq <= 255:
         raise ValueError(f"seq must fit one byte, got {seq}")
-    if not 0 <= sample.t_ms < 2**32:
-        raise ValueError(f"t_ms must fit 4 bytes, got {sample.t_ms}")
+    if sample.t_ms >= 2**32:
+        raise ValueError(f"t_ms must fit 4 bytes (below 2**32), got {sample.t_ms}")
     t_ms, value = sample.t_ms, sample.value
     return _FRAME.pack(SYNC_BYTE, seq, t_ms, value, _checksum(seq, t_ms, value))
 
@@ -99,11 +100,15 @@ class FrameDecoder:
             if len(buf) - i < FRAME_LEN:
                 break  # a partial frame, or none: wait for more bytes
             _, seq, t_ms, value, check = _FRAME.unpack_from(buf, i)
-            if check != _checksum(seq, t_ms, value) or value > ADC_MAX:
+            try:
+                sample = check == _checksum(seq, t_ms, value) and Sample(t_ms, value)
+            except ValueError:  # Sample refuses the fields
+                sample = None
+            if not sample:
                 out.append(CorruptFrame(self._offset + i))
                 i += 1  # drop only the sync byte, rescan inside the frame
                 continue
-            out.append(SampleOutcome(seq, Sample(t_ms, value)))
+            out.append(SampleOutcome(seq, sample))
             if self._last_seq is not None and (seq - self._last_seq) % 256 != 1:
                 out.append(Gap((self._last_seq + 1) % 256, seq))
             self._last_seq = seq
@@ -129,24 +134,27 @@ def replay_file(
     sample intervals, 2.0 twice as fast, 0 disables pacing entirely. Each
     frame waits for its own due time on the monotonic clock, so a late
     wake-up delays one frame, not every frame after it.
-    Returns the number of frames sent. Refuses non-monotone timestamps
-    and a t_ms that the 4-byte frame field cannot hold, anywhere in the
-    file, before it calls `connect`, so a refused file opens no sink.
+    Returns the number of frames sent. Every frame is encoded, and the
+    whole file checked for time order and for encode_frame's limits, before
+    `connect` is called, so a refused file opens no sink.
     """
     samples = read_waveform(path)
+    frames = []
     for i, sample in enumerate(samples):
-        if sample.t_ms >= 2**32:
-            raise PulseAlarmError(f"sample {i}: t_ms={sample.t_ms} exceeds the 2**32 frame limit")
         if i and sample.t_ms <= samples[i - 1].t_ms:
             raise StreamOrderError(
                 f"sample {i} at t_ms={sample.t_ms} does not advance past {samples[i - 1].t_ms}"
             )
+        try:
+            frames.append(encode_frame(i % 256, sample))
+        except ValueError as exc:
+            raise PulseAlarmError(f"sample {i}: {exc}") from None
     sink = connect()
     start = time.monotonic()
-    for i, sample in enumerate(samples):
+    for sample, frame in zip(samples, frames):
         if speed > 0:
             delay = start + (sample.t_ms - samples[0].t_ms) / 1000.0 / speed - time.monotonic()
             if delay > 0:
                 time.sleep(delay)
-        sink(encode_frame(i % 256, sample))
-    return len(samples)
+        sink(frame)
+    return len(frames)

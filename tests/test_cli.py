@@ -270,7 +270,7 @@ class TestServeSend:
         csv.write_text("t_ms,value\n0,300\n4294967295,300\n4294967296,300\n")
         assert run_or_send(tmp_path, "send", csv) == 3
         err = capsys.readouterr().err
-        assert err == "error: sample 2: t_ms=4294967296 exceeds the 2**32 frame limit\n"
+        assert err == "error: sample 2: t_ms must fit 4 bytes (below 2**32), got 4294967296\n"
         assert run_or_send(tmp_path, "run", csv) == 0  # run has no frame field
 
     def test_refused_csv_opens_no_connection(self, tmp_path, capsys):
@@ -467,6 +467,9 @@ def amend(config, path, value):
             ("run", WAVEFORM_RUN, "bench.runs_per_cell", "x"),
             ("send", None, "PULSEALARM_PORT", "abc"),
             ("serve", {"alarm_time_ms": 0}, "PULSEALARM_PORT", "abc"),
+            # serve takes its samples from the socket and reads no source
+            ("serve", {"alarm_time_ms": 0}, "input_path", "no-such-file.csv"),
+            ("serve", {"alarm_time_ms": 0}, "waveform", {"duration_ms": 1000}),
             # port 9 has no listener: a connection attempt would exit 3
             ("send", None, "--speed", "-1"),
             ("send", None, "--speed", "nan"),

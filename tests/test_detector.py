@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pulsealarm import (
+    ADC_MAX,
     BeatDetector,
     BeatEvent,
     BpmStatus,
@@ -63,16 +64,6 @@ class TestSchmittStep:
         )
         assert oracle == [0, 400]
 
-    def test_carried_time_beyond_int64_printed_exactly(self):
-        # the carried time is a Python int above int64: push_chunk checks its
-        # first sample against it apart from the numpy scan of the block, so
-        # the message prints it whole, where a merged check prints a float
-        detector = BeatDetector(CONFIG)
-        detector.push(Sample(2**63 + 5, 0))
-        with pytest.raises(StreamOrderError) as exc:
-            detector.push_chunk(SampleColumns([5], [0]))
-        assert str(exc.value) == "sample at t_ms=5 does not advance past 9223372036854775813"
-
     def test_refused_sample_changes_nothing(self):
         detector = BeatDetector(CONFIG)
         assert pushed_beats([(0, 560), (50, 400)], detector) == [BeatEvent(0, None)]
@@ -124,9 +115,8 @@ class TestSampleColumns:
         assert naive_detect_beats(samples, 500) == []
 
     def test_time_beyond_int64_refused_not_wrapped(self):
-        samples = [Sample(0, 600), Sample(2**63, 600)]
         with pytest.raises(ValueError, match=r"t_ms must be below 2\*\*63"):
-            detect_beats(samples, CONFIG)
+            detect_beats([Sample(0, 600), Sample(2**63, 600)], CONFIG)
 
 
 class TestDetectBeats:
@@ -421,7 +411,7 @@ def test_scale_invariance(values, shift):
         pytest.param(lambda: SampleColumns([2**63], [0]), "t_ms must be below 2**63",
                      id="columns-t-beyond-int64"),
         pytest.param(lambda: SampleColumns(np.array([2**63], dtype=np.uint64), [0]),
-                     "t_ms must be integers below 2**63", id="columns-uint64-t"),
+                     "t_ms must be below 2**63", id="columns-uint64-t"),
         pytest.param(lambda: SampleColumns([0], np.array([0.5])),
                      "value must be integers below 2**63", id="columns-float-value"),
         pytest.param(lambda: SampleColumns([0, 1.9], [600, 0]),
@@ -432,7 +422,20 @@ def test_scale_invariance(values, shift):
                      id="columns-float-value-list"),
         # a fractional time is refused, not cut to one that does not advance
         pytest.param(lambda: detect_beats([Sample(0, 600), Sample(0.5, 0), Sample(1, 600)]),
-                     "t_ms must be integers below 2**63", id="detect-fractional-t"),
+                     "t_ms must be an integer, got 0.5", id="detect-fractional-t"),
+        # Sample's rule: integers, not floats or bools, and a time below 2**63
+        pytest.param(lambda: Sample(0.5, 0), "t_ms must be an integer, got 0.5",
+                     id="sample-float-t"),
+        pytest.param(lambda: Sample(True, 5), "t_ms must be an integer, got True",
+                     id="sample-bool-t"),
+        pytest.param(lambda: Sample(True, 5.5), "t_ms must be an integer, got True",
+                     id="sample-bool-t-float-value"),
+        pytest.param(lambda: Sample(0, 5.0), "value must be an integer, got 5.0",
+                     id="sample-float-value"),
+        pytest.param(lambda: Sample(2**63, 0), "t_ms must be below 2**63, got 9223372036854775808",
+                     id="sample-t-beyond-int64"),
+        pytest.param(lambda: SampleColumns([True], [5]), "t_ms must be integers below 2**63",
+                     id="columns-bool-t"),
     ],
 )
 def test_constructor_checks(make, message):
@@ -440,3 +443,41 @@ def test_constructor_checks(make, message):
         make()
     assert exc.type is ValueError
     assert str(exc.value).startswith(message)
+
+
+# One row field on each side of every bound of Sample's rule, as an int, a
+# numpy integer, a float or a bool.
+_EDGES = [bound + d for bound in (0, ADC_MAX, 2**63) for d in (-1, 0, 1)]
+_ints = st.sampled_from(_EDGES) | st.integers(-(2**64), 2**64)
+_fields = st.one_of(
+    _ints,
+    _ints.filter(lambda x: -(2**63) <= x < 2**63).map(np.int64),
+    _ints.filter(lambda x: 0 <= x < 2**64).map(np.uint64),
+    st.integers(0, 2**16 - 1).map(np.uint16),
+    st.integers(-128, 127).map(np.int8),
+    st.sampled_from([float(x) for x in _EDGES]) | st.floats(),
+    st.booleans(),
+    st.booleans().map(np.bool_),
+)
+
+
+@settings(max_examples=400)
+@given(t=_fields, v=_fields)
+@example(t=0.5, v=0)
+@example(t=True, v=5)
+@example(t=2**63, v=0)
+@example(t=np.uint64(2**63 - 1), v=np.uint16(ADC_MAX))
+def test_sample_and_columns_refuse_the_same_rows(t, v):
+    try:
+        sample = Sample(t, v)
+    except ValueError:
+        sample = None
+    try:
+        columns = SampleColumns([t], [v])
+    except ValueError:
+        columns = None
+    assert (sample is None) == (columns is None)
+    if sample is not None:
+        assert columns == [sample]
+        beat = BeatDetector(CONFIG).push(sample)
+        assert BeatDetector(CONFIG).push_chunk(columns) == ([] if beat is None else [beat])

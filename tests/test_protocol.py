@@ -1,5 +1,7 @@
 import random
 from dataclasses import astuple
+from functools import reduce
+from operator import xor
 
 import pytest
 from hypothesis import example, given, settings
@@ -92,12 +94,17 @@ class TestFeed:
         assert [o.seq for o in outcomes if isinstance(o, SampleOutcome)] == [0, 1]
 
     def test_checksum_valid_but_value_too_big(self):
-        raw = bytearray(encode_frame(0, Sample(0, 1023)))
-        raw[6] = 0x04  # value 1024
-        raw[8] ^= 0x04 ^ 0x03  # keep the checksum consistent
+        # Sample refuses value 1024, so the frame is exactly one corrupt frame
+        # however valid its checksum, and the frames around it still decode
+        samples = self.frames(3)
+        raw = bytearray(encode_stream(samples))
+        raw[15:17] = (ADC_MAX + 1).to_bytes(2, "big")  # the middle frame's value
+        raw[17] = reduce(xor, raw[10:17])  # its checksum, still valid
         outcomes = FrameDecoder().feed(bytes(raw))
-        assert any(isinstance(o, CorruptFrame) for o in outcomes)
-        assert not any(isinstance(o, SampleOutcome) for o in outcomes)
+        assert outcomes == [
+            SampleOutcome(0, samples[0]), CorruptFrame(9), Resync(8), SampleOutcome(2, samples[2]),
+            Gap(1, 2),
+        ]
 
     def test_seq_wraps_mod_256(self):
         samples = [Sample(10 * i, 5) for i in range(300)]
