@@ -10,10 +10,11 @@ Subcommands:
 `run` and `serve` share one config loader. A `scenario` sets the alarm
 time, the required streak and the expected phase; without one
 `alarm_time_ms` is required. `--out` names the output, and `--seed` (not
-on `serve`, which synthesizes nothing) overrides every seed the command
-synthesizes from. `serve` takes its samples from the socket, so it refuses
-a `waveform` or `input_path`, and it drops samples whose time does not
-advance, logging their count at WARNING, instead of aborting. It waits
+on `serve`) overrides every seed the command synthesizes from. `serve`
+takes its samples from the socket, so it refuses a `waveform` or
+`input_path`; it reports the gaps, corrupt frames and resyncs its
+FrameDecoder counts, and drops samples whose time does not advance,
+logging their count at WARNING, instead of aborting. It waits
 IDLE_TIMEOUT_S for a sender (else exit 3) and for data (else closed).
 
 Exit codes: 0 expected final phase (or nothing to check), 1 unexpected
@@ -40,7 +41,7 @@ from .engine import EngineConfig, Phase
 from .errors import ConfigError, PulseAlarmError, StreamOrderError
 from .physiology import BandMode, UserProfile, satisfaction_band
 from .pipeline import Pipeline, RunReport, run_pipeline
-from .protocol import CorruptFrame, FrameDecoder, Gap, Resync, SampleOutcome, replay_file
+from .protocol import FrameDecoder, SampleOutcome, replay_file
 from .synth import (
     StrayPulse,
     WaveformSpec,
@@ -302,7 +303,7 @@ def cmd_serve(config: dict, args) -> int:
     port = _resolve_port(args)
     pipeline = Pipeline(*pipeline_args)
     decoder = FrameDecoder()
-    gaps = corrupt = resyncs = dropped = 0
+    dropped = 0
     with socket.create_server(("", port)) as server:
         actual_port = server.getsockname()[1]
         log.info("listening on port %d", actual_port)
@@ -323,17 +324,12 @@ def cmd_serve(config: dict, args) -> int:
                                 pipeline.push(outcome.sample)
                             except StreamOrderError:  # a duplicated or reordered frame
                                 dropped += 1
-                        elif isinstance(outcome, Gap):
-                            gaps += 1
-                        elif isinstance(outcome, CorruptFrame):
-                            corrupt += 1
-                        elif isinstance(outcome, Resync):
-                            resyncs += 1
             except TimeoutError:  # a stalled sender ends the stream like a close
                 log.warning("no data for %g s; closing the connection", IDLE_TIMEOUT_S)
         if dropped:
             log.warning("dropped %d samples whose time did not advance", dropped)
-    report = pipeline.report(gap_count=gaps, corrupt_count=corrupt, resync_count=resyncs)
+    report = pipeline.report(gap_count=decoder.gaps, corrupt_count=decoder.corrupt_frames,
+                             resync_count=decoder.resyncs)
     return _finish_run(report, args.out, expected)
 
 

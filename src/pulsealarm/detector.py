@@ -59,9 +59,14 @@ class Sample:
 
 
 def _integer_column(name: str, values) -> np.ndarray:
-    """values as a one-dimensional integer array, converted once. A dtype
-    (a list's is numpy's inferred one) that is not integer, such as bool or
-    float64, raises ValueError; an empty column has none to refuse."""
+    """values as a one-dimensional integer array: an array judged by its
+    dtype, a list entry by entry by Sample's type rule, not by numpy's one
+    dtype for the list, which hides a bool among ints or makes ints float64."""
+    if isinstance(values, (list, tuple)):
+        bad = [np.asarray(x) for x in values if not (type(x) is int or isinstance(x, np.integer))]
+        if bad and not bad[0].ndim:  # a nested list is left to the shape check
+            raise ValueError(f"{name} must be integers below 2**63, got dtype {bad[0].dtype}")
+        values = values if bad else list(map(int, values))  # ints convert exactly
     column = np.asarray(values)
     if column.size and column.dtype.kind not in "iu":
         raise ValueError(f"{name} must be integers below 2**63, got dtype {column.dtype}")
@@ -71,13 +76,10 @@ def _integer_column(name: str, values) -> np.ndarray:
 
 
 class SampleColumns(collections.abc.Sequence):
-    """A block of samples as two read-only int64 arrays, t_ms and value.
-
-    The constructor states no rule of its own: one mask finds the first row
-    that Sample refuses, and that row's Sample raises Sample's error. As a
-    Sequence[Sample] it takes len, indexing, slicing and iteration, and it
-    equals another SampleColumns or a list holding the same Samples.
-    """
+    """A block of samples as two read-only int64 arrays, t_ms and value. It
+    refuses what Sample refuses: a non-integer entry or dtype, then the first
+    row out of range, with that row's Sample error. A Sequence[Sample], it
+    equals another SampleColumns or a list holding the same Samples."""
 
     __slots__ = ("t_ms", "value")
 
@@ -97,8 +99,9 @@ class SampleColumns(collections.abc.Sequence):
         """samples as columns; a SampleColumns is returned as it is."""
         if isinstance(samples, SampleColumns):
             return samples
-        samples = list(samples)
-        return cls([s.t_ms for s in samples], [s.value for s in samples])
+        samples = list(samples)  # rows that Sample has checked
+        return cls(np.fromiter((s.t_ms for s in samples), np.int64, len(samples)),
+                   np.fromiter((s.value for s in samples), np.int64, len(samples)))
 
     def __len__(self) -> int:
         return self.t_ms.size

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
 from .detector import Sample
-from .errors import PulseAlarmError, StreamOrderError
+from .errors import PulseAlarmError
 from .synth import read_waveform
 
 SYNC_BYTE = 0xAA
@@ -75,16 +75,17 @@ def encode_frame(seq: int, sample: Sample) -> bytes:
 class FrameDecoder:
     """Incremental frame parser; feed bytes in any chunking.
 
-    Emits SampleOutcome for each checksum-valid frame, Gap when the seq
-    counter jumps, CorruptFrame (with the frame's absolute byte offset)
-    when a sync byte leads a frame that fails validation, and Resync
-    counting bytes skipped while hunting for a sync byte.
+    Emits SampleOutcome for each valid frame, Gap when the seq counter jumps,
+    CorruptFrame (with its absolute byte offset) when a sync byte leads a frame
+    that fails validation, and Resync counting the bytes skipped to find a sync
+    byte; gaps, corrupt_frames and resyncs count the last three.
     """
 
     def __init__(self):
         self._buf = bytearray()
         self._offset = 0  # absolute stream offset of _buf[0]
         self._last_seq: int | None = None
+        self.gaps = self.corrupt_frames = self.resyncs = 0
 
     def feed(self, data: bytes) -> list[ParseOutcome]:
         self._buf.extend(data)
@@ -96,6 +97,7 @@ class FrameDecoder:
             sync = len(buf) if sync < 0 else sync  # no sync byte: skip to the end
             if sync > i:
                 out.append(Resync(sync - i))
+                self.resyncs += 1
             i = sync
             if len(buf) - i < FRAME_LEN:
                 break  # a partial frame, or none: wait for more bytes
@@ -106,11 +108,13 @@ class FrameDecoder:
                 sample = None
             if not sample:
                 out.append(CorruptFrame(self._offset + i))
+                self.corrupt_frames += 1
                 i += 1  # drop only the sync byte, rescan inside the frame
                 continue
             out.append(SampleOutcome(seq, sample))
             if self._last_seq is not None and (seq - self._last_seq) % 256 != 1:
                 out.append(Gap((self._last_seq + 1) % 256, seq))
+                self.gaps += 1
             self._last_seq = seq
             i += FRAME_LEN
         del buf[:i]
@@ -134,21 +138,17 @@ def replay_file(
     sample intervals, 2.0 twice as fast, 0 disables pacing entirely. Each
     frame waits for its own due time on the monotonic clock, so a late
     wake-up delays one frame, not every frame after it.
-    Returns the number of frames sent. Every frame is encoded, and the
-    whole file checked for time order and for encode_frame's limits, before
-    `connect` is called, so a refused file opens no sink.
+    Returns the number of frames sent. read_waveform checks the whole file,
+    and every frame is encoded, before `connect` is called, so a refused
+    file opens no sink.
     """
     samples = read_waveform(path)
     frames = []
     for i, sample in enumerate(samples):
-        if i and sample.t_ms <= samples[i - 1].t_ms:
-            raise StreamOrderError(
-                f"sample {i} at t_ms={sample.t_ms} does not advance past {samples[i - 1].t_ms}"
-            )
         try:
             frames.append(encode_frame(i % 256, sample))
-        except ValueError as exc:
-            raise PulseAlarmError(f"sample {i}: {exc}") from None
+        except ValueError as exc:  # sample i is line i + 2
+            raise PulseAlarmError(f"line {i + 2}: {exc}") from None
     sink = connect()
     start = time.monotonic()
     for sample, frame in zip(samples, frames):

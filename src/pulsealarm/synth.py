@@ -172,18 +172,16 @@ def write_waveform(samples: Sequence[Sample], path) -> None:
 
 
 def read_waveform(path) -> list[Sample]:
-    """Read a waveform CSV back into samples, validating the ADC range.
-    A non-UTF-8 byte is escaped, not raised where the read buffer began,
-    so it fails the check of its own line, and the error names that line."""
-    samples = []
+    """Read a waveform CSV back into samples, sample i from line i + 2. The
+    first line that is not two integers Sample accepts, with a t_ms past the
+    line before's, raises WaveformParseError; a non-UTF-8 byte fails its own."""
+    samples, last = [], -1  # -1: below every t_ms that Sample accepts
     with open(path, encoding="utf-8", errors="surrogateescape") as f:
         header = f.readline()
         if header.strip() != "t_ms,value":
             raise WaveformParseError(1, f"expected header 't_ms,value', got {header!r}")
         for lineno, line in enumerate(f, start=2):
             line = line.strip()
-            if not line:
-                continue
             parts = line.split(",")
             if len(parts) != 2:
                 raise WaveformParseError(lineno, f"expected 2 fields, got {line!r}")
@@ -195,6 +193,9 @@ def read_waveform(path) -> list[Sample]:
                 samples.append(Sample(t_ms, value))
             except ValueError as exc:
                 raise WaveformParseError(lineno, str(exc)) from None
+            if t_ms <= last:
+                raise WaveformParseError(lineno, f"t_ms={t_ms} does not advance past {last}")
+            last = t_ms
     return samples
 
 

@@ -254,10 +254,23 @@ def run_or_send(tmp_path, command, csv):
         return main(["send", "--port", str(server.getsockname()[1]), "--file", str(csv)])
 
 
-@pytest.mark.parametrize("command", ["run", "send"])
-def test_non_utf8_csv_exit_3_names_line(tmp_path, capsys, command):
+# A CSV whose line 3 is bad, by the id prefix of its test: the plain
+# `run`/`send` ids hold a non-UTF-8 byte.
+_BAD_LINE_3 = {
+    "": b"t_ms,value\n0,300\n10,3\xff0\n20,300\n",
+    "non-advancing-": b"t_ms,value\n0,300\n0,300\n20,300\n",
+    "blank-": b"t_ms,value\n0,300\n\n20,300\n",
+}
+
+
+@pytest.mark.parametrize(
+    "command,text",
+    [pytest.param(c, text, id=f"{kind}{c}") for kind, text in _BAD_LINE_3.items()
+     for c in ("run", "send")],
+)
+def test_non_utf8_csv_exit_3_names_line(tmp_path, capsys, command, text):
     csv = tmp_path / "wave.csv"
-    csv.write_bytes(b"t_ms,value\n0,300\n10,3\xff0\n20,300\n")
+    csv.write_bytes(text)
     assert run_or_send(tmp_path, command, csv) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: line 3: ")
@@ -270,7 +283,7 @@ class TestServeSend:
         csv.write_text("t_ms,value\n0,300\n4294967295,300\n4294967296,300\n")
         assert run_or_send(tmp_path, "send", csv) == 3
         err = capsys.readouterr().err
-        assert err == "error: sample 2: t_ms must fit 4 bytes (below 2**32), got 4294967296\n"
+        assert err == "error: line 4: t_ms must fit 4 bytes (below 2**32), got 4294967296\n"
         assert run_or_send(tmp_path, "run", csv) == 0  # run has no frame field
 
     def test_refused_csv_opens_no_connection(self, tmp_path, capsys):
@@ -284,7 +297,7 @@ class TestServeSend:
             with pytest.raises(TimeoutError):
                 server.accept()
         err = capsys.readouterr().err
-        assert err == "error: sample 500 at t_ms=100 does not advance past 4990\n"
+        assert err == "error: line 502: t_ms=100 does not advance past 4990\n"
 
     def test_no_connection_times_out(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "IDLE_TIMEOUT_S", 0.3)

@@ -461,23 +461,41 @@ _fields = st.one_of(
 )
 
 
+def _sample_or_none(t, v):
+    try:
+        return Sample(t, v)
+    except ValueError:
+        return None
+
+
+def _columns_or_none(t, v):
+    try:
+        return SampleColumns(t, v)
+    except ValueError:
+        return None
+
+
 @settings(max_examples=400)
-@given(t=_fields, v=_fields)
-@example(t=0.5, v=0)
-@example(t=True, v=5)
-@example(t=2**63, v=0)
-@example(t=np.uint64(2**63 - 1), v=np.uint16(ADC_MAX))
-def test_sample_and_columns_refuse_the_same_rows(t, v):
-    try:
-        sample = Sample(t, v)
-    except ValueError:
-        sample = None
-    try:
-        columns = SampleColumns([t], [v])
-    except ValueError:
-        columns = None
+@given(t=_fields, v=_fields, t2=_fields, v2=_fields)
+@example(t=0.5, v=0, t2=1, v2=0)
+@example(t=True, v=5, t2=1, v2=0)
+@example(t=2**63, v=0, t2=1, v2=0)
+@example(t=np.uint64(2**63 - 1), v=np.uint16(ADC_MAX), t2=1, v2=0)
+# numpy infers one dtype for a whole list: int64 for [True, 2], float64 for
+# [np.uint64(6), 7]
+@example(t=True, v=5, t2=2, v2=5)
+@example(t=np.uint64(6), v=5, t2=7, v2=5)
+def test_sample_and_columns_refuse_the_same_rows(t, v, t2, v2):
+    sample = _sample_or_none(t, v)
+    columns = _columns_or_none([t], [v])
     assert (sample is None) == (columns is None)
     if sample is not None:
         assert columns == [sample]
         beat = BeatDetector(CONFIG).push(sample)
         assert BeatDetector(CONFIG).push_chunk(columns) == ([] if beat is None else [beat])
+    # two rows: refused exactly when either row's Sample is
+    second = _sample_or_none(t2, v2)
+    columns = _columns_or_none([t, t2], [v, v2])
+    assert (columns is None) == (sample is None or second is None)
+    if columns is not None:
+        assert columns == [sample, second]

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from dataclasses import astuple
 from functools import reduce
 from operator import xor
@@ -15,7 +16,7 @@ from pulsealarm import (
     Resync,
     Sample,
     SampleOutcome,
-    StreamOrderError,
+    WaveformParseError,
     WaveformSpec,
     encode_frame,
     encode_stream,
@@ -207,7 +208,12 @@ def test_feed_matches_reference_scan(data, size):
     chunks = [data[i : i + size] for i in range(0, len(data), size)]
     decoder = FrameDecoder()
     got = [(type(o).__name__, *astuple(o)) for chunk in chunks for o in decoder.feed(chunk)]
-    assert got == reference_frame_scan(chunks)
+    expected = reference_frame_scan(chunks)
+    assert got == expected
+    kinds = Counter(outcome[0] for outcome in expected)
+    assert (decoder.gaps, decoder.corrupt_frames, decoder.resyncs) == (
+        kinds["Gap"], kinds["CorruptFrame"], kinds["Resync"]
+    )
 
 
 class FakeClock:
@@ -270,17 +276,17 @@ class TestReplayFile:
     def test_non_monotone_refused(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("t_ms,value\n0,10\n10,10\n10,10\n")
-        with pytest.raises(StreamOrderError):
+        with pytest.raises(WaveformParseError):
             replay_file(path, lambda: pytest.fail("connected"))
 
     @pytest.mark.parametrize(
         "last_row,error",
-        [("100,10", StreamOrderError), (f"{2**32},10", PulseAlarmError)],
+        [("100,10", WaveformParseError), (f"{2**32},10", PulseAlarmError)],
         ids=["out-of-order", "beyond-frame-field"],
     )
     def test_bad_last_row_refused_before_any_frame(self, tmp_path, last_row, error):
         path = tmp_path / "bad.csv"
         rows = "".join(f"{10 * i},300\n" for i in range(500))
         path.write_text(f"t_ms,value\n{rows}{last_row}\n")
-        with pytest.raises(error, match="sample 500"):
+        with pytest.raises(error, match="^line 502: "):
             replay_file(path, lambda: pytest.fail("connected"))

@@ -178,9 +178,12 @@ class TestWaveformCsv:
 
     def test_malformed_line_reports_number(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("t_ms,value\n0,1,2\n")
-        with pytest.raises(WaveformParseError, match="line 2"):
-            read_waveform(path)
+        for text, line in [("t_ms,value\n0,1,2\n", 2),
+                           ("t_ms,value\n0,300\n\n20,300\n", 3),  # a blank middle line
+                           ("t_ms,value\n0,300\n10,300\n\n", 4)]:  # a blank last line
+            path.write_text(text)
+            with pytest.raises(WaveformParseError, match=f"^line {line}: expected 2 fields"):
+                read_waveform(path)
 
     @pytest.mark.parametrize("text", ["value,t_ms\n0,300\n", "0,300\n", ""],
                              ids=["swapped", "missing", "empty-file"])
