@@ -61,12 +61,16 @@ class Sample:
 def _integer_column(name: str, values) -> np.ndarray:
     """values as a one-dimensional integer array: an array judged by its
     dtype, a list entry by entry by Sample's type rule, not by numpy's one
-    dtype for the list, which hides a bool among ints or makes ints float64."""
+    dtype for the list, which hides a bool among ints or makes ints float64.
+    A list of ints that int64 cannot hold stays whole, in an object array."""
     if isinstance(values, (list, tuple)):
         bad = [np.asarray(x) for x in values if not (type(x) is int or isinstance(x, np.integer))]
         if bad and not bad[0].ndim:  # a nested list is left to the shape check
             raise ValueError(f"{name} must be integers below 2**63, got dtype {bad[0].dtype}")
-        values = values if bad else list(map(int, values))  # ints convert exactly
+        if not bad:
+            values = list(map(int, values))  # ints convert exactly
+            if values and not -(2**63) <= min(values) <= max(values) < 2**63:
+                return np.array(values, dtype=object)
     column = np.asarray(values)
     if column.size and column.dtype.kind not in "iu":
         raise ValueError(f"{name} must be integers below 2**63, got dtype {column.dtype}")
@@ -87,6 +91,9 @@ class SampleColumns(collections.abc.Sequence):
         t, v = _integer_column("t_ms", t_ms), _integer_column("value", value)
         if t.shape != v.shape:
             raise ValueError(f"t_ms and value must have one length, got {t.size} and {v.size}")
+        if t.dtype == object or v.dtype == object:  # an int beyond int64, which Sample refuses
+            for row in zip(t.tolist(), v.tolist()):
+                Sample(*row)  # raises at the first row Sample refuses
         # a uint64 entry at or above 2**63 casts to a negative one
         self.t_ms, self.value = t.astype(np.int64), v.astype(np.int64)
         bad = np.flatnonzero((self.t_ms < 0) | (self.value < 0) | (self.value > ADC_MAX))

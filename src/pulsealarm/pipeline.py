@@ -1,6 +1,11 @@
 """End-to-end wiring: samples -> beat detector -> rate estimator ->
 plausibility filter -> alarm engine, with a run report mirroring the
-device's serial-monitor listing (one reading per line with its status)."""
+device's serial-monitor listing (one reading per line with its status).
+
+Pipeline.push_chunk takes a block of SampleColumns in one detector scan,
+so Python runs once per beat, not per sample; run_pipeline is one call of
+it. Pipeline.push takes one Sample, for a caller that receives samples one
+at a time, as `serve` does frame by frame."""
 
 from __future__ import annotations
 
@@ -9,12 +14,16 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+
 from .detector import (
     BeatDetector,
+    BeatEvent,
     BpmEstimate,
     BpmEstimator,
     BpmStatus,
     Sample,
+    SampleColumns,
     SchmittConfig,
 )
 from .engine import (
@@ -98,12 +107,16 @@ class RunReport:
 
 
 class Pipeline:
-    """Streaming pipeline: push samples, the alarm engine reacts.
+    """Streaming pipeline: push samples or blocks of them, the alarm engine
+    reacts; the two can be mixed, and any split gives the same report.
 
     The engine is armed for alarm_time_ms up front; every detected beat
     drives a rate reading. A sample drives a clock tick only once its time
     reaches the engine's deadline (next_tick_ms), because no earlier tick
     can change the state; the transitions are those of ticking every sample.
+    push_chunk is the block step. push stays as the one-sample step because
+    a one-sample chunk costs tens of microseconds in numpy set-up, and
+    `serve` receives one frame at a time.
     """
 
     def __init__(
@@ -131,6 +144,13 @@ class Pipeline:
         self._deadline = next_tick_ms(self._engine_state)
         self.transitions.extend(transitions)
 
+    def _beat(self, beat: BeatEvent) -> None:
+        self.beat_count += 1
+        estimate = self._estimator.add(beat)
+        if estimate is not None:
+            self.readings.append(estimate)
+            self._engine_step(estimate)
+
     def push(self, sample: Sample) -> None:
         """Feed one sample. A sample whose time does not advance raises
         StreamOrderError from the detector and changes nothing."""
@@ -138,13 +158,30 @@ class Pipeline:
         self.sample_count += 1
         if self._deadline is not None and sample.t_ms >= self._deadline:
             self._engine_step(ClockTick(sample.t_ms))
-        if beat is None:
-            return
-        self.beat_count += 1
-        estimate = self._estimator.add(beat)
-        if estimate is not None:
-            self.readings.append(estimate)
-            self._engine_step(estimate)
+        if beat is not None:
+            self._beat(beat)
+
+    def push_chunk(self, columns: SampleColumns) -> None:
+        """push over every sample of a block: one detector scan, then the
+        beats and at most one clock tick in time order. The deadline moves
+        only when a tick rings, so the one tick that can ring is at the
+        first sample at or past it, stepped before a beat at that sample,
+        as push does. A time that does not advance raises StreamOrderError
+        from the detector and changes nothing."""
+        beats = self._detector.push_chunk(columns)
+        t = columns.t_ms
+        self.sample_count += t.size
+        deadline, tick = self._deadline, None
+        if deadline is not None and t.size and deadline <= int(t[-1]):
+            # t_ms is never negative, so a time of 0 finds the same sample
+            tick = int(t[np.searchsorted(t, max(deadline, 0))])
+        for beat in beats:
+            if tick is not None and beat.t_ms >= tick:
+                self._engine_step(ClockTick(tick))
+                tick = None
+            self._beat(beat)
+        if tick is not None:
+            self._engine_step(ClockTick(tick))
 
     def report(
         self, gap_count: int = 0, corrupt_count: int = 0, resync_count: int = 0
@@ -168,8 +205,8 @@ def run_pipeline(
     alarm_time_ms: int,
     smoothing_window: int = 5,
 ) -> RunReport:
-    """Run the whole chain over a buffered or generated sample stream."""
+    """Run the whole chain over a buffered or generated sample stream, as
+    one push_chunk."""
     pipeline = Pipeline(schmitt, engine_config, alarm_time_ms, smoothing_window)
-    for sample in samples:
-        pipeline.push(sample)
+    pipeline.push_chunk(SampleColumns.of(samples))
     return pipeline.report()

@@ -64,11 +64,15 @@ def _checksum(seq: int, t_ms: int, value: int) -> int:
 
 
 def encode_frame(seq: int, sample: Sample) -> bytes:
+    return _encode(seq, sample.t_ms, sample.value)
+
+
+def _encode(seq: int, t_ms: int, value: int) -> bytes:
+    """encode_frame of the fields of a row that Sample accepts."""
     if not 0 <= seq <= 255:
         raise ValueError(f"seq must fit one byte, got {seq}")
-    if sample.t_ms >= 2**32:
-        raise ValueError(f"t_ms must fit 4 bytes (below 2**32), got {sample.t_ms}")
-    t_ms, value = sample.t_ms, sample.value
+    if t_ms >= 2**32:
+        raise ValueError(f"t_ms must fit 4 bytes (below 2**32), got {t_ms}")
     return _FRAME.pack(SYNC_BYTE, seq, t_ms, value, _checksum(seq, t_ms, value))
 
 
@@ -142,18 +146,19 @@ def replay_file(
     and every frame is encoded, before `connect` is called, so a refused
     file opens no sink.
     """
-    samples = read_waveform(path)
+    columns = read_waveform(path)
+    times = columns.t_ms.tolist()
     frames = []
-    for i, sample in enumerate(samples):
+    for i, (t_ms, value) in enumerate(zip(times, columns.value.tolist())):
         try:
-            frames.append(encode_frame(i % 256, sample))
+            frames.append(_encode(i % 256, t_ms, value))
         except ValueError as exc:  # sample i is line i + 2
             raise PulseAlarmError(f"line {i + 2}: {exc}") from None
     sink = connect()
-    start = time.monotonic()
-    for sample, frame in zip(samples, frames):
+    start, first = time.monotonic(), times[0] if times else 0
+    for t_ms, frame in zip(times, frames):
         if speed > 0:
-            delay = start + (sample.t_ms - samples[0].t_ms) / 1000.0 / speed - time.monotonic()
+            delay = start + (t_ms - first) / 1000.0 / speed - time.monotonic()
             if delay > 0:
                 time.sleep(delay)
         sink(frame)

@@ -171,10 +171,47 @@ def write_waveform(samples: Sequence[Sample], path) -> None:
         f.writelines(map("{},{}\n".format, columns.t_ms.tolist(), columns.value.tolist()))
 
 
-def read_waveform(path) -> list[Sample]:
-    """Read a waveform CSV back into samples, sample i from line i + 2. The
-    first line that is not two integers Sample accepts, with a t_ms past the
-    line before's, raises WaveformParseError; a non-UTF-8 byte fails its own."""
+_HEADER = b"t_ms,value\n"
+
+
+def read_waveform(path) -> SampleColumns:
+    """Read a waveform CSV back into sample columns, sample i from line i + 2.
+
+    A canonical file, the header `t_ms,value` and then lines of 1-18 digits,
+    a comma and 1-18 digits, each ending in `\\n`, is parsed by numpy in one
+    pass. Any other file, or a canonical one with a refused row, is read by
+    the line parser, which raises the first line's WaveformParseError."""
+    with open(path, "rb") as f:
+        columns = _read_canonical(f.read())
+    return SampleColumns.of(_read_waveform_lines(path)) if columns is None else columns
+
+
+def _read_canonical(data: bytes) -> Optional[SampleColumns]:
+    """The columns of a canonical CSV whose rows Sample accepts in strictly
+    increasing time order, else None. 18 digits cannot overflow int64."""
+    body = data[len(_HEADER):]
+    if (not data.startswith(_HEADER) or not body.endswith(b"\n")
+            or body.translate(None, b"0123456789,\n")):
+        return None
+    raw = np.frombuffer(body, np.uint8)
+    ends = np.flatnonzero(raw < ord("0"))  # the `,` or `\n` after each field
+    widths = np.diff(ends) - 1  # field lengths after the first, which is ends[0]
+    if not ((raw[ends[0::2]] == ord(",")).all() and (raw[ends[1::2]] == ord("\n")).all()
+            and 1 <= min(ends[0], widths.min()) and max(ends[0], widths.max()) <= 18):
+        return None
+    fields = np.fromstring(body.replace(b"\n", b","), np.int64, sep=",")
+    try:
+        columns = SampleColumns(fields[0::2], fields[1::2])
+    except ValueError:  # a value above the ADC range
+        return None
+    t = columns.t_ms
+    return None if (t[1:] <= t[:-1]).any() else columns
+
+
+def _read_waveform_lines(path) -> list[Sample]:
+    """read_waveform for any file, one line at a time: the first line that
+    is not two integers Sample accepts, with a t_ms past the line before's,
+    raises WaveformParseError; a non-UTF-8 byte fails its own."""
     samples, last = [], -1  # -1: below every t_ms that Sample accepts
     with open(path, encoding="utf-8", errors="surrogateescape") as f:
         header = f.readline()

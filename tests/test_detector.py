@@ -475,6 +475,19 @@ def _columns_or_none(t, v):
         return None
 
 
+def _refusal(build, *args):
+    """The message of the ValueError build(*args) raises, else None."""
+    try:
+        build(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _exact_int(x) -> bool:
+    return type(x) is int or isinstance(x, np.integer)
+
+
 @settings(max_examples=400)
 @given(t=_fields, v=_fields, t2=_fields, v2=_fields)
 @example(t=0.5, v=0, t2=1, v2=0)
@@ -485,6 +498,11 @@ def _columns_or_none(t, v):
 # [np.uint64(6), 7]
 @example(t=True, v=5, t2=2, v2=5)
 @example(t=np.uint64(6), v=5, t2=7, v2=5)
+# ints no one integer dtype holds: numpy infers float64 for [-1, 2**63] and
+# object for [2**64], and the row's range message must still win
+@example(t=-1, v=5, t2=2**63, v2=5)
+@example(t=2**64, v=5, t2=1, v2=0)
+@example(t=0, v=ADC_MAX + 1, t2=2**64, v2=5)
 def test_sample_and_columns_refuse_the_same_rows(t, v, t2, v2):
     sample = _sample_or_none(t, v)
     columns = _columns_or_none([t], [v])
@@ -499,3 +517,8 @@ def test_sample_and_columns_refuse_the_same_rows(t, v, t2, v2):
     assert (columns is None) == (sample is None or second is None)
     if columns is not None:
         assert columns == [sample, second]
+    # rows of ints: refused with the first refused row's Sample message
+    if all(map(_exact_int, (t, v, t2, v2))):
+        first = _refusal(Sample, t, v)
+        assert _refusal(SampleColumns, [t], [v]) == first
+        assert _refusal(SampleColumns, [t, t2], [v, v2]) == (first or _refusal(Sample, t2, v2))

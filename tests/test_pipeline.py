@@ -2,6 +2,8 @@ import json
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pulsealarm import (
     AlarmEngineState,
@@ -14,6 +16,7 @@ from pulsealarm import (
     Pipeline,
     RunReport,
     Sample,
+    SampleColumns,
     SchmittConfig,
     StrayPulse,
     StreamOrderError,
@@ -151,6 +154,70 @@ def test_non_advancing_sample_refused_without_effect():
             pipeline.engine_state,
         )
         assert after == before
+
+
+# DEADLINE_SAMPLES' beat times: an alarm at one rings at a beat's sample,
+# so the tick and that beat's reading share a time
+BEAT_TIMES = [b.t_ms for b in detect_beats(DEADLINE_SAMPLES, SCHMITT)]
+
+
+def _pipeline(alarm_time, streak):
+    return Pipeline(SCHMITT, EngineConfig(required_streak=streak), alarm_time)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    cuts=st.lists(st.integers(0, len(DEADLINE_SAMPLES)), max_size=10),
+    chunked=st.lists(st.booleans(), min_size=11, max_size=11),
+    alarm_time=st.sampled_from(BEAT_TIMES) | st.integers(-100, LAST_T + 100),
+    streak=st.integers(1, 3),
+)
+@example(cuts=[], chunked=[True] * 11, alarm_time=BEAT_TIMES[4], streak=1)
+# the tick's beat alone in a chunk, after a chunk ending just before it
+@example(cuts=[BEAT_TIMES[4] // 10, BEAT_TIMES[4] // 10 + 1], chunked=[True] * 11,
+         alarm_time=BEAT_TIMES[4], streak=1)
+def test_any_chunking_gives_the_same_report(cuts, chunked, alarm_time, streak):
+    """Cut the stream anywhere, and push each piece whole with push_chunk or
+    sample by sample with push: the report is byte-identical to push's."""
+    expected = _pipeline(alarm_time, streak)
+    for sample in DEADLINE_SAMPLES:
+        expected.push(sample)
+    pipeline = _pipeline(alarm_time, streak)
+    bounds = [0, *sorted(cuts), len(DEADLINE_SAMPLES)]
+    for a, b, whole in zip(bounds, bounds[1:], chunked):
+        if whole:
+            pipeline.push_chunk(DEADLINE_SAMPLES[a:b])
+        else:
+            for sample in DEADLINE_SAMPLES[a:b]:
+                pipeline.push(sample)
+    assert pipeline.report().to_jsonl() == expected.report().to_jsonl()
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    stall=st.integers(1, len(DEADLINE_SAMPLES) - 1),
+    back=st.integers(0, 30),
+    before=st.integers(0, 40),
+    after=st.integers(1, 40),
+)
+def test_non_advancing_sample_in_a_chunk_refused_as_push_refuses_it(stall, back, before, after):
+    """A chunk holding a sample that does not advance raises push's
+    StreamOrderError text and changes nothing."""
+    t = DEADLINE_SAMPLES.t_ms.copy()
+    t[stall] = max(t[stall - 1] - back, 0)
+    stream = SampleColumns(t, DEADLINE_SAMPLES.value)
+    by_sample = _pipeline(3000, 1)
+    with pytest.raises(StreamOrderError) as pushed:
+        for sample in stream:
+            by_sample.push(sample)
+    a, b = max(stall - before, 0), min(stall + after, len(stream))
+    pipeline = _pipeline(3000, 1)
+    pipeline.push_chunk(stream[:a])
+    report = pipeline.report().to_jsonl()
+    with pytest.raises(StreamOrderError) as chunked:
+        pipeline.push_chunk(stream[a:b])
+    assert str(chunked.value) == str(pushed.value)
+    assert pipeline.report().to_jsonl() == report
 
 
 def test_report_tallies_readings_by_status():

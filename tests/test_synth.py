@@ -1,11 +1,15 @@
 import math
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pulsealarm import (
     ADC_MAX,
     BandMode,
     Phase,
+    SampleColumns,
     SchmittConfig,
     StrayPulse,
     UserProfile,
@@ -19,8 +23,10 @@ from pulsealarm import (
     synthesize,
     write_waveform,
 )
+from pulsealarm.synth import _read_canonical, _read_waveform_lines
 
 NAN = float("nan")
+GOLDEN_CSV = Path(__file__).parent / "golden" / "waveform_synth_seed7.csv"
 
 
 class TestSynthesize:
@@ -198,6 +204,64 @@ class TestWaveformCsv:
         path = tmp_path / "empty.csv"
         path.write_text("t_ms,value\n")
         assert read_waveform(path) == []
+
+    def test_written_file_takes_the_numpy_path(self):
+        columns = _read_canonical(GOLDEN_CSV.read_bytes())
+        assert columns is not None and len(columns) > 0
+        assert columns == SampleColumns.of(_read_waveform_lines(GOLDEN_CSV))
+
+
+# The canonical grammar's bytes and the ones the line parser also reads
+# (int() takes a sign, spaces and underscores), so both paths are met.
+_CSV_ALPHABET = "0123456789,\n\r -+_."
+_HEADERS = ["t_ms,value\n", "t_ms,value\r\n", " t_ms,value\n", "t_ms,value", "value,t_ms\n", ""]
+_DIGITS = st.sampled_from([1, 2, 17, 18, 19, 20]).flatmap(
+    lambda n: st.text("0123456789", min_size=n, max_size=n))
+
+
+@st.composite
+def _waveform_csvs(draw):
+    """A header, then rows that mostly advance in time and hold ADC values,
+    at most two of them damaged in a field or in their line ending."""
+    header = draw(st.just(_HEADERS[0]) | st.sampled_from(_HEADERS) | st.text(_CSV_ALPHABET, max_size=12))
+    t = draw(st.integers(0, 100) | st.sampled_from([10**17, 10**18, 10**19, 2**63]).map(lambda x: x - 3))
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        t += draw(st.integers(-1, 30))  # -1 and 0 do not advance
+        rows.append([str(t), str(draw(st.integers(0, ADC_MAX + 1))), "\n"])
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        row, part = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, 2))
+        rows[row][part] = draw(
+            st.sampled_from(["\r\n", "\n\n", ",\n", ",", ""]) if part == 2
+            else _DIGITS | st.text(_CSV_ALPHABET, max_size=6))
+    return (header + "".join(f"{a},{b}{end}" for a, b, end in rows)).encode()
+
+
+def _read_or_message(read, path):
+    try:
+        return read(path)
+    except WaveformParseError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300)
+@given(data=_waveform_csvs() | st.text(_CSV_ALPHABET).map(lambda s: ("t_ms,value\n" + s).encode()))
+@example(data=b"t_ms,value\n007,0100\n010,0\n")  # leading zeros
+@example(data=b"t_ms,value\r\n0,5\r\n10,6\r\n")  # CRLF
+@example(data=b"t_ms,value\n0,5\n\n10,6\n")  # a blank line
+@example(data=b"t_ms,value\n0,5\n10,6")  # no final newline
+@example(data=b"t_ms,value\n0,5,10,6\n")  # two rows on one line
+@example(data=b"t_ms,value\n0,5\n10,1024\n")  # a value past the ADC range
+@example(data=b"t_ms,value\n0,5\n10,6\n10,7\n")  # a repeated t_ms
+@example(data=b"t_ms,value\n0,5\n9223372036854775808,6\n")  # t_ms of 2**63
+@example(data=b"t_ms,value\n0,5\n999999999999999999,6\n")  # 18 digits
+def test_numpy_path_equals_line_parser(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz.csv"
+    path.write_bytes(data)
+    fast = _read_or_message(read_waveform, path)
+    lines = _read_or_message(lambda p: SampleColumns.of(_read_waveform_lines(p)), path)
+    assert type(fast) is type(lines)
+    assert fast == lines
 
 
 class TestWakeScenario:
