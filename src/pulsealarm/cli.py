@@ -20,7 +20,7 @@ IDLE_TIMEOUT_S for a sender (else exit 3) and for data (else closed).
 Exit codes: 0 expected final phase (or nothing to check), 1 unexpected
 final phase, 2 configuration error (a malformed config value, a value a
 `scenario` or the bench grid sets, a bad PULSEALARM_PORT, PULSEALARM_LOG,
-`--seed` or `send --speed`), 3 I/O or protocol-fatal error.
+`--seed` or `send --speed`), 3 I/O, protocol-fatal or out-of-memory error.
 """
 
 from __future__ import annotations
@@ -389,8 +389,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (OSError, PulseAlarmError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, MemoryError, PulseAlarmError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_IO
 
 

@@ -8,8 +8,9 @@ on a single pulse. push steps it one Sample at a time; push_chunk scans a
 whole block of SampleColumns with numpy, and the two can be mixed on one
 detector. They differ only in how they find rising edges: both pass each
 edge through one refractory gate, the only place a beat is built. Sample
-states the one rule for a row, which SampleColumns applies to a block. A
-deliberately fragile single-threshold detector is kept as a baseline.
+states the one rule for a row; SampleColumns builds a list's rows through
+it and checks an array in bulk. A deliberately fragile single-threshold
+detector is kept as a baseline.
 """
 
 from __future__ import annotations
@@ -41,59 +42,57 @@ class BpmStatus(enum.Enum):
 class Sample:
     """One timestamped ADC reading, and the one rule for a row of samples:
     t_ms is an integer in [0, 2**63) and value an integer in [0, 1023]. An
-    int or a numpy integer passes; a float or a bool does not."""
+    int or a numpy integer (kept as an int) passes; a float or a bool does not."""
 
     t_ms: int
     value: int
 
     def __post_init__(self):
         t, v = self.t_ms, self.value
-        if not (type(t) is int or isinstance(t, np.integer)):
-            raise ValueError(f"t_ms must be an integer, got {t!r}")
-        if not (type(v) is int or isinstance(v, np.integer)):
-            raise ValueError(f"value must be an integer, got {v!r}")
+        if type(t) is not int:
+            if not isinstance(t, np.integer):
+                raise ValueError(f"t_ms must be an integer, got {t!r}")
+            object.__setattr__(self, "t_ms", t := int(t))
+        if type(v) is not int:
+            if not isinstance(v, np.integer):
+                raise ValueError(f"value must be an integer, got {v!r}")
+            object.__setattr__(self, "value", v := int(v))
         if not 0 <= t < 2**63:
             raise ValueError(f"t_ms must be {'non-negative' if t < 0 else 'below 2**63'}, got {t}")
         if not 0 <= v <= ADC_MAX:
             raise ValueError(f"value must be in [0, {ADC_MAX}], got {v}")
 
 
-def _integer_column(name: str, values) -> np.ndarray:
-    """values as a one-dimensional integer array: an array judged by its
-    dtype, a list entry by entry by Sample's type rule, not by numpy's one
-    dtype for the list, which hides a bool among ints or makes ints float64.
-    A list of ints that int64 cannot hold stays whole, in an object array."""
-    if isinstance(values, (list, tuple)):
-        bad = [np.asarray(x) for x in values if not (type(x) is int or isinstance(x, np.integer))]
-        if bad and not bad[0].ndim:  # a nested list is left to the shape check
-            raise ValueError(f"{name} must be integers below 2**63, got dtype {bad[0].dtype}")
-        if not bad:
-            values = list(map(int, values))  # ints convert exactly
-            if values and not -(2**63) <= min(values) <= max(values) < 2**63:
-                return np.array(values, dtype=object)
-    column = np.asarray(values)
-    if column.size and column.dtype.kind not in "iu":
-        raise ValueError(f"{name} must be integers below 2**63, got dtype {column.dtype}")
-    if column.ndim != 1:
-        raise ValueError(f"{name} must be one-dimensional, got shape {column.shape}")
-    return column
+def _int64_columns(samples: list[Sample]) -> tuple[np.ndarray, np.ndarray]:
+    """The t_ms and value of rows that Sample has checked, as int64 arrays."""
+    n = len(samples)
+    return (np.fromiter((s.t_ms for s in samples), np.int64, n),
+            np.fromiter((s.value for s in samples), np.int64, n))
 
 
 class SampleColumns(collections.abc.Sequence):
-    """A block of samples as two read-only int64 arrays, t_ms and value. It
-    refuses what Sample refuses: a non-integer entry or dtype, then the first
-    row out of range, with that row's Sample error. A Sequence[Sample], it
-    equals another SampleColumns or a list holding the same Samples."""
+    """A block of samples as two read-only int64 arrays, t_ms and value. If
+    either column is a list or a tuple, each row is built as a Sample; two
+    arrays are judged by dtype and shape, then the first row out of range
+    raises its Sample error. A Sequence[Sample], it equals another
+    SampleColumns or a list holding the same Samples."""
 
     __slots__ = ("t_ms", "value")
 
     def __init__(self, t_ms, value):
-        t, v = _integer_column("t_ms", t_ms), _integer_column("value", value)
+        if isinstance(t_ms, (list, tuple)) or isinstance(value, (list, tuple)):
+            n, m = len(t_ms), len(value)
+            if n != m:
+                raise ValueError(f"t_ms and value must have one length, got {n} and {m}")
+            t_ms, value = _int64_columns(list(map(Sample, t_ms, value)))
+        t, v = np.asarray(t_ms), np.asarray(value)
+        for name, column in (("t_ms", t), ("value", v)):
+            if column.size and column.dtype.kind not in "iu":
+                raise ValueError(f"{name} must be integers below 2**63, got dtype {column.dtype}")
+            if column.ndim != 1:
+                raise ValueError(f"{name} must be one-dimensional, got shape {column.shape}")
         if t.shape != v.shape:
             raise ValueError(f"t_ms and value must have one length, got {t.size} and {v.size}")
-        if t.dtype == object or v.dtype == object:  # an int beyond int64, which Sample refuses
-            for row in zip(t.tolist(), v.tolist()):
-                Sample(*row)  # raises at the first row Sample refuses
         # a uint64 entry at or above 2**63 casts to a negative one
         self.t_ms, self.value = t.astype(np.int64), v.astype(np.int64)
         bad = np.flatnonzero((self.t_ms < 0) | (self.value < 0) | (self.value > ADC_MAX))
@@ -106,9 +105,7 @@ class SampleColumns(collections.abc.Sequence):
         """samples as columns; a SampleColumns is returned as it is."""
         if isinstance(samples, SampleColumns):
             return samples
-        samples = list(samples)  # rows that Sample has checked
-        return cls(np.fromiter((s.t_ms for s in samples), np.int64, len(samples)),
-                   np.fromiter((s.value for s in samples), np.int64, len(samples)))
+        return cls(*_int64_columns(list(samples)))
 
     def __len__(self) -> int:
         return self.t_ms.size

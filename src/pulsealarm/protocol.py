@@ -22,7 +22,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
-from .detector import Sample
+from .detector import Sample, SampleColumns
 from .errors import PulseAlarmError
 from .synth import read_waveform
 
@@ -128,9 +128,9 @@ class FrameDecoder:
 
 def encode_stream(samples: Sequence[Sample], start_seq: int = 0) -> bytes:
     """Encode an ordered sample stream with a sequential frame counter."""
-    return b"".join(
-        encode_frame((start_seq + i) % 256, s) for i, s in enumerate(samples)
-    )
+    columns = SampleColumns.of(samples)
+    seqs = ((start_seq + i) % 256 for i in range(len(columns)))
+    return b"".join(map(_encode, seqs, columns.t_ms.tolist(), columns.value.tolist()))
 
 
 def replay_file(

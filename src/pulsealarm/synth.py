@@ -9,6 +9,7 @@ integer ADC counts clamped to [0, 1023], deterministic for a fixed seed.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass, fields
 from typing import Optional, Sequence, Union
@@ -163,15 +164,15 @@ def synthesize(spec: WaveformSpec) -> tuple[SampleColumns, GroundTruth]:
     return SampleColumns(t_ms, counts), GroundTruth(tuple(beats))
 
 
+_HEADER = "t_ms,value\n"
+
+
 def write_waveform(samples: Sequence[Sample], path) -> None:
     """Write samples as CSV: one `t_ms,value` header then one line per sample."""
     columns = SampleColumns.of(samples)
     with open(path, "w", newline="\n") as f:
-        f.write("t_ms,value\n")
+        f.write(_HEADER)
         f.writelines(map("{},{}\n".format, columns.t_ms.tolist(), columns.value.tolist()))
-
-
-_HEADER = b"t_ms,value\n"
 
 
 def read_waveform(path) -> SampleColumns:
@@ -182,15 +183,16 @@ def read_waveform(path) -> SampleColumns:
     pass. Any other file, or a canonical one with a refused row, is read by
     the line parser, which raises the first line's WaveformParseError."""
     with open(path, "rb") as f:
-        columns = _read_canonical(f.read())
-    return SampleColumns.of(_read_waveform_lines(path)) if columns is None else columns
+        data = f.read()
+    columns = _read_canonical(data)
+    return SampleColumns.of(_read_waveform_lines(data)) if columns is None else columns
 
 
 def _read_canonical(data: bytes) -> Optional[SampleColumns]:
     """The columns of a canonical CSV whose rows Sample accepts in strictly
     increasing time order, else None. 18 digits cannot overflow int64."""
     body = data[len(_HEADER):]
-    if (not data.startswith(_HEADER) or not body.endswith(b"\n")
+    if (not data.startswith(_HEADER.encode()) or not body.endswith(b"\n")
             or body.translate(None, b"0123456789,\n")):
         return None
     raw = np.frombuffer(body, np.uint8)
@@ -208,15 +210,15 @@ def _read_canonical(data: bytes) -> Optional[SampleColumns]:
     return None if (t[1:] <= t[:-1]).any() else columns
 
 
-def _read_waveform_lines(path) -> list[Sample]:
-    """read_waveform for any file, one line at a time: the first line that
-    is not two integers Sample accepts, with a t_ms past the line before's,
-    raises WaveformParseError; a non-UTF-8 byte fails its own."""
+def _read_waveform_lines(data: bytes) -> list[Sample]:
+    """read_waveform for any file's bytes, split into lines as open() does:
+    the first line that is not two integers Sample accepts, with a t_ms past
+    the line before's, raises WaveformParseError; a non-UTF-8 byte its own."""
     samples, last = [], -1  # -1: below every t_ms that Sample accepts
-    with open(path, encoding="utf-8", errors="surrogateescape") as f:
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape") as f:
         header = f.readline()
-        if header.strip() != "t_ms,value":
-            raise WaveformParseError(1, f"expected header 't_ms,value', got {header!r}")
+        if header.strip() != _HEADER.strip():
+            raise WaveformParseError(1, f"expected header {_HEADER.strip()!r}, got {header!r}")
         for lineno, line in enumerate(f, start=2):
             line = line.strip()
             parts = line.split(",")

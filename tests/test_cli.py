@@ -277,6 +277,24 @@ def test_non_utf8_csv_exit_3_names_line(tmp_path, capsys, command, text):
     assert "Traceback" not in err
 
 
+
+
+# a waveform too large for memory: numpy's MemoryError names the
+# allocation, and a bare one is named by its type
+@pytest.mark.parametrize("name,config,exc,err", [
+    ("synthesize", {"waveform": {"duration_ms": 10**10}, "alarm_time_ms": 0},
+     MemoryError("Unable to allocate 7.45 GiB for an array with shape (1000000000,)"),
+     "error: Unable to allocate 7.45 GiB for an array with shape (1000000000,)\n"),
+    ("read_waveform", {"input_path": "wave.csv", "alarm_time_ms": 0}, MemoryError(),
+     "error: MemoryError\n"),
+])
+def test_out_of_memory_exit_3(tmp_path, capsys, monkeypatch, name, config, exc, err):
+    def allocate(*args):
+        raise exc
+    monkeypatch.setattr(cli, name, allocate)
+    assert main(["run", "--config", write_config(tmp_path, config)]) == 3
+    assert capsys.readouterr().err == err
+
 class TestServeSend:
     def test_send_refuses_time_beyond_frame_field(self, tmp_path, capsys):
         csv = tmp_path / "wave.csv"

@@ -406,20 +406,30 @@ def test_scale_invariance(values, shift):
                      "value must be in [0, 1023], got 1024", id="columns-first-bad-row"),
         pytest.param(lambda: SampleColumns([0, 1], [0]), "t_ms and value must have one length",
                      id="columns-length-mismatch"),
-        pytest.param(lambda: SampleColumns([[0, 1]], [[0, 0]]), "t_ms must be one-dimensional",
+        # a list's rows are built as Samples, so a nested list is a row
+        # Sample refuses; an array is judged by its shape
+        pytest.param(lambda: SampleColumns([[0, 1]], [[0, 0]]), "t_ms must be an integer, got [0, 1]",
                      id="columns-2d"),
+        pytest.param(lambda: SampleColumns([0, 1], [[5], [6]]), "value must be an integer, got [5]",
+                     id="columns-nested-value-list"),
+        pytest.param(lambda: SampleColumns(np.zeros((1, 2), int), np.zeros((1, 2), int)),
+                     "t_ms must be one-dimensional, got shape (1, 2)", id="columns-2d-array"),
         pytest.param(lambda: SampleColumns([2**63], [0]), "t_ms must be below 2**63",
                      id="columns-t-beyond-int64"),
         pytest.param(lambda: SampleColumns(np.array([2**63], dtype=np.uint64), [0]),
                      "t_ms must be below 2**63", id="columns-uint64-t"),
-        pytest.param(lambda: SampleColumns([0], np.array([0.5])),
-                     "value must be integers below 2**63", id="columns-float-value"),
-        pytest.param(lambda: SampleColumns([0, 1.9], [600, 0]),
+        pytest.param(lambda: SampleColumns(np.array([0.5]), np.array([0])),
                      "t_ms must be integers below 2**63, got dtype float64",
-                     id="columns-float-t-list"),
+                     id="columns-float-t-array"),
+        # a list next to an array: the rows are built as Samples
+        pytest.param(lambda: SampleColumns([0], np.array([0.5])),
+                     "value must be an integer, got", id="columns-float-value"),
+        pytest.param(lambda: SampleColumns(np.array([0, 1]), [5, 1024]),
+                     "value must be in [0, 1023], got 1024", id="columns-array-and-list"),
+        pytest.param(lambda: SampleColumns([0, 1.9], [600, 0]),
+                     "t_ms must be an integer, got 1.9", id="columns-float-t-list"),
         pytest.param(lambda: SampleColumns([0, 1], [600.7, 0]),
-                     "value must be integers below 2**63, got dtype float64",
-                     id="columns-float-value-list"),
+                     "value must be an integer, got 600.7", id="columns-float-value-list"),
         # a fractional time is refused, not cut to one that does not advance
         pytest.param(lambda: detect_beats([Sample(0, 600), Sample(0.5, 0), Sample(1, 600)]),
                      "t_ms must be an integer, got 0.5", id="detect-fractional-t"),
@@ -434,7 +444,7 @@ def test_scale_invariance(values, shift):
                      id="sample-float-value"),
         pytest.param(lambda: Sample(2**63, 0), "t_ms must be below 2**63, got 9223372036854775808",
                      id="sample-t-beyond-int64"),
-        pytest.param(lambda: SampleColumns([True], [5]), "t_ms must be integers below 2**63",
+        pytest.param(lambda: SampleColumns([True], [5]), "t_ms must be an integer, got True",
                      id="columns-bool-t"),
     ],
 )

@@ -1,6 +1,7 @@
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -191,6 +192,20 @@ def test_any_chunking_gives_the_same_report(cuts, chunked, alarm_time, streak):
             for sample in DEADLINE_SAMPLES[a:b]:
                 pipeline.push(sample)
     assert pipeline.report().to_jsonl() == expected.report().to_jsonl()
+
+
+
+def test_numpy_integer_samples_give_push_chunks_report():
+    """Sample keeps a numpy integer as an int, so push writes a JSON report
+    from rows of np.int64, the one push_chunk writes for the same rows."""
+    rows = list(map(Sample, DEADLINE_SAMPLES.t_ms, DEADLINE_SAMPLES.value))
+    assert type(rows[0].t_ms) is type(rows[0].value) is int
+    pushed, chunked = _pipeline(BEAT_TIMES[4], 1), _pipeline(BEAT_TIMES[4], 1)
+    for sample in rows:
+        pushed.push(sample)
+    chunked.push_chunk(SampleColumns.of(rows))
+    assert pushed.transitions
+    assert pushed.report().to_jsonl() == chunked.report().to_jsonl()
 
 
 @settings(max_examples=50, deadline=None)

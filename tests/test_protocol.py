@@ -15,6 +15,7 @@ from pulsealarm import (
     PulseAlarmError,
     Resync,
     Sample,
+    SampleColumns,
     SampleOutcome,
     WaveformParseError,
     WaveformSpec,
@@ -150,6 +151,23 @@ def test_round_trip_identity(start_seq, specs):
     outcomes = FrameDecoder().feed(encode_stream(samples, start_seq))
     assert [o.sample for o in outcomes if isinstance(o, SampleOutcome)] == samples
     assert not any(isinstance(o, (CorruptFrame, Resync)) for o in outcomes)
+
+
+
+@settings(max_examples=50)
+@given(
+    start_seq=st.integers(min_value=0, max_value=255),
+    specs=st.lists(
+        st.tuples(st.integers(0, 2**32 - 1), st.integers(0, ADC_MAX)), max_size=30
+    ),
+)
+@example(start_seq=250, specs=[(10 * i, i) for i in range(12)])  # seq wraps past 255
+@example(start_seq=0, specs=[(i, i % (ADC_MAX + 1)) for i in range(300)])
+def test_encode_stream_of_columns_equals_frame_by_frame(start_seq, specs):
+    samples = [Sample(t, v) for t, v in specs]
+    frames = b"".join(encode_frame((start_seq + i) % 256, s) for i, s in enumerate(samples))
+    assert encode_stream(SampleColumns.of(samples), start_seq) == frames
+    assert encode_stream(samples, start_seq) == frames
 
 
 @settings(max_examples=200)

@@ -9,6 +9,7 @@ from pulsealarm import (
     ADC_MAX,
     BandMode,
     Phase,
+    Sample,
     SampleColumns,
     SchmittConfig,
     StrayPulse,
@@ -196,9 +197,18 @@ class TestWaveformCsv:
     def test_bad_header_is_parse_error_on_line_1(self, tmp_path, text):
         path = tmp_path / "bad.csv"
         path.write_text(text)
-        with pytest.raises(WaveformParseError, match="^line 1: expected header") as exc:
+        with pytest.raises(WaveformParseError) as exc:
             read_waveform(path)
         assert exc.value.line_number == 1
+        header = text.splitlines(keepends=True)[0] if text else ""
+        assert str(exc.value) == f"line 1: expected header 't_ms,value', got {header!r}"
+
+    def test_line_parser_splits_lines_as_a_text_file_does(self, tmp_path):
+        # CRLF and a lone CR end a line; a form feed and U+0085, which
+        # str.splitlines also splits at, do not, and int() strips them
+        path = tmp_path / "mixed.csv"
+        path.write_bytes("t_ms,value\r\n0,5\r10,6\n20,\x0c7\n30,\x858\n".encode())
+        assert read_waveform(path) == [Sample(0, 5), Sample(10, 6), Sample(20, 7), Sample(30, 8)]
 
     def test_header_only_is_empty_stream(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -208,7 +218,7 @@ class TestWaveformCsv:
     def test_written_file_takes_the_numpy_path(self):
         columns = _read_canonical(GOLDEN_CSV.read_bytes())
         assert columns is not None and len(columns) > 0
-        assert columns == SampleColumns.of(_read_waveform_lines(GOLDEN_CSV))
+        assert columns == SampleColumns.of(_read_waveform_lines(GOLDEN_CSV.read_bytes()))
 
 
 # The canonical grammar's bytes and the ones the line parser also reads
@@ -259,7 +269,7 @@ def test_numpy_path_equals_line_parser(tmp_path_factory, data):
     path = tmp_path_factory.getbasetemp() / "fuzz.csv"
     path.write_bytes(data)
     fast = _read_or_message(read_waveform, path)
-    lines = _read_or_message(lambda p: SampleColumns.of(_read_waveform_lines(p)), path)
+    lines = _read_or_message(lambda p: SampleColumns.of(_read_waveform_lines(p.read_bytes())), path)
     assert type(fast) is type(lines)
     assert fast == lines
 
