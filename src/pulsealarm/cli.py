@@ -15,10 +15,10 @@ takes its samples from the socket, so it refuses a `waveform` or
 `input_path`; it reports the gaps, corrupt frames and resyncs its
 FrameDecoder counts, and drops samples whose time does not advance,
 logging their count at WARNING, instead of aborting. It waits
-IDLE_TIMEOUT_S for a sender (else exit 3) and for data (else closed).
+IDLE_TIMEOUT_S for a sender (else exit 3) and for data (else, or on a reset, closed).
 
 Exit codes: 0 expected final phase (or nothing to check), 1 unexpected
-final phase, 2 configuration error (a malformed config value, a value a
+final phase, 2 configuration error (a malformed config or value, a value a
 `scenario` or the bench grid sets, a bad PULSEALARM_PORT, PULSEALARM_LOG,
 `--seed` or `send --speed`), 3 I/O, protocol-fatal or out-of-memory error.
 """
@@ -166,7 +166,7 @@ def _load_json(path: str) -> dict:
     try:
         with open(path) as f:
             return _CONFIG(json.load(f))
-    except (TypeError, ValueError) as exc:  # malformed JSON or text, or a bad top level
+    except (TypeError, ValueError, RecursionError) as exc:  # malformed or too deeply nested
         raise ConfigError(f"{path}: {exc}") from exc
 
 
@@ -195,8 +195,8 @@ def _load_run(config: dict, command: str) -> tuple[tuple, Optional[WaveformSpec]
     if command == "run" and len(sources) != 1:
         raise ConfigError("run takes exactly one of 'waveform', 'scenario', 'input_path'")
     profile = config.get("profile")
-    engine = config.get("engine", {})
-    mode = engine.get("band_mode", BandMode.FIXED)
+    engine = dict(config.get("engine", {}))
+    mode = engine.pop("band_mode", BandMode.FIXED)  # leaves EngineConfig's keys
     expected = config.get("expected_final_phase")
     spec = config.get("waveform")
     if "scenario" in config:
@@ -214,9 +214,7 @@ def _load_run(config: dict, command: str) -> tuple[tuple, Optional[WaveformSpec]
             expected = scenario.expected_final_phase
     else:
         with _values("engine"):
-            engine_cfg = EngineConfig(
-                satisfaction_band(profile, mode), engine.get("required_streak", 3)
-            )
+            engine_cfg = EngineConfig(satisfaction_band(profile, mode), **engine)
         if "alarm_time_ms" not in config:
             raise ConfigError(f"alarm_time_ms: {command} requires it unless using a scenario")
         alarm_time = config["alarm_time_ms"]
@@ -326,6 +324,8 @@ def cmd_serve(config: dict, args) -> int:
                                 dropped += 1
             except TimeoutError:  # a stalled sender ends the stream like a close
                 log.warning("no data for %g s; closing the connection", IDLE_TIMEOUT_S)
+            except ConnectionError as exc:  # and so does a reset
+                log.warning("connection lost (%s); ending the stream", exc)
         if dropped:
             log.warning("dropped %d samples whose time did not advance", dropped)
     report = pipeline.report(gap_count=decoder.gaps, corrupt_count=decoder.corrupt_frames,

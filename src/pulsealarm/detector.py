@@ -27,6 +27,7 @@ import numpy as np
 from .errors import StreamOrderError
 
 ADC_MAX = 1023
+_NOT_ADVANCING = "sample at t_ms={} does not advance past {}"  # BeatDetector's refusal
 
 PLAUSIBLE_MIN_BPM = 23.0
 PLAUSIBLE_MAX_BPM = 200.0
@@ -185,9 +186,7 @@ class BeatDetector:
     def push(self, sample: Sample) -> Optional[BeatEvent]:
         t = sample.t_ms
         if self.last_t_ms is not None and t <= self.last_t_ms:
-            raise StreamOrderError(
-                f"sample at t_ms={t} does not advance past {self.last_t_ms}"
-            )
+            raise StreamOrderError(_NOT_ADVANCING.format(t, self.last_t_ms))
         self.last_t_ms = t
         if self.high:
             if sample.value <= self.config.lower_threshold:
@@ -214,7 +213,7 @@ class BeatDetector:
         stalled = np.flatnonzero(ts[1:] <= ts[:-1])
         if stalled.size:
             i = stalled[0]
-            raise StreamOrderError(f"sample at t_ms={ts[i + 1]} does not advance past {ts[i]}")
+            raise StreamOrderError(_NOT_ADVANCING.format(ts[i + 1], ts[i]))
         cfg = self.config
         up = v >= cfg.upper_threshold
         marked = np.flatnonzero(up | (v <= cfg.lower_threshold))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable
 
 import numpy as np
@@ -116,7 +116,8 @@ class Pipeline:
     can change the state; the transitions are those of ticking every sample.
     push_chunk is the block step. push stays as the one-sample step because
     a one-sample chunk costs tens of microseconds in numpy set-up, and
-    `serve` receives one frame at a time.
+    `serve` receives one frame at a time. Both fill one RunReport as they
+    go, which report() copies.
     """
 
     def __init__(
@@ -130,10 +131,7 @@ class Pipeline:
         self._estimator = BpmEstimator(smoothing_window)
         self._engine_state = AlarmEngineState(engine_config, alarm_time_ms)
         self._deadline = next_tick_ms(self._engine_state)
-        self.transitions: list[LogTransition] = []
-        self.readings: list[BpmEstimate] = []
-        self.beat_count = 0
-        self.sample_count = 0
+        self._report = RunReport([], [], 0, 0, self._engine_state.phase)
 
     @property
     def engine_state(self) -> AlarmEngineState:
@@ -142,20 +140,21 @@ class Pipeline:
     def _engine_step(self, event) -> None:
         self._engine_state, transitions = step(self._engine_state, event)
         self._deadline = next_tick_ms(self._engine_state)
-        self.transitions.extend(transitions)
+        self._report.transitions.extend(transitions)
+        self._report.final_phase = self._engine_state.phase
 
     def _beat(self, beat: BeatEvent) -> None:
-        self.beat_count += 1
+        self._report.beat_count += 1
         estimate = self._estimator.add(beat)
         if estimate is not None:
-            self.readings.append(estimate)
+            self._report.readings.append(estimate)
             self._engine_step(estimate)
 
     def push(self, sample: Sample) -> None:
         """Feed one sample. A sample whose time does not advance raises
         StreamOrderError from the detector and changes nothing."""
         beat = self._detector.push(sample)
-        self.sample_count += 1
+        self._report.sample_count += 1
         if self._deadline is not None and sample.t_ms >= self._deadline:
             self._engine_step(ClockTick(sample.t_ms))
         if beat is not None:
@@ -170,7 +169,7 @@ class Pipeline:
         from the detector and changes nothing."""
         beats = self._detector.push_chunk(columns)
         t = columns.t_ms
-        self.sample_count += t.size
+        self._report.sample_count += t.size
         deadline, tick = self._deadline, None
         if deadline is not None and t.size and deadline <= int(t[-1]):
             # t_ms is never negative, so a time of 0 finds the same sample
@@ -186,15 +185,11 @@ class Pipeline:
     def report(
         self, gap_count: int = 0, corrupt_count: int = 0, resync_count: int = 0
     ) -> RunReport:
-        return RunReport(
-            transitions=list(self.transitions),
-            readings=list(self.readings),
-            beat_count=self.beat_count,
-            sample_count=self.sample_count,
-            final_phase=self._engine_state.phase,
-            gap_count=gap_count,
-            corrupt_count=corrupt_count,
-            resync_count=resync_count,
+        """A copy of the run so far, with the protocol's counts."""
+        run = self._report
+        return replace(
+            run, transitions=list(run.transitions), readings=list(run.readings),
+            gap_count=gap_count, corrupt_count=corrupt_count, resync_count=resync_count,
         )
 
 

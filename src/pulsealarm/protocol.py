@@ -18,6 +18,7 @@ exceptions, and parsing resumes at the next plausible sync byte.
 from __future__ import annotations
 
 import struct
+import threading
 import time
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
@@ -142,9 +143,9 @@ def replay_file(
     sample intervals, 2.0 twice as fast, 0 disables pacing entirely. Each
     frame waits for its own due time on the monotonic clock, so a late
     wake-up delays one frame, not every frame after it.
-    Returns the number of frames sent. read_waveform checks the whole file,
-    and every frame is encoded, before `connect` is called, so a refused
-    file opens no sink.
+    Returns the number of frames sent. The whole file is read and checked,
+    every frame encoded and the pacing checked against the longest sleep,
+    before `connect` is called, so a refused file or speed opens no sink.
     """
     columns = read_waveform(path)
     times = columns.t_ms.tolist()
@@ -154,8 +155,14 @@ def replay_file(
             frames.append(_encode(i % 256, t_ms, value))
         except ValueError as exc:  # sample i is line i + 2
             raise PulseAlarmError(f"line {i + 2}: {exc}") from None
+    first, last = (times[0], times[-1]) if times else (0, 0)
+    span_s = (last - first) / 1000.0 / speed if speed > 0 else 0.0
+    longest_s = threading.TIMEOUT_MAX - time.monotonic()  # time.sleep's deadline bound
+    if span_s > longest_s:
+        raise PulseAlarmError(f"speed {speed:g}: the last frame would be due {span_s:g} s "
+                              f"after the first, past the longest sleep of {longest_s:g} s")
     sink = connect()
-    start, first = time.monotonic(), times[0] if times else 0
+    start = time.monotonic()
     for t_ms, frame in zip(times, frames):
         if speed > 0:
             delay = start + (t_ms - first) / 1000.0 / speed - time.monotonic()

@@ -246,7 +246,6 @@ class WakeScenario:
     spec: WaveformSpec
     alarm_time_ms: int
     engine_config: EngineConfig
-    exercise_bpm: float
     expected_transitions: tuple[tuple[Phase, Phase], ...]
     expected_final_phase: Phase
 
@@ -296,7 +295,6 @@ def make_wake_scenario(
         spec=spec,
         alarm_time_ms=sleep_duration_ms,
         engine_config=engine_config,
-        exercise_bpm=exercise_bpm,
         expected_transitions=tuple(transitions),
         expected_final_phase=transitions[-1][1],
     )

@@ -6,6 +6,7 @@ import os
 import pathlib
 import re
 import socket
+import struct
 import subprocess
 import sys
 import tempfile
@@ -317,6 +318,21 @@ class TestServeSend:
         err = capsys.readouterr().err
         assert err == "error: line 502: t_ms=100 does not advance past 4990\n"
 
+    def test_speed_too_small_for_the_file_opens_no_connection(self, tmp_path, capsys):
+        """At --speed 1e-13 a 10 ms step is due 1e11 s later, past the
+        longest sleep the platform allows, so send refuses it up front."""
+        csv = tmp_path / "wave.csv"
+        csv.write_text("t_ms,value\n0,300\n10,300\n")
+        with socket.create_server(("127.0.0.1", 0)) as server:
+            port = str(server.getsockname()[1])
+            assert main(["send", "--port", port, "--file", str(csv), "--speed", "1e-13"]) == 3
+            server.settimeout(0.2)
+            with pytest.raises(TimeoutError):
+                server.accept()
+        err = capsys.readouterr().err
+        assert err.startswith("error: speed 1e-13: the last frame would be due 1e+11 s after "
+                              "the first, past the longest sleep of ")
+
     def test_no_connection_times_out(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "IDLE_TIMEOUT_S", 0.3)
         cfg = write_config(tmp_path, {"alarm_time_ms": 0})
@@ -375,6 +391,29 @@ class TestServeSend:
         assert code == 0
         assert json.loads(report.splitlines()[-1])["samples"] == len(samples)
         assert "no data for 0.3 s" in caplog.text
+
+    def test_reset_sender_ends_the_stream(self, tmp_path, caplog):
+        """A sender that resets the connection (SO_LINGER 0 closes with an
+        RST) ends the stream as a stall does. The RST may discard bytes
+        serve has not read yet, so it reports at most the frames sent."""
+        samples, _ = synthesize(WaveformSpec(duration_ms=5000, heart_rate_bpm=60))
+        data = encode_stream(samples[:100])
+
+        def send(port):
+            try:
+                sock = socket.create_connection(("127.0.0.1", port))
+            except ConnectionRefusedError:
+                return False
+            with sock:
+                sock.sendall(data)
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            return True
+
+        code, report = serve_loopback(tmp_path, {"alarm_time_ms": 0}, send)
+        assert code == 0
+        assert json.loads(report.splitlines()[-1])["samples"] <= 100
+        assert [r.levelname for r in caplog.records if "connection lost" in r.getMessage()] == \
+            ["WARNING"]
 
     def test_serve_scenario_report_equals_run(self, tmp_path):
         config = {
@@ -537,6 +576,11 @@ def test_bad_config_value_exit_2(tmp_path, capsys, monkeypatch, command, base, p
     "command,config,flags,message",
     [
         pytest.param("run", "not json", [], "config.json: Expecting value", id="malformed-json"),
+        # json.load raises RecursionError on deep nesting, at the top or in a section
+        pytest.param("run", "[" * 100000 + "]" * 100000, [],
+                     "config.json: maximum recursion depth exceeded", id="deeply-nested-json"),
+        pytest.param("run", '{"waveform": ' + "[" * 100000 + "]" * 100000 + "}", [],
+                     "config.json: maximum recursion depth exceeded", id="deeply-nested-section"),
         pytest.param("synth", {}, [], "synth requires a 'waveform' section",
                      id="synth-no-waveform"),
         pytest.param("synth", {"waveform": {"duration_ms": 1000}}, [],

@@ -135,26 +135,13 @@ def test_non_advancing_sample_refused_without_effect():
     pipeline = Pipeline(SCHMITT, EngineConfig(required_streak=1), alarm_time_ms=1000)
     for s in samples:
         pipeline.push(s)
-    assert pipeline.beat_count > 0 and pipeline.transitions
-    before = (
-        pipeline.sample_count,
-        pipeline.beat_count,
-        list(pipeline.readings),
-        list(pipeline.transitions),
-        pipeline.engine_state,
-    )
+    before = (pipeline.report(), pipeline.engine_state)
+    assert before[0].beat_count > 0 and before[0].transitions
     last = samples[-1]
     for t_ms in (last.t_ms, last.t_ms - 10):
         with pytest.raises(StreamOrderError):
             pipeline.push(Sample(t_ms, 1000))
-        after = (
-            pipeline.sample_count,
-            pipeline.beat_count,
-            list(pipeline.readings),
-            list(pipeline.transitions),
-            pipeline.engine_state,
-        )
-        assert after == before
+        assert (pipeline.report(), pipeline.engine_state) == before
 
 
 # DEADLINE_SAMPLES' beat times: an alarm at one rings at a beat's sample,
@@ -195,6 +182,30 @@ def test_any_chunking_gives_the_same_report(cuts, chunked, alarm_time, streak):
 
 
 
+def test_report_taken_mid_stream_is_a_copy():
+    """report() copies the pipeline's one run record: a report taken before
+    the alarm keeps its values while more samples arrive by push and by
+    push_chunk, and changing it changes nothing in the pipeline."""
+    pipeline = _pipeline(BEAT_TIMES[4], 1)
+    pipeline.push_chunk(DEADLINE_SAMPLES[:150])
+    early = pipeline.report(gap_count=1)
+    text = early.to_jsonl()
+    assert early.readings and not early.transitions
+    for sample in DEADLINE_SAMPLES[150:300]:
+        pipeline.push(sample)
+    pipeline.push_chunk(DEADLINE_SAMPLES[300:])
+    assert early.to_jsonl() == text
+    assert early.final_phase is Phase.ARMED
+    late = pipeline.report()
+    assert late.transitions and late.final_phase is Phase.STOPPED
+    assert (late.sample_count, late.gap_count) == (len(DEADLINE_SAMPLES), 0)
+    late.readings.clear()
+    late.transitions.clear()
+    late.sample_count = 0
+    assert pipeline.report() == run_pipeline(DEADLINE_SAMPLES, SCHMITT,
+                                             EngineConfig(required_streak=1), BEAT_TIMES[4])
+
+
 def test_numpy_integer_samples_give_push_chunks_report():
     """Sample keeps a numpy integer as an int, so push writes a JSON report
     from rows of np.int64, the one push_chunk writes for the same rows."""
@@ -204,7 +215,7 @@ def test_numpy_integer_samples_give_push_chunks_report():
     for sample in rows:
         pushed.push(sample)
     chunked.push_chunk(SampleColumns.of(rows))
-    assert pushed.transitions
+    assert pushed.report().transitions
     assert pushed.report().to_jsonl() == chunked.report().to_jsonl()
 
 

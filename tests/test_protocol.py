@@ -1,4 +1,5 @@
 import random
+import threading
 from collections import Counter
 from dataclasses import astuple
 from functools import reduce
@@ -290,6 +291,20 @@ class TestReplayFile:
         # plus one sleep's overshoot, not the overshoot of all 100 sleeps
         assert sent_at[0] == 0.0
         assert sent_at[-1] == pytest.approx(0.5 + 0.001)
+
+    def test_speed_bounded_by_the_longest_sleep(self, tmp_path, monkeypatch):
+        """A speed that puts the last frame just inside TIMEOUT_MAX (the fake
+        clock reads 0) sleeps that long; just outside, no sink is opened."""
+        path = tmp_path / "wave.csv"
+        path.write_text("t_ms,value\n0,300\n10,300\n")
+        clock = FakeClock(monkeypatch)
+        at_limit = 0.010 / threading.TIMEOUT_MAX
+        assert replay_file(path, lambda: lambda frame: None, speed=at_limit * (1 + 1e-9)) == 2
+        [(_, slept)] = clock.events
+        assert slept <= threading.TIMEOUT_MAX
+        assert slept == pytest.approx(threading.TIMEOUT_MAX)
+        with pytest.raises(PulseAlarmError, match="past the longest sleep of"):
+            replay_file(path, lambda: pytest.fail("connected"), speed=at_limit * (1 - 1e-9))
 
     def test_non_monotone_refused(self, tmp_path):
         path = tmp_path / "bad.csv"

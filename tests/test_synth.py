@@ -279,7 +279,7 @@ class TestWakeScenario:
         scenario = make_wake_scenario(UserProfile(20, 90))
         segments = scenario.spec.segments()
         assert segments[0][1] == pytest.approx(81.9)  # midpoint of [81.0, 82.8]
-        assert scenario.exercise_bpm == 150.0
+        assert segments[1][1] == 150.0  # midpoint of the fixed band [101, 199]
         assert scenario.expected_transitions == (
             (Phase.ARMED, Phase.RINGING),
             (Phase.RINGING, Phase.STOPPED),
