@@ -9,8 +9,9 @@ whole block of SampleColumns with numpy, and the two can be mixed on one
 detector. They differ only in how they find rising edges: both pass each
 edge through one refractory gate, the only place a beat is built. Sample
 states the one rule for a row; SampleColumns builds a list's rows through
-it and checks an array in bulk. A deliberately fragile single-threshold
-detector is kept as a baseline.
+it and checks an array in bulk, and the rows it hands out are not checked
+again. A deliberately fragile single-threshold detector is kept as a
+baseline.
 """
 
 from __future__ import annotations
@@ -64,6 +65,18 @@ class Sample:
             raise ValueError(f"value must be in [0, {ADC_MAX}], got {v}")
 
 
+_set_t_ms, _set_value = Sample.t_ms.__set__, Sample.value.__set__  # the slots, past frozen
+
+
+def _checked_row(t_ms: int, value: int) -> Sample:
+    """The Sample of two ints that a check has already passed, built
+    without running Sample's check again."""
+    row = object.__new__(Sample)
+    _set_t_ms(row, t_ms)
+    _set_value(row, value)
+    return row
+
+
 def _int64_columns(samples: list[Sample]) -> tuple[np.ndarray, np.ndarray]:
     """The t_ms and value of rows that Sample has checked, as int64 arrays."""
     n = len(samples)
@@ -76,7 +89,9 @@ class SampleColumns(collections.abc.Sequence):
     either column is a list or a tuple, each row is built as a Sample; two
     arrays are judged by dtype and shape, then the first row out of range
     raises its Sample error. A Sequence[Sample], it equals another
-    SampleColumns or a list holding the same Samples."""
+    SampleColumns or a list holding the same Samples. Its rows are built
+    without Sample's check, which the columns passed in bulk, so neither
+    column can be rebound after construction."""
 
     __slots__ = ("t_ms", "value")
 
@@ -95,11 +110,16 @@ class SampleColumns(collections.abc.Sequence):
         if t.shape != v.shape:
             raise ValueError(f"t_ms and value must have one length, got {t.size} and {v.size}")
         # a uint64 entry at or above 2**63 casts to a negative one
-        self.t_ms, self.value = t.astype(np.int64), v.astype(np.int64)
-        bad = np.flatnonzero((self.t_ms < 0) | (self.value < 0) | (self.value > ADC_MAX))
+        t_64, v_64 = t.astype(np.int64), v.astype(np.int64)
+        bad = np.flatnonzero((t_64 < 0) | (v_64 < 0) | (v_64 > ADC_MAX))
         if bad.size:
             Sample(t[bad[0]], v[bad[0]])  # raises for this row
-        self.t_ms.flags.writeable = self.value.flags.writeable = False
+        t_64.flags.writeable = v_64.flags.writeable = False
+        object.__setattr__(self, "t_ms", t_64)
+        object.__setattr__(self, "value", v_64)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"SampleColumns is read-only: cannot set {name!r}")
 
     @classmethod
     def of(cls, samples: Iterable[Sample]) -> SampleColumns:
@@ -114,10 +134,10 @@ class SampleColumns(collections.abc.Sequence):
     def __getitem__(self, index):
         if isinstance(index, slice):
             return SampleColumns(self.t_ms[index], self.value[index])
-        return Sample(int(self.t_ms[index]), int(self.value[index]))
+        return _checked_row(int(self.t_ms[index]), int(self.value[index]))
 
     def __iter__(self):
-        return map(Sample, self.t_ms.tolist(), self.value.tolist())
+        return map(_checked_row, self.t_ms.tolist(), self.value.tolist())
 
     def __eq__(self, other):
         if isinstance(other, SampleColumns):

@@ -13,6 +13,11 @@ byte-stuffing, disambiguates. A frame is corrupt when its checksum fails
 or when Sample refuses its fields (a value above 1023). The decoder is
 total over arbitrary input: corruption surfaces as outcomes, never
 exceptions, and parsing resumes at the next plausible sync byte.
+
+One wire layout, _FRAME for one frame and _WIRE for a block of frames,
+serves the encoder and the decoder. The decoder checks frames one at a
+time, and checks a run of at least _BULK_MIN buffered whole frames in one
+numpy pass instead; its outcomes and counts are the same either way.
 """
 
 from __future__ import annotations
@@ -23,33 +28,46 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
-from .detector import Sample, SampleColumns
+import numpy as np
+
+from .detector import ADC_MAX, Sample, SampleColumns
 from .errors import PulseAlarmError
 from .synth import read_waveform
 
 SYNC_BYTE = 0xAA
 _FRAME = struct.Struct(">BBIHB")  # sync, seq, t_ms, value, checksum
 FRAME_LEN = _FRAME.size  # 9
+# _FRAME as a numpy record, for a block of frames at once
+_WIRE = np.dtype([("sync", "u1"), ("seq", "u1"), ("t_ms", ">u4"), ("value", ">u2"), ("check", "u1")])
+_BULK_MIN = 32
+"""The fewest whole frames, buffered from the scan position, that
+FrameDecoder checks in one numpy pass rather than one at a time. A pass
+has a fixed cost that pays off from about 24 frames: in recvs of n frames
+through feed and Pipeline.push, as serve runs them, a pass per recv cost
++27% at n = 16, +1% at 24, -6% at 28 and -15% at 32 against the
+frame-by-frame scan (calibrated time, Python 3.11, numpy 2.4, 2-core VM).
+After a frame fails, the scan also waits for _BULK_MIN valid frames in a
+row before it tries a pass again."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SampleOutcome:
     seq: int
     sample: Sample
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Gap:
     expected_seq: int
     got_seq: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CorruptFrame:
     byte_offset: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Resync:
     skipped_bytes: int
 
@@ -59,7 +77,8 @@ ParseOutcome = Union[SampleOutcome, Gap, CorruptFrame, Resync]
 
 def _checksum(seq: int, t_ms: int, value: int) -> int:
     """XOR of frame bytes 1-7, folded from the fields: the high and low
-    halves of t_ms and value XOR to 16 bits, then its two bytes to one."""
+    halves of t_ms and value XOR to 16 bits, then its two bytes to one.
+    The fields may be ints or integer arrays alike."""
     x = t_ms ^ (t_ms >> 16) ^ value
     return (seq ^ x ^ (x >> 8)) & 0xFF
 
@@ -70,11 +89,16 @@ def encode_frame(seq: int, sample: Sample) -> bytes:
 
 def _encode(seq: int, t_ms: int, value: int) -> bytes:
     """encode_frame of the fields of a row that Sample accepts."""
+    _check_fields(seq, t_ms)
+    return _FRAME.pack(SYNC_BYTE, seq, t_ms, value, _checksum(seq, t_ms, value))
+
+
+def _check_fields(seq: int, t_ms: int) -> None:
+    """Refuse a seq outside one byte and a t_ms that does not fit 4 bytes."""
     if not 0 <= seq <= 255:
         raise ValueError(f"seq must fit one byte, got {seq}")
     if t_ms >= 2**32:
         raise ValueError(f"t_ms must fit 4 bytes (below 2**32), got {t_ms}")
-    return _FRAME.pack(SYNC_BYTE, seq, t_ms, value, _checksum(seq, t_ms, value))
 
 
 class FrameDecoder:
@@ -84,6 +108,15 @@ class FrameDecoder:
     CorruptFrame (with its absolute byte offset) when a sync byte leads a frame
     that fails validation, and Resync counting the bytes skipped to find a sync
     byte; gaps, corrupt_frames and resyncs count the last three.
+
+    feed scans frame by frame, but where at least _BULK_MIN whole frames are
+    buffered from the scan position it checks them in one numpy pass (see
+    _decode_run) up to the first frame that fails. The scan takes that
+    frame, and tries a pass again at the start of the next feed or once
+    _BULK_MIN valid frames in a row have passed it, so that a densely
+    damaged stream, which would end each pass within a frame or two, is
+    not charged a pass per valid frame. The outcomes and counts are the
+    frame-by-frame scan's at any chunking.
     """
 
     def __init__(self):
@@ -96,6 +129,8 @@ class FrameDecoder:
         self._buf.extend(data)
         out: list[ParseOutcome] = []
         buf = self._buf
+        last_start = len(buf) - _BULK_MIN * FRAME_LEN  # _BULK_MIN whole frames from here on
+        bulk_from = 0  # no pass before it: a failed frame moves it _BULK_MIN frames on
         i = 0
         while True:
             sync = buf.find(SYNC_BYTE, i)
@@ -103,9 +138,14 @@ class FrameDecoder:
             if sync > i:
                 out.append(Resync(sync - i))
                 self.resyncs += 1
+                bulk_from = sync + _BULK_MIN * FRAME_LEN
             i = sync
             if len(buf) - i < FRAME_LEN:
                 break  # a partial frame, or none: wait for more bytes
+            if i <= last_start and i >= bulk_from:
+                i = self._decode_run(buf, i, out)
+                bulk_from = i + 1  # the scan takes the frame that failed the pass
+                continue
             _, seq, t_ms, value, check = _FRAME.unpack_from(buf, i)
             try:
                 sample = check == _checksum(seq, t_ms, value) and Sample(t_ms, value)
@@ -115,6 +155,7 @@ class FrameDecoder:
                 out.append(CorruptFrame(self._offset + i))
                 self.corrupt_frames += 1
                 i += 1  # drop only the sync byte, rescan inside the frame
+                bulk_from = i + _BULK_MIN * FRAME_LEN
                 continue
             out.append(SampleOutcome(seq, sample))
             if self._last_seq is not None and (seq - self._last_seq) % 256 != 1:
@@ -126,12 +167,59 @@ class FrameDecoder:
         self._offset += i
         return out
 
+    def _decode_run(self, buf: bytearray, i: int, out: list[ParseOutcome]) -> int:
+        """The bulk pass over the whole frames from buf[i]: the leading run
+        of valid frames becomes SampleOutcomes, rows of one SampleColumns,
+        each followed by a Gap where its seq does not follow the one before.
+        Returns the offset of the first frame that fails, or past the last
+        whole frame."""
+        n = (len(buf) - i) // FRAME_LEN
+        block = buf[i : i + n * FRAME_LEN]  # a copy: a view of buf would block its resize
+        raw = np.frombuffer(block, np.uint8).reshape(n, FRAME_LEN)
+        frames = np.frombuffer(block, _WIRE)
+        seq, t_ms, value = frames["seq"], frames["t_ms"], frames["value"]
+        # the XOR of bytes 1-7 equals byte 8 where the XOR of bytes 1-8 is 0
+        ok = (raw[:, 0] == SYNC_BYTE) & (value <= ADC_MAX) & (
+            np.bitwise_xor.reduce(raw[:, 1:], axis=1) == 0
+        )
+        k = n if ok.all() else int(ok.argmin())
+        if not k:
+            return i
+        rows = list(SampleColumns(t_ms[:k], value[:k]))
+        seqs = seq[:k].tolist()
+        # the frames whose seq does not follow the one before (uint8 wraps)
+        jumps = [j + 1 for j in np.flatnonzero(seq[1:k] - seq[: k - 1] != 1).tolist()]
+        last = self._last_seq
+        if last is not None and (seqs[0] - last) % 256 != 1:
+            jumps.insert(0, 0)
+        start = 0
+        for j in jumps:
+            out.extend(map(SampleOutcome, seqs[start : j + 1], rows[start : j + 1]))
+            out.append(Gap(((seqs[j - 1] if j else last) + 1) % 256, seqs[j]))
+            start = j + 1
+        out.extend(map(SampleOutcome, seqs[start:], rows[start:]))
+        self.gaps += len(jumps)
+        self._last_seq = seqs[-1]
+        return i + k * FRAME_LEN
+
 
 def encode_stream(samples: Sequence[Sample], start_seq: int = 0) -> bytes:
-    """Encode an ordered sample stream with a sequential frame counter."""
+    """Encode an ordered sample stream with a sequential frame counter:
+    encode_frame over every row, seq counting up from start_seq modulo 256,
+    in one numpy pass over the wire layout. A start_seq outside one byte,
+    or else the first t_ms that does not fit 4 bytes, raises encode_frame's
+    ValueError."""
     columns = SampleColumns.of(samples)
-    seqs = ((start_seq + i) % 256 for i in range(len(columns)))
-    return b"".join(map(_encode, seqs, columns.t_ms.tolist(), columns.value.tolist()))
+    t, v = columns.t_ms, columns.value
+    beyond = np.flatnonzero(t >= 2**32)
+    _check_fields(start_seq, int(t[beyond[0]]) if beyond.size else 0)
+    frames = np.empty(t.size, _WIRE)
+    frames["sync"] = SYNC_BYTE
+    frames["seq"] = seq = (start_seq + np.arange(t.size)) % 256
+    frames["t_ms"] = t
+    frames["value"] = v
+    frames["check"] = _checksum(seq, t, v)
+    return frames.tobytes()
 
 
 def replay_file(
@@ -148,13 +236,11 @@ def replay_file(
     before `connect` is called, so a refused file or speed opens no sink.
     """
     columns = read_waveform(path)
+    try:
+        data = encode_stream(columns)
+    except ValueError as exc:  # only a t_ms can be refused; sample i is line i + 2
+        raise PulseAlarmError(f"line {int(np.argmax(columns.t_ms >= 2**32)) + 2}: {exc}") from None
     times = columns.t_ms.tolist()
-    frames = []
-    for i, (t_ms, value) in enumerate(zip(times, columns.value.tolist())):
-        try:
-            frames.append(_encode(i % 256, t_ms, value))
-        except ValueError as exc:  # sample i is line i + 2
-            raise PulseAlarmError(f"line {i + 2}: {exc}") from None
     first, last = (times[0], times[-1]) if times else (0, 0)
     span_s = (last - first) / 1000.0 / speed if speed > 0 else 0.0
     longest_s = threading.TIMEOUT_MAX - time.monotonic()  # time.sleep's deadline bound
@@ -163,10 +249,10 @@ def replay_file(
                               f"after the first, past the longest sleep of {longest_s:g} s")
     sink = connect()
     start = time.monotonic()
-    for t_ms, frame in zip(times, frames):
+    for i, t_ms in enumerate(times):
         if speed > 0:
             delay = start + (t_ms - first) / 1000.0 / speed - time.monotonic()
             if delay > 0:
                 time.sleep(delay)
-        sink(frame)
-    return len(frames)
+        sink(data[i * FRAME_LEN : (i + 1) * FRAME_LEN])
+    return len(times)

@@ -1,4 +1,5 @@
 import random
+from dataclasses import FrozenInstanceError
 from itertools import pairwise
 
 import numpy as np
@@ -105,6 +106,15 @@ class TestSampleColumns:
         assert columns[0] == Sample(0, 1)
         with pytest.raises(ValueError):
             columns.value[0] = 3
+
+    def test_columns_cannot_be_rebound(self):
+        """Rows are built without Sample's check, trusting the columns'
+        check at construction, so neither column can be swapped after it."""
+        columns = SampleColumns(np.array([0, 10]), np.array([5, 6]))
+        for name in ("t_ms", "value"):
+            with pytest.raises(AttributeError, match="read-only"):
+                setattr(columns, name, np.array([-1, ADC_MAX + 1]))
+        assert list(columns) == [Sample(0, 5), Sample(10, 6)]
 
     def test_zero_sample_waveform(self):
         samples, _ = synthesize(WaveformSpec(duration_ms=4, sample_rate_hz=100))
@@ -532,3 +542,28 @@ def test_sample_and_columns_refuse_the_same_rows(t, v, t2, v2):
         first = _refusal(Sample, t, v)
         assert _refusal(SampleColumns, [t], [v]) == first
         assert _refusal(SampleColumns, [t, t2], [v, v2]) == (first or _refusal(Sample, t2, v2))
+
+
+@settings(max_examples=200)
+@given(
+    rows=st.lists(st.tuples(st.integers(0, 2**63 - 1), st.integers(0, ADC_MAX)), max_size=20),
+    dtype=st.sampled_from([np.int64, np.uint64]),
+)
+@example(rows=[(2**63 - 1, ADC_MAX), (0, 0)], dtype=np.uint64)
+def test_columns_rows_are_checked_samples(rows, dtype):
+    """Every row that iter(columns) and columns[i] build, without running
+    Sample's check, is the Sample that the check builds: ints, equal, hashed
+    alike and frozen."""
+    columns = SampleColumns(np.array([t for t, _ in rows], dtype), np.array([v for _, v in rows]))
+    expected = [Sample(t, v) for t, v in rows]
+    assert list(columns) == expected
+    indexed = [columns[i] for i in range(len(rows))] + [columns[i] for i in range(-len(rows), 0)]
+    assert indexed == expected * 2
+    for row, sample in zip([*columns, *indexed], expected * 3):
+        assert type(row) is Sample
+        assert type(row.t_ms) is type(row.value) is int
+        assert hash(row) == hash(sample)
+        with pytest.raises(FrozenInstanceError):
+            row.t_ms = 0
+        with pytest.raises(FrozenInstanceError):
+            row.value = 0

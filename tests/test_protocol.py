@@ -26,6 +26,7 @@ from pulsealarm import (
     synthesize,
     write_waveform,
 )
+from pulsealarm import protocol
 from pulsealarm.detector import ADC_MAX
 from pulsealarm.protocol import FRAME_LEN
 
@@ -192,32 +193,42 @@ def test_checksum_is_xor_of_payload_and_catches_any_bit_flip(seq, t_ms, value):
         assert not any(isinstance(o, SampleOutcome) for o in outcomes)
 
 
+_BYTE = st.sampled_from([0xAA, 0x00, 0xFF]) | st.integers(0, 255)
+_DAMAGE = ["flip", "junk", "cut", "repeat", "skip", "too_big"]
+
+
+def _part(draw, seq, kinds):
+    """A frame at seq, damaged by a kind drawn from kinds ("frame" leaves it
+    whole): the bytes it adds to a stream, and the next frame's seq."""
+    t_ms = draw(st.sampled_from([0xAAAAAAAA, 0xAA00AA]) | st.integers(0, 2**32 - 1))
+    frame = bytearray(encode_frame(seq, Sample(t_ms, draw(st.integers(0, ADC_MAX)))))
+    kind = draw(st.sampled_from(kinds))
+    parts = []
+    if kind == "flip":
+        frame[draw(st.integers(0, len(frame) - 1))] ^= draw(st.integers(1, 255))
+    elif kind == "junk":
+        parts.append(bytes(draw(st.lists(_BYTE, max_size=12))))
+    elif kind == "cut":
+        frame = frame[: draw(st.integers(1, len(frame) - 1))]
+    elif kind == "repeat":
+        parts.append(bytes(frame))
+    elif kind == "too_big":
+        frame[6] |= 0x04
+        frame[8] = frame[1] ^ frame[2] ^ frame[3] ^ frame[4] ^ frame[5] ^ frame[6] ^ frame[7]
+    parts.append(bytes(frame))
+    return b"".join(parts), (seq + (2 if kind == "skip" else 1)) % 256
+
+
 @st.composite
 def _damaged_stream(draw):
     """Frames with random damage: flipped bytes, junk (rich in sync bytes),
     cut, repeated and skipped frames, and checksum-valid frames whose value
     exceeds the ADC bound."""
-    byte = st.sampled_from([0xAA, 0x00, 0xFF]) | st.integers(0, 255)
     parts = []
     seq = draw(st.integers(0, 255))
     for _ in range(draw(st.integers(0, 40))):
-        t_ms = draw(st.sampled_from([0xAAAAAAAA, 0xAA00AA]) | st.integers(0, 2**32 - 1))
-        frame = bytearray(encode_frame(seq, Sample(t_ms, draw(st.integers(0, ADC_MAX)))))
-        kind = draw(st.sampled_from(["frame", "frame", "flip", "junk", "cut", "repeat", "skip",
-                                     "too_big"]))
-        if kind == "flip":
-            frame[draw(st.integers(0, len(frame) - 1))] ^= draw(st.integers(1, 255))
-        elif kind == "junk":
-            parts.append(bytes(draw(st.lists(byte, max_size=12))))
-        elif kind == "cut":
-            frame = frame[: draw(st.integers(1, len(frame) - 1))]
-        elif kind == "repeat":
-            parts.append(bytes(frame))
-        elif kind == "too_big":
-            frame[6] |= 0x04
-            frame[8] = frame[1] ^ frame[2] ^ frame[3] ^ frame[4] ^ frame[5] ^ frame[6] ^ frame[7]
-        parts.append(bytes(frame))
-        seq = (seq + (2 if kind == "skip" else 1)) % 256
+        part, seq = _part(draw, seq, ["frame", "frame", *_DAMAGE])
+        parts.append(part)
     return b"".join(parts)
 
 
@@ -323,3 +334,87 @@ class TestReplayFile:
         path.write_text(f"t_ms,value\n{rows}{last_row}\n")
         with pytest.raises(error, match="^line 502: "):
             replay_file(path, lambda: pytest.fail("connected"))
+
+
+@st.composite
+def _clean_runs(draw):
+    """Runs of 0-300 clean frames, long enough for the decoder's bulk pass,
+    each followed by at most one damaged frame of _damaged_stream's kinds.
+    A run may jump its seq at any frame, its first included, and it wraps
+    from 255 to 0 when it passes 255."""
+    rng = draw(st.randoms(use_true_random=False))
+    parts = []
+    seq = draw(st.sampled_from([200, 255]) | st.integers(0, 255))
+    for _ in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(0, 300))
+        jump_at = draw(st.none() | st.integers(0, max(n - 1, 0)))
+        for i in range(n):
+            if i == jump_at:
+                seq = (seq + draw(st.integers(2, 256))) % 256
+            parts.append(encode_frame(seq, Sample(rng.randrange(2**32), rng.randrange(ADC_MAX + 1))))
+            seq = (seq + 1) % 256
+        if draw(st.booleans()):
+            part, seq = _part(draw, seq, _DAMAGE)
+            parts.append(part)
+    return b"".join(parts)
+
+
+_BULK = FRAME_LEN * protocol._BULK_MIN  # the bytes of the fewest frames for a bulk pass
+_RUN = [Sample(10 * i, i % (ADC_MAX + 1)) for i in range(80)]
+
+
+@pytest.mark.parametrize("bulk_min", [protocol._BULK_MIN, 1], ids=["bulk-min", "all-bulk"])
+@settings(max_examples=150, deadline=None)
+@given(data=_clean_runs(), size=st.sampled_from([1, 9, _BULK - 1, _BULK, _BULK + 1, 4096]))
+# a run that jumps its seq at the first frame of a later feed's bulk pass
+@example(data=encode_stream(_RUN[:32]) + encode_stream(_RUN[32:], start_seq=40), size=_BULK)
+# a jump inside a run, and a run that wraps from 255 to 0
+@example(data=encode_stream(_RUN[:40]) + encode_stream(_RUN[40:], start_seq=50), size=4096)
+@example(data=encode_stream(_RUN, start_seq=200), size=4096)
+def test_bulk_pass_matches_reference_scan(bulk_min, data, size):
+    """feed's bulk pass gives the frame-by-frame scan's outcomes and counts
+    at every chunking. At _BULK_MIN 1 a pass takes every valid frame but
+    the first after each failed one."""
+    chunks = [data[i : i + size] for i in range(0, len(data), size)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(protocol, "_BULK_MIN", bulk_min)
+        decoder = FrameDecoder()
+        got = [(type(o).__name__, *astuple(o)) for chunk in chunks for o in decoder.feed(chunk)]
+    expected = reference_frame_scan(chunks)
+    assert got == expected
+    kinds = Counter(outcome[0] for outcome in expected)
+    assert (decoder.gaps, decoder.corrupt_frames, decoder.resyncs) == (
+        kinds["Gap"], kinds["CorruptFrame"], kinds["Resync"]
+    )
+
+
+@pytest.mark.parametrize("start_seq", [-1, 256, 300])
+@pytest.mark.parametrize("samples", [[], [Sample(0, 0), Sample(10, 5)]], ids=["empty", "two"])
+def test_encode_stream_refuses_start_seq_outside_one_byte(start_seq, samples):
+    with pytest.raises(ValueError, match=f"^seq must fit one byte, got {start_seq}$"):
+        encode_stream(samples, start_seq)
+
+
+def test_encode_stream_refuses_the_first_time_beyond_the_frame_field():
+    samples = [Sample(0, 0), Sample(2**32, 0), Sample(2**33, 0)]
+    with pytest.raises(ValueError, match=rf"^t_ms must fit 4 bytes \(below 2\*\*32\), got {2**32}$"):
+        encode_stream(samples)
+
+
+def test_dense_damage_is_not_charged_a_bulk_pass_per_frame(monkeypatch):
+    """With every other frame corrupt, no run of valid frames lasts; after
+    the pass at the start of a feed ends at the first corrupt frame, the
+    scan goes frame by frame, with the same outcomes as the reference."""
+    passes = []
+    decode_run = FrameDecoder._decode_run
+    monkeypatch.setattr(FrameDecoder, "_decode_run",
+                        lambda self, *args: passes.append(args[1]) or decode_run(self, *args))
+    frames = [bytearray(encode_frame(i % 256, Sample(10 * i, 5))) for i in range(1000)]
+    for frame in frames[1::2]:
+        frame[8] ^= 0x01
+    data = b"".join(frames)
+    chunks = [data[i : i + 4096] for i in range(0, len(data), 4096)]
+    decoder = FrameDecoder()
+    got = [(type(o).__name__, *astuple(o)) for chunk in chunks for o in decoder.feed(chunk)]
+    assert got == reference_frame_scan(chunks)
+    assert passes == [0] * len(chunks)
