@@ -16,8 +16,9 @@ exceptions, and parsing resumes at the next plausible sync byte.
 
 One wire layout, _FRAME for one frame and _WIRE for a block of frames,
 serves the encoder and the decoder. The decoder checks frames one at a
-time, and checks a run of at least _BULK_MIN buffered whole frames in one
-numpy pass instead; its outcomes and counts are the same either way.
+time, or a run of at least _BULK_MIN buffered whole frames in one numpy
+pass that builds their outcomes a field at a time, with the same outcomes
+and counts.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .detector import ADC_MAX, Sample, SampleColumns
+from .detector import ADC_MAX, Sample, SampleColumns, _build
 from .errors import PulseAlarmError
 from .synth import read_waveform
 
@@ -39,13 +40,15 @@ _FRAME = struct.Struct(">BBIHB")  # sync, seq, t_ms, value, checksum
 FRAME_LEN = _FRAME.size  # 9
 # _FRAME as a numpy record, for a block of frames at once
 _WIRE = np.dtype([("sync", "u1"), ("seq", "u1"), ("t_ms", ">u4"), ("value", ">u2"), ("check", "u1")])
-_BULK_MIN = 32
+_BULK_MIN = 16
 """The fewest whole frames, buffered from the scan position, that
-FrameDecoder checks in one numpy pass rather than one at a time. A pass
-has a fixed cost that pays off from about 24 frames: in recvs of n frames
-through feed and Pipeline.push, as serve runs them, a pass per recv cost
-+27% at n = 16, +1% at 24, -6% at 28 and -15% at 32 against the
-frame-by-frame scan (calibrated time, Python 3.11, numpy 2.4, 2-core VM).
+FrameDecoder checks in one numpy pass rather than one at a time. In recvs
+of n frames through feed and Pipeline.push, as serve runs them, a pass per
+recv took this share of the frame-by-frame scan's time (two sets of 21
+alternating runs, their medians averaged, raw time, Python 3.11, numpy
+2.4, 2-core VM), so a pass pays off from about 14 frames:
+    n              8     12    14    16    24    32
+    pass / scan    1.37  1.07  0.96  0.87  0.69  0.60
 After a frame fails, the scan also waits for _BULK_MIN valid frames in a
 row before it tries a pass again."""
 
@@ -169,10 +172,11 @@ class FrameDecoder:
 
     def _decode_run(self, buf: bytearray, i: int, out: list[ParseOutcome]) -> int:
         """The bulk pass over the whole frames from buf[i]: the leading run
-        of valid frames becomes SampleOutcomes, rows of one SampleColumns,
-        each followed by a Gap where its seq does not follow the one before.
-        Returns the offset of the first frame that fails, or past the last
-        whole frame."""
+        of valid frames becomes SampleOutcomes, each followed by a Gap where
+        its seq does not follow the one before. _build makes their Samples
+        and outcomes a field at a time: the mask below and the unsigned
+        4-byte t_ms already hold each row to Sample's rule. Returns the
+        offset of the first frame that fails, or past the last whole frame."""
         n = (len(buf) - i) // FRAME_LEN
         block = buf[i : i + n * FRAME_LEN]  # a copy: a view of buf would block its resize
         raw = np.frombuffer(block, np.uint8).reshape(n, FRAME_LEN)
@@ -185,8 +189,9 @@ class FrameDecoder:
         k = n if ok.all() else int(ok.argmin())
         if not k:
             return i
-        rows = list(SampleColumns(t_ms[:k], value[:k]))
         seqs = seq[:k].tolist()
+        rows = _build(Sample, t_ms[:k].tolist(), value[:k].tolist())
+        outcomes = _build(SampleOutcome, seqs, rows)
         # the frames whose seq does not follow the one before (uint8 wraps)
         jumps = [j + 1 for j in np.flatnonzero(seq[1:k] - seq[: k - 1] != 1).tolist()]
         last = self._last_seq
@@ -194,10 +199,10 @@ class FrameDecoder:
             jumps.insert(0, 0)
         start = 0
         for j in jumps:
-            out.extend(map(SampleOutcome, seqs[start : j + 1], rows[start : j + 1]))
+            out.extend(outcomes[start : j + 1])
             out.append(Gap(((seqs[j - 1] if j else last) + 1) % 256, seqs[j]))
             start = j + 1
-        out.extend(map(SampleOutcome, seqs[start:], rows[start:]))
+        out.extend(outcomes[start:])
         self.gaps += len(jumps)
         self._last_seq = seqs[-1]
         return i + k * FRAME_LEN

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from dataclasses import FrozenInstanceError
 from itertools import pairwise
 
@@ -25,6 +26,7 @@ from pulsealarm import (
     plausibility_filter,
     synthesize,
 )
+from pulsealarm.detector import _ROW_BLOCK
 
 from oracle import offline_beat_scan, offline_crossing_scan
 
@@ -567,3 +569,21 @@ def test_columns_rows_are_checked_samples(rows, dtype):
             row.t_ms = 0
         with pytest.raises(FrozenInstanceError):
             row.value = 0
+
+
+def test_columns_build_rows_a_block_at_a_time():
+    """iter(columns) is lazy: the first of a million rows allocates less
+    than 1 MB, not every row, and the rows across block boundaries are
+    every row in order."""
+    n = 10**6
+    columns = SampleColumns(np.arange(n), np.arange(n) % (ADC_MAX + 1))
+    tracemalloc.start()
+    try:
+        first = next(iter(columns))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first == Sample(0, 0)
+    assert peak < 10**6
+    rows = 2 * _ROW_BLOCK + 1
+    assert list(columns[:rows]) == [Sample(t, t % (ADC_MAX + 1)) for t in range(rows)]

@@ -1,7 +1,7 @@
 import random
 import threading
 from collections import Counter
-from dataclasses import astuple
+from dataclasses import FrozenInstanceError, astuple
 from functools import reduce
 from operator import xor
 
@@ -386,6 +386,29 @@ def test_bulk_pass_matches_reference_scan(bulk_min, data, size):
     assert (decoder.gaps, decoder.corrupt_frames, decoder.resyncs) == (
         kinds["Gap"], kinds["CorruptFrame"], kinds["Resync"]
     )
+
+
+@pytest.mark.parametrize("bulk_min", [protocol._BULK_MIN, 1], ids=["bulk-min", "all-bulk"])
+def test_bulk_outcomes_are_exact_objects(monkeypatch, bulk_min):
+    """The bulk pass builds its SampleOutcomes and their Samples without
+    running their constructors; each is still exactly what the constructors
+    build: of its own type, with int fields, equal, hashed alike and frozen."""
+    monkeypatch.setattr(protocol, "_BULK_MIN", bulk_min)
+    rng = random.Random(22)
+    samples = [Sample(rng.randrange(2**32), rng.randrange(ADC_MAX + 1)) for _ in range(2000)]
+    data = encode_stream(samples, start_seq=100)
+    decoder = FrameDecoder()
+    got = [o for i in range(0, len(data), 4096) for o in decoder.feed(data[i : i + 4096])]
+    assert len(got) == len(samples)
+    for i, (outcome, sample) in enumerate(zip(got, samples)):
+        expected = SampleOutcome((100 + i) % 256, Sample(sample.t_ms, sample.value))
+        assert type(outcome) is SampleOutcome and type(outcome.sample) is Sample
+        assert type(outcome.seq) is type(outcome.sample.t_ms) is type(outcome.sample.value) is int
+        assert outcome == expected and hash(outcome) == hash(expected)
+        for obj, name in [(outcome, "seq"), (outcome, "sample"), (outcome.sample, "t_ms"),
+                          (outcome.sample, "value")]:
+            with pytest.raises(FrozenInstanceError):
+                setattr(obj, name, 0)
 
 
 @pytest.mark.parametrize("start_seq", [-1, 256, 300])
