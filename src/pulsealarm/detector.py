@@ -66,23 +66,11 @@ class Sample:
             raise ValueError(f"value must be in [0, {ADC_MAX}], got {v}")
 
 
-_set_t_ms, _set_value = Sample.t_ms.__set__, Sample.value.__set__  # the slots, past frozen
-
-
-def _checked_row(t_ms: int, value: int) -> Sample:
-    """The Sample of two ints that a check has already passed, built
-    without running Sample's check again."""
-    row = object.__new__(Sample)
-    _set_t_ms(row, t_ms)
-    _set_value(row, value)
-    return row
-
-
 def _build(cls, *columns) -> list:
     """The instances of a slotted dataclass whose fields, in order, hold the
-    items of columns: _checked_row for a whole block of rows, built one
-    field at a time in loops that run in C. Like it, it runs neither cls's
-    __init__ nor its check, so every row must already pass that check."""
+    items of columns, built one field at a time in loops that run in C
+    through the slots' setters, past frozen. It runs neither cls's __init__
+    nor its check, so every row must already pass that check."""
     objs = list(map(object.__new__, repeat(cls, len(columns[0]))))
     for name, column in zip(cls.__slots__, columns):
         deque(map(getattr(cls, name).__set__, objs, column), 0)
@@ -149,7 +137,7 @@ class SampleColumns(collections.abc.Sequence):
     def __getitem__(self, index):
         if isinstance(index, slice):
             return SampleColumns(self.t_ms[index], self.value[index])
-        return _checked_row(int(self.t_ms[index]), int(self.value[index]))
+        return _build(Sample, [int(self.t_ms[index])], [int(self.value[index])])[0]
 
     def __iter__(self):
         t, v, n = self.t_ms, self.value, _ROW_BLOCK

@@ -48,9 +48,20 @@ recv took this share of the frame-by-frame scan's time (two sets of 21
 alternating runs, their medians averaged, raw time, Python 3.11, numpy
 2.4, 2-core VM), so a pass pays off from about 14 frames:
     n              8     12    14    16    24    32
-    pass / scan    1.37  1.07  0.96  0.87  0.69  0.60
-After a frame fails, the scan also waits for _BULK_MIN valid frames in a
-row before it tries a pass again."""
+    pass / scan    1.37  1.07  0.96  0.87  0.69  0.60"""
+_BULK_RETRY = 32
+"""The valid frames in a row that the scan waits for after a frame fails
+before it tries a pass again. With one corrupt frame every D frames, each
+pass then ends D - _BULK_RETRY frames on, and one that ends within about
+14 loses to the scan. In 4096-byte chunks through feed and Pipeline.push,
+a retry of 32 took this share of the time of a retry of 16 (16
+alternating runs, median of the ratios, raw time, Python 3.11, numpy 2.4,
+2-core VM):
+    D              17    20    24    32    40    48    64
+    32 / 16        0.76  0.69  0.83  0.97  1.27  1.28  1.22
+A retry of 16 would charge a stream damaged every 17-30 frames a short
+pass per corrupt frame; 32 keeps it on the scan, and charges such passes
+only to D = 33-46."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -116,7 +127,7 @@ class FrameDecoder:
     buffered from the scan position it checks them in one numpy pass (see
     _decode_run) up to the first frame that fails. The scan takes that
     frame, and tries a pass again at the start of the next feed or once
-    _BULK_MIN valid frames in a row have passed it, so that a densely
+    _BULK_RETRY valid frames in a row have passed it, so that a densely
     damaged stream, which would end each pass within a frame or two, is
     not charged a pass per valid frame. The outcomes and counts are the
     frame-by-frame scan's at any chunking.
@@ -133,7 +144,7 @@ class FrameDecoder:
         out: list[ParseOutcome] = []
         buf = self._buf
         last_start = len(buf) - _BULK_MIN * FRAME_LEN  # _BULK_MIN whole frames from here on
-        bulk_from = 0  # no pass before it: a failed frame moves it _BULK_MIN frames on
+        bulk_from = 0  # no pass before it: a failed frame moves it _BULK_RETRY frames on
         i = 0
         while True:
             sync = buf.find(SYNC_BYTE, i)
@@ -141,7 +152,7 @@ class FrameDecoder:
             if sync > i:
                 out.append(Resync(sync - i))
                 self.resyncs += 1
-                bulk_from = sync + _BULK_MIN * FRAME_LEN
+                bulk_from = sync + _BULK_RETRY * FRAME_LEN
             i = sync
             if len(buf) - i < FRAME_LEN:
                 break  # a partial frame, or none: wait for more bytes
@@ -158,7 +169,7 @@ class FrameDecoder:
                 out.append(CorruptFrame(self._offset + i))
                 self.corrupt_frames += 1
                 i += 1  # drop only the sync byte, rescan inside the frame
-                bulk_from = i + _BULK_MIN * FRAME_LEN
+                bulk_from = i + _BULK_RETRY * FRAME_LEN
                 continue
             out.append(SampleOutcome(seq, sample))
             if self._last_seq is not None and (seq - self._last_seq) % 256 != 1:

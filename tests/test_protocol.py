@@ -363,7 +363,9 @@ _BULK = FRAME_LEN * protocol._BULK_MIN  # the bytes of the fewest frames for a b
 _RUN = [Sample(10 * i, i % (ADC_MAX + 1)) for i in range(80)]
 
 
-@pytest.mark.parametrize("bulk_min", [protocol._BULK_MIN, 1], ids=["bulk-min", "all-bulk"])
+@pytest.mark.parametrize(
+    "bulk_min, retry", [(protocol._BULK_MIN, protocol._BULK_RETRY), (1, 1)], ids=["bulk-min", "all-bulk"]
+)
 @settings(max_examples=150, deadline=None)
 @given(data=_clean_runs(), size=st.sampled_from([1, 9, _BULK - 1, _BULK, _BULK + 1, 4096]))
 # a run that jumps its seq at the first frame of a later feed's bulk pass
@@ -371,13 +373,14 @@ _RUN = [Sample(10 * i, i % (ADC_MAX + 1)) for i in range(80)]
 # a jump inside a run, and a run that wraps from 255 to 0
 @example(data=encode_stream(_RUN[:40]) + encode_stream(_RUN[40:], start_seq=50), size=4096)
 @example(data=encode_stream(_RUN, start_seq=200), size=4096)
-def test_bulk_pass_matches_reference_scan(bulk_min, data, size):
+def test_bulk_pass_matches_reference_scan(bulk_min, retry, data, size):
     """feed's bulk pass gives the frame-by-frame scan's outcomes and counts
-    at every chunking. At _BULK_MIN 1 a pass takes every valid frame but
-    the first after each failed one."""
+    at every chunking. At _BULK_MIN and _BULK_RETRY 1 a pass takes every
+    valid frame but the first after each failed one."""
     chunks = [data[i : i + size] for i in range(0, len(data), size)]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(protocol, "_BULK_MIN", bulk_min)
+        patch.setattr(protocol, "_BULK_RETRY", retry)
         decoder = FrameDecoder()
         got = [(type(o).__name__, *astuple(o)) for chunk in chunks for o in decoder.feed(chunk)]
     expected = reference_frame_scan(chunks)
