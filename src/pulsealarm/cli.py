@@ -36,7 +36,7 @@ from dataclasses import replace
 from typing import Optional
 
 from .bench import bench_corpus
-from .detector import BpmEstimator, SchmittConfig
+from .detector import _SMOOTHING_WINDOW, BpmEstimator, SchmittConfig
 from .engine import EngineConfig, Phase
 from .errors import ConfigError, PulseAlarmError, StreamOrderError
 from .physiology import BandMode, UserProfile, satisfaction_band
@@ -218,7 +218,7 @@ def _load_run(config: dict, command: str) -> tuple[tuple, Optional[WaveformSpec]
         if "alarm_time_ms" not in config:
             raise ConfigError(f"alarm_time_ms: {command} requires it unless using a scenario")
         alarm_time = config["alarm_time_ms"]
-    window = config.get("smoothing_window", 5)
+    window = config.get("smoothing_window", _SMOOTHING_WINDOW)
     with _values("smoothing_window"):
         BpmEstimator(window)  # refuses a bad window at load, before any sample is read
     return (config.get("schmitt", SchmittConfig()), engine_cfg, alarm_time, window), spec, expected

@@ -33,6 +33,7 @@ _NOT_ADVANCING = "sample at t_ms={} does not advance past {}"  # BeatDetector's 
 
 PLAUSIBLE_MIN_BPM = 23.0
 PLAUSIBLE_MAX_BPM = 200.0
+_SMOOTHING_WINDOW = 5  # by default, the bpm estimate is the median of the last 5 rates
 
 
 class BpmStatus(enum.Enum):
@@ -164,6 +165,12 @@ class SchmittConfig:
     refractory_ms: int = 250
 
     def __post_init__(self):
+        # a sample never crosses a threshold outside the ADC range, so the
+        # trigger would never fire, or never re-arm
+        if self.lower_threshold < 0:
+            raise ValueError(f"lower_threshold must be >= 0, got {self.lower_threshold}")
+        if self.upper_threshold > ADC_MAX:
+            raise ValueError(f"upper_threshold must be <= {ADC_MAX}, got {self.upper_threshold}")
         if self.lower_threshold >= self.upper_threshold:
             raise ValueError(
                 "lower_threshold must be strictly below upper_threshold "
@@ -310,7 +317,7 @@ def plausibility_filter(bpm: float, t_ms: int) -> BpmEstimate:
 
 
 def estimate_bpm(
-    beats: Sequence[BeatEvent], smoothing_window: int = 5
+    beats: Sequence[BeatEvent], smoothing_window: int = _SMOOTHING_WINDOW
 ) -> Optional[BpmEstimate]:
     """Median-smoothed rate from the most recent beats.
 
@@ -332,7 +339,7 @@ class BpmEstimator:
     """Median rate over a sliding window of beats: feed beats in order, get
     plausibility-filtered estimates. estimate_bpm is its batch fold."""
 
-    def __init__(self, smoothing_window: int = 5):
+    def __init__(self, smoothing_window: int = _SMOOTHING_WINDOW):
         if smoothing_window < 1:
             raise ValueError(f"smoothing_window must be >= 1, got {smoothing_window}")
         self._rates: deque[float] = deque(maxlen=smoothing_window)

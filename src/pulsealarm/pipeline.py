@@ -17,6 +17,7 @@ from typing import Iterable
 import numpy as np
 
 from .detector import (
+    _SMOOTHING_WINDOW,
     BeatDetector,
     BeatEvent,
     BpmEstimate,
@@ -125,7 +126,7 @@ class Pipeline:
         schmitt: SchmittConfig,
         engine_config: EngineConfig,
         alarm_time_ms: int,
-        smoothing_window: int = 5,
+        smoothing_window: int = _SMOOTHING_WINDOW,
     ):
         self._detector = BeatDetector(schmitt)
         self._estimator = BpmEstimator(smoothing_window)
@@ -198,7 +199,7 @@ def run_pipeline(
     schmitt: SchmittConfig,
     engine_config: EngineConfig,
     alarm_time_ms: int,
-    smoothing_window: int = 5,
+    smoothing_window: int = _SMOOTHING_WINDOW,
 ) -> RunReport:
     """Run the whole chain over a buffered or generated sample stream, as
     one push_chunk."""

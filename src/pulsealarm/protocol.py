@@ -10,7 +10,7 @@ Wire format, 9 bytes per frame, all multi-byte fields big-endian:
 
 The sync byte may legitimately occur inside payloads; the checksum, not
 byte-stuffing, disambiguates. A frame is corrupt when its checksum fails
-or when Sample refuses its fields (a value above 1023). The decoder is
+or its value is above ADC_MAX (1023), which Sample refuses. The decoder is
 total over arbitrary input: corruption surfaces as outcomes, never
 exceptions, and parsing resumes at the next plausible sync byte.
 
@@ -18,7 +18,9 @@ One wire layout, _FRAME for one frame and _WIRE for a block of frames,
 serves the encoder and the decoder. The decoder checks frames one at a
 time, or a run of at least _BULK_MIN buffered whole frames in one numpy
 pass that builds their outcomes a field at a time, with the same outcomes
-and counts.
+and counts. A pass stops at a frame that fails or whose seq jumps; the
+frame-by-frame scan takes that frame, and after every break (Resync,
+CorruptFrame, Gap) the next _BULK_RETRY frames.
 """
 
 from __future__ import annotations
@@ -44,16 +46,18 @@ _BULK_MIN = 16
 """The fewest whole frames, buffered from the scan position, that
 FrameDecoder checks in one numpy pass rather than one at a time. In recvs
 of n frames through feed and Pipeline.push, as serve runs them, a pass per
-recv took this share of the frame-by-frame scan's time (two sets of 21
+recv took this share of the frame-by-frame scan's time (12 sets of 21
 alternating runs, their medians averaged, raw time, Python 3.11, numpy
-2.4, 2-core VM), so a pass pays off from about 14 frames:
-    n              8     12    14    16    24    32
-    pass / scan    1.37  1.07  0.96  0.87  0.69  0.60"""
+2.4, 2-core VM), so a pass pays off from about 14 frames, and at 16 it
+won in every set:
+    n              8     12    14    16    20    24    32
+    pass / scan    1.36  1.07  1.03  0.87  0.76  0.72  0.63"""
 _BULK_RETRY = 32
-"""The valid frames in a row that the scan waits for after a frame fails
-before it tries a pass again. With one corrupt frame every D frames, each
-pass then ends D - _BULK_RETRY frames on, and one that ends within about
-14 loses to the scan. In 4096-byte chunks through feed and Pipeline.push,
+"""The frames in a row, valid and in seq, that the scan waits for after a
+break (a Resync, CorruptFrame or Gap) before it tries a pass again. With
+one break every D frames, each pass then ends D - _BULK_RETRY frames on,
+and one that ends within about 14 loses to the scan. With one corrupt
+frame every D frames, in 4096-byte chunks through feed and Pipeline.push,
 a retry of 32 took this share of the time of a retry of 16 (16
 alternating runs, median of the ratios, raw time, Python 3.11, numpy 2.4,
 2-core VM):
@@ -125,12 +129,13 @@ class FrameDecoder:
 
     feed scans frame by frame, but where at least _BULK_MIN whole frames are
     buffered from the scan position it checks them in one numpy pass (see
-    _decode_run) up to the first frame that fails. The scan takes that
-    frame, and tries a pass again at the start of the next feed or once
-    _BULK_RETRY valid frames in a row have passed it, so that a densely
-    damaged stream, which would end each pass within a frame or two, is
-    not charged a pass per valid frame. The outcomes and counts are the
-    frame-by-frame scan's at any chunking.
+    _decode_run) up to the first frame that fails or whose seq jumps. The
+    scan takes that frame, so it alone emits CorruptFrame, Resync and Gap.
+    After any of the three it tries a pass again at the start of the next
+    feed or once _BULK_RETRY frames in a row have passed it valid and in
+    seq, so that a densely damaged stream, which would end each pass within
+    a frame or two, is not charged a pass per valid frame. The outcomes and
+    counts are the frame-by-frame scan's at any chunking.
     """
 
     def __init__(self):
@@ -144,7 +149,7 @@ class FrameDecoder:
         out: list[ParseOutcome] = []
         buf = self._buf
         last_start = len(buf) - _BULK_MIN * FRAME_LEN  # _BULK_MIN whole frames from here on
-        bulk_from = 0  # no pass before it: a failed frame moves it _BULK_RETRY frames on
+        bulk_from = 0  # no pass before it: each break moves it _BULK_RETRY frames on
         i = 0
         while True:
             sync = buf.find(SYNC_BYTE, i)
@@ -158,36 +163,34 @@ class FrameDecoder:
                 break  # a partial frame, or none: wait for more bytes
             if i <= last_start and i >= bulk_from:
                 i = self._decode_run(buf, i, out)
-                bulk_from = i + 1  # the scan takes the frame that failed the pass
+                bulk_from = i + 1  # the scan takes the frame that ended the pass
                 continue
             _, seq, t_ms, value, check = _FRAME.unpack_from(buf, i)
-            try:
-                sample = check == _checksum(seq, t_ms, value) and Sample(t_ms, value)
-            except ValueError:  # Sample refuses the fields
-                sample = None
-            if not sample:
+            if check != _checksum(seq, t_ms, value) or value > ADC_MAX:
                 out.append(CorruptFrame(self._offset + i))
                 self.corrupt_frames += 1
                 i += 1  # drop only the sync byte, rescan inside the frame
                 bulk_from = i + _BULK_RETRY * FRAME_LEN
                 continue
-            out.append(SampleOutcome(seq, sample))
+            out.append(SampleOutcome(seq, Sample(t_ms, value)))
+            i += FRAME_LEN
             if self._last_seq is not None and (seq - self._last_seq) % 256 != 1:
                 out.append(Gap((self._last_seq + 1) % 256, seq))
                 self.gaps += 1
+                bulk_from = i + _BULK_RETRY * FRAME_LEN
             self._last_seq = seq
-            i += FRAME_LEN
         del buf[:i]
         self._offset += i
         return out
 
     def _decode_run(self, buf: bytearray, i: int, out: list[ParseOutcome]) -> int:
         """The bulk pass over the whole frames from buf[i]: the leading run
-        of valid frames becomes SampleOutcomes, each followed by a Gap where
-        its seq does not follow the one before. _build makes their Samples
-        and outcomes a field at a time: the mask below and the unsigned
-        4-byte t_ms already hold each row to Sample's rule. Returns the
-        offset of the first frame that fails, or past the last whole frame."""
+        of valid frames whose seqs count up by one from _last_seq (from any
+        seq at the start of a stream) becomes SampleOutcomes. _build makes
+        their Samples and outcomes a field at a time: the mask below and the
+        unsigned 4-byte t_ms already hold each row to Sample's rule. Returns
+        the offset of the first frame that fails or jumps, or past the last
+        whole frame."""
         n = (len(buf) - i) // FRAME_LEN
         block = buf[i : i + n * FRAME_LEN]  # a copy: a view of buf would block its resize
         raw = np.frombuffer(block, np.uint8).reshape(n, FRAME_LEN)
@@ -197,25 +200,16 @@ class FrameDecoder:
         ok = (raw[:, 0] == SYNC_BYTE) & (value <= ADC_MAX) & (
             np.bitwise_xor.reduce(raw[:, 1:], axis=1) == 0
         )
+        # and each seq follows the one before it (uint8 wraps), the first
+        # one's (buf[i + 1]) the last delivered
+        ok[1:] &= seq[1:] - seq[:-1] == 1
+        ok[0] &= self._last_seq is None or (buf[i + 1] - self._last_seq) % 256 == 1
         k = n if ok.all() else int(ok.argmin())
         if not k:
             return i
-        seqs = seq[:k].tolist()
         rows = _build(Sample, t_ms[:k].tolist(), value[:k].tolist())
-        outcomes = _build(SampleOutcome, seqs, rows)
-        # the frames whose seq does not follow the one before (uint8 wraps)
-        jumps = [j + 1 for j in np.flatnonzero(seq[1:k] - seq[: k - 1] != 1).tolist()]
-        last = self._last_seq
-        if last is not None and (seqs[0] - last) % 256 != 1:
-            jumps.insert(0, 0)
-        start = 0
-        for j in jumps:
-            out.extend(outcomes[start : j + 1])
-            out.append(Gap(((seqs[j - 1] if j else last) + 1) % 256, seqs[j]))
-            start = j + 1
-        out.extend(outcomes[start:])
-        self.gaps += len(jumps)
-        self._last_seq = seqs[-1]
+        out.extend(_build(SampleOutcome, seq[:k].tolist(), rows))
+        self._last_seq = int(seq[k - 1])
         return i + k * FRAME_LEN
 
 

@@ -506,6 +506,12 @@ def amend(config, path, value):
             ("run", {"waveform": {"duration_ms": 1000}, "alarm_time_ms": 0},
              "engine.band_mode", "age_derived"),  # no profile to derive the band from
             ("run", WAVEFORM_RUN, "schmitt.upper_threshold", None),
+            # a threshold outside the ADC range is never crossed
+            ("run", SCENARIO_RUN, "schmitt.upper_threshold", 2000),
+            ("run", SCENARIO_RUN, "schmitt.lower_threshold", -5),
+            ("serve", {"alarm_time_ms": 0}, "schmitt.upper_threshold", 1024),
+            ("bench", BENCH, "bench.naive_threshold", 2000),
+            ("bench", BENCH, "bench.naive_threshold", 0),
             ("run", WAVEFORM_RUN, "alarm_time_ms", "x"),
             ("run", SCENARIO_RUN, "scenario", 3),
             ("run", SCENARIO_RUN, "scenario.exercise_bpm", "x"),

@@ -405,6 +405,10 @@ def test_scale_invariance(values, shift):
                      "lower_threshold must be strictly below", id="schmitt-lower-not-below"),
         pytest.param(lambda: SchmittConfig(refractory_ms=0), "refractory_ms must be positive",
                      id="schmitt-refractory"),
+        pytest.param(lambda: SchmittConfig(upper_threshold=1024), "upper_threshold must be <= 1023",
+                     id="schmitt-upper-above-adc"),
+        pytest.param(lambda: SchmittConfig(lower_threshold=-1), "lower_threshold must be >= 0",
+                     id="schmitt-lower-negative"),
         pytest.param(lambda: plausibility_filter(-1.0, 0), "bpm must be non-negative",
                      id="filter-negative-bpm"),
         pytest.param(lambda: SampleColumns([0, -1], [0, 0]), "t_ms must be non-negative, got -1",

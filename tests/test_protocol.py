@@ -444,3 +444,20 @@ def test_dense_damage_is_not_charged_a_bulk_pass_per_frame(monkeypatch):
     got = [(type(o).__name__, *astuple(o)) for chunk in chunks for o in decoder.feed(chunk)]
     assert got == reference_frame_scan(chunks)
     assert passes == [0] * len(chunks)
+
+
+def test_a_seq_jump_ends_a_bulk_pass(monkeypatch):
+    """A pass stops at a frame whose seq jumps, as at a failed frame: the
+    scan takes that frame and emits the Gap, and the next _BULK_RETRY
+    frames, before a pass takes the rest."""
+    passes = []
+    decode_run = FrameDecoder._decode_run
+    monkeypatch.setattr(FrameDecoder, "_decode_run",
+                        lambda self, *args: passes.append(args[1]) or decode_run(self, *args))
+    run = [Sample(10 * i, i % (ADC_MAX + 1)) for i in range(400)]
+    data = encode_stream(run[:200]) + encode_stream(run[200:], start_seq=50)
+    decoder = FrameDecoder()
+    got = [(type(o).__name__, *astuple(o)) for o in decoder.feed(data)]
+    assert got == reference_frame_scan([data])
+    assert [o for o in got if o[0] == "Gap"] == [("Gap", 200, 50)]
+    assert passes == [0, (200 + 1 + protocol._BULK_RETRY) * FRAME_LEN]
