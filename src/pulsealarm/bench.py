@@ -3,11 +3,12 @@ baseline over a corpus of waveforms with injected stray pulses and noise."""
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .detector import SchmittConfig, detect_beats, naive_detect_beats
+from .detector import ADC_MAX, SchmittConfig, detect_beats, naive_detect_beats
 from .synth import StrayPulse, WaveformSpec, synthesize
 
 
@@ -94,6 +95,16 @@ def bench_corpus(
         raise ValueError(f"stray_counts must be >= 0, got {list(stray_counts)}")
     if not match_tolerance_ms >= 0:  # rejects NaN too
         raise ValueError(f"match_tolerance_ms must be >= 0, got {match_tolerance_ms}")
+    # checked here, not where synthesis or the naive detector would meet
+    # them, so a bad value is named by its key even when no cell uses it
+    if not 1 <= naive_threshold <= ADC_MAX:  # the baseline's lower threshold is one below
+        raise ValueError(f"naive_threshold must be in [1, {ADC_MAX}], got {naive_threshold}")
+    if not 0 <= stray_peak <= ADC_MAX:
+        raise ValueError(f"stray_peak must be in [0, {ADC_MAX}], got {stray_peak}")
+    if not 0 < stray_width_ms < math.inf:  # rejects NaN too
+        raise ValueError(f"stray_width_ms must be positive and finite, got {stray_width_ms}")
+    if not all(0 <= noise < math.inf for noise in noise_levels):
+        raise ValueError(f"noise_levels must be finite and >= 0, got {list(noise_levels)}")
     rows = []
     grid_ms = 1000.0 / base_spec.sample_rate_hz
     base_beats = base_spec.beat_times()

@@ -214,11 +214,11 @@ class BeatDetector:
         self.config = config
         self.high = False
         self.last_beat_t_ms: Optional[int] = None
-        self.last_t_ms: Optional[int] = None
+        self.last_t_ms = -1  # below every t_ms that Sample accepts
 
     def push(self, sample: Sample) -> Optional[BeatEvent]:
         t = sample.t_ms
-        if self.last_t_ms is not None and t <= self.last_t_ms:
+        if t <= self.last_t_ms:
             raise StreamOrderError(_NOT_ADVANCING.format(t, self.last_t_ms))
         self.last_t_ms = t
         if self.high:
@@ -242,7 +242,7 @@ class BeatDetector:
         t, v = columns.t_ms, columns.value
         if not t.size:
             return []
-        ts = t if self.last_t_ms is None else np.insert(t, 0, self.last_t_ms)
+        ts = np.concatenate(([self.last_t_ms], t))
         stalled = np.flatnonzero(ts[1:] <= ts[:-1])
         if stalled.size:
             i = stalled[0]

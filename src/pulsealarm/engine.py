@@ -14,16 +14,17 @@ from a state, which carries the engine config, and checks the order of
 the batch it folds.
 
 A ClockTick changes the state only at or after next_tick_ms, the alarm
-time while ARMED; step rings by that same rule. A caller may skip every
-tick before it and get the states and transitions of ticking at every
-sample.
+time while ARMED and infinity after; step rings by that same rule. A
+caller may skip every tick before it and get the states and transitions
+of ticking at every sample.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional, Union
+from typing import Iterable, Union
 
 from .detector import (
     PLAUSIBLE_MAX_BPM,
@@ -86,10 +87,10 @@ class LogTransition:
     trigger: str
 
 
-def next_tick_ms(state: AlarmEngineState) -> Optional[int]:
+def next_tick_ms(state: AlarmEngineState) -> float:
     """The earliest time a ClockTick could change the state: the alarm time
-    while ARMED, else None, because a tick changes nothing in other phases."""
-    return state.alarm_time_ms if state.phase is Phase.ARMED else None
+    while ARMED, else infinity, as a tick changes nothing in other phases."""
+    return state.alarm_time_ms if state.phase is Phase.ARMED else math.inf
 
 
 def step(
@@ -106,8 +107,7 @@ def step(
     t = event.t_ms
 
     if isinstance(event, ClockTick):
-        deadline = next_tick_ms(state)
-        if deadline is not None and t >= deadline:
+        if t >= next_tick_ms(state):
             return replace(state, phase=Phase.RINGING), [
                 LogTransition(t, Phase.ARMED, Phase.RINGING, "clock_tick")
             ]
@@ -140,9 +140,9 @@ def run_engine(
     last one; only the given events are compared, not the state's past.
     """
     log: list[LogTransition] = []
-    last_t = None
+    last_t = -math.inf
     for i, event in enumerate(events):
-        if last_t is not None and event.t_ms < last_t:
+        if event.t_ms < last_t:
             raise StreamOrderError(f"event {i}: t_ms={event.t_ms} precedes {last_t}")
         last_t = event.t_ms
         state, transitions = step(state, event)

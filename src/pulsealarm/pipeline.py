@@ -4,8 +4,8 @@ device's serial-monitor listing (one reading per line with its status).
 
 Pipeline.push_chunk takes a block of SampleColumns in one detector scan,
 so Python runs once per beat, not per sample; run_pipeline is one call of
-it. Pipeline.push takes one Sample, for a caller that receives samples one
-at a time, as `serve` does frame by frame."""
+it. Pipeline.push takes one Sample, for a caller that gets samples one at
+a time, as `serve` does from the decoder's one outcome per frame."""
 
 from __future__ import annotations
 
@@ -117,8 +117,8 @@ class Pipeline:
     can change the state; the transitions are those of ticking every sample.
     push_chunk is the block step. push stays as the one-sample step because
     a one-sample chunk costs tens of microseconds in numpy set-up, and
-    `serve` receives one frame at a time. Both fill one RunReport as they
-    go, which report() copies.
+    `serve` pushes the decoder's one outcome per frame, however many frames
+    a recv holds. Both fill one RunReport as they go, which report() copies.
     """
 
     def __init__(
@@ -156,7 +156,7 @@ class Pipeline:
         StreamOrderError from the detector and changes nothing."""
         beat = self._detector.push(sample)
         self._report.sample_count += 1
-        if self._deadline is not None and sample.t_ms >= self._deadline:
+        if sample.t_ms >= self._deadline:
             self._engine_step(ClockTick(sample.t_ms))
         if beat is not None:
             self._beat(beat)
@@ -172,7 +172,7 @@ class Pipeline:
         t = columns.t_ms
         self._report.sample_count += t.size
         deadline, tick = self._deadline, None
-        if deadline is not None and t.size and deadline <= int(t[-1]):
+        if t.size and deadline <= int(t[-1]):
             # t_ms is never negative, so a time of 0 finds the same sample
             tick = int(t[np.searchsorted(t, max(deadline, 0))])
         for beat in beats:

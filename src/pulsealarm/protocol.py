@@ -76,13 +76,12 @@ class SampleOutcome:
 
 @dataclass(frozen=True, slots=True)
 class Gap:
-    expected_seq: int
-    got_seq: int
+    """A valid frame's seq did not follow the last valid frame's."""
 
 
 @dataclass(frozen=True, slots=True)
 class CorruptFrame:
-    byte_offset: int
+    """A sync byte led a frame that failed its checksum or ADC range."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -123,9 +122,9 @@ class FrameDecoder:
     """Incremental frame parser; feed bytes in any chunking.
 
     Emits SampleOutcome for each valid frame, Gap when the seq counter jumps,
-    CorruptFrame (with its absolute byte offset) when a sync byte leads a frame
-    that fails validation, and Resync counting the bytes skipped to find a sync
-    byte; gaps, corrupt_frames and resyncs count the last three.
+    CorruptFrame when a sync byte leads a frame that fails validation, and
+    Resync counting the bytes skipped to find a sync byte; gaps,
+    corrupt_frames and resyncs count the last three.
 
     feed scans frame by frame, but where at least _BULK_MIN whole frames are
     buffered from the scan position it checks them in one numpy pass (see
@@ -140,7 +139,6 @@ class FrameDecoder:
 
     def __init__(self):
         self._buf = bytearray()
-        self._offset = 0  # absolute stream offset of _buf[0]
         self._last_seq: int | None = None
         self.gaps = self.corrupt_frames = self.resyncs = 0
 
@@ -167,7 +165,7 @@ class FrameDecoder:
                 continue
             _, seq, t_ms, value, check = _FRAME.unpack_from(buf, i)
             if check != _checksum(seq, t_ms, value) or value > ADC_MAX:
-                out.append(CorruptFrame(self._offset + i))
+                out.append(CorruptFrame())
                 self.corrupt_frames += 1
                 i += 1  # drop only the sync byte, rescan inside the frame
                 bulk_from = i + _BULK_RETRY * FRAME_LEN
@@ -175,12 +173,11 @@ class FrameDecoder:
             out.append(SampleOutcome(seq, Sample(t_ms, value)))
             i += FRAME_LEN
             if self._last_seq is not None and (seq - self._last_seq) % 256 != 1:
-                out.append(Gap((self._last_seq + 1) % 256, seq))
+                out.append(Gap())
                 self.gaps += 1
                 bulk_from = i + _BULK_RETRY * FRAME_LEN
             self._last_seq = seq
         del buf[:i]
-        self._offset += i
         return out
 
     def _decode_run(self, buf: bytearray, i: int, out: list[ParseOutcome]) -> int:

@@ -57,14 +57,13 @@ def reference_frame_scan(chunks, sync=0xAA, frame_len=9, adc_max=1023):
     a sync byte or the end of the chunk; a sync byte with fewer than
     `frame_len` bytes behind it waits for the next chunk; a frame whose XOR
     of bytes 1..7 differs from byte 8, or whose value exceeds `adc_max`, is
-    ("CorruptFrame", absolute offset) and only its sync byte is dropped; a
-    valid frame is ("SampleOutcome", seq, (t_ms, value)), followed by
-    ("Gap", expected_seq, seq) when seq does not follow the last valid one
-    modulo 256. Returns the outcomes as tuples.
+    ("CorruptFrame",) and only its sync byte is dropped; a valid frame is
+    ("SampleOutcome", seq, (t_ms, value)), followed by ("Gap",) when seq
+    does not follow the last valid one modulo 256. Returns the outcomes as
+    tuples.
     """
     out = []
     buf = b""
-    offset = 0  # absolute stream offset of buf[0]
     last_seq = None
     for chunk in chunks:
         buf += chunk
@@ -87,16 +86,15 @@ def reference_frame_scan(chunks, sync=0xAA, frame_len=9, adc_max=1023):
             t_ms = (buf[i + 2] << 24) | (buf[i + 3] << 16) | (buf[i + 4] << 8) | buf[i + 5]
             value = (buf[i + 6] << 8) | buf[i + 7]
             if check != buf[i + frame_len - 1] or value > adc_max:
-                out.append(("CorruptFrame", offset + i))
+                out.append(("CorruptFrame",))
                 i += 1
                 continue
             out.append(("SampleOutcome", seq, (t_ms, value)))
             if last_seq is not None and (seq - last_seq) % 256 != 1:
-                out.append(("Gap", (last_seq + 1) % 256, seq))
+                out.append(("Gap",))
             last_seq = seq
             i += frame_len
         if skipped:
             out.append(("Resync", skipped))
         buf = buf[i:]
-        offset += i
     return out

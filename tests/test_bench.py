@@ -35,3 +35,25 @@ def test_match_skips_truth_beats_passed_over():
     # the detection at 2000 passes over the truth beats at 0 and 1000, which
     # no detection claims: no false beat, two missed
     assert match_beats([2000], [0, 1000, 2000], tolerance_ms=100) == (0, 2)
+
+
+@pytest.mark.parametrize(
+    "key,value,message",
+    [
+        pytest.param(key, value, message, id=f"{key}={value}")
+        for key, value, message in [
+            ("naive_threshold", 2000, r"naive_threshold must be in \[1, 1023\], got 2000"),
+            ("naive_threshold", 0, r"naive_threshold must be in \[1, 1023\], got 0"),
+            ("stray_peak", 2000, r"stray_peak must be in \[0, 1023\], got 2000"),
+            ("stray_width_ms", -5, r"stray_width_ms must be positive and finite, got -5"),
+            ("stray_width_ms", float("nan"), r"stray_width_ms must be positive and finite, got nan"),
+            ("noise_levels", [0.0, -1], r"noise_levels must be finite and >= 0, got \[0.0, -1\]"),
+        ]
+    ],
+)
+def test_a_bad_setting_is_named_by_its_own_key(monkeypatch, key, value, message):
+    # refused before anything is synthesized, not under the name of the
+    # SchmittConfig or WaveformSpec field the value would reach
+    monkeypatch.setattr(bench, "synthesize", None)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        bench_corpus(WaveformSpec(duration_ms=1000), **{key: value})

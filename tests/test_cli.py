@@ -538,6 +538,17 @@ def amend(config, path, value):
             ("bench", BENCH, "bench.runs_per_cell", -1),
             ("bench", BENCH, "bench.stray_counts", [-5]),
             ("bench", BENCH, "bench.match_tolerance_ms", -1),
+            # refused by its own key before any cell is built, so even on a
+            # grid with no cell, or no stray, that would meet it
+            ("bench", amend(BENCH, "bench.stray_counts", []), "bench.naive_threshold", 5000),
+            ("bench", amend(BENCH, "bench.stray_counts", []), "bench.naive_threshold", 1024),
+            ("bench", amend(BENCH, "bench.stray_counts", [0]), "bench.stray_peak", 2000),
+            ("bench", amend(BENCH, "bench.stray_counts", [0]), "bench.stray_peak", -1),
+            ("bench", amend(BENCH, "bench.stray_counts", [0]), "bench.stray_width_ms", -5),
+            ("bench", amend(BENCH, "bench.stray_counts", [0]), "bench.stray_width_ms", 0),
+            ("bench", amend(BENCH, "bench.stray_counts", []), "bench.noise_levels", [-1]),
+            ("bench", amend(BENCH, "bench.stray_counts", []), "bench.noise_levels",
+             [float("inf")]),
             # a section the command does not read is still checked
             ("synth", {"waveform": {"duration_ms": 1000}}, "schmitt.upper_threshold", "x"),
             ("run", WAVEFORM_RUN, "bench.runs_per_cell", "x"),

@@ -422,6 +422,13 @@ def test_scale_invariance(values, shift):
                      "value must be in [0, 1023], got 1024", id="columns-first-bad-row"),
         pytest.param(lambda: SampleColumns([0, 1], [0]), "t_ms and value must have one length",
                      id="columns-length-mismatch"),
+        # two arrays of different lengths, judged after their dtypes and shapes
+        pytest.param(lambda: SampleColumns(np.arange(2), np.arange(3)),
+                     "t_ms and value must have one length, got 2 and 3",
+                     id="columns-array-length-mismatch"),
+        pytest.param(lambda: SampleColumns(np.arange(3), np.arange(0)),
+                     "t_ms and value must have one length, got 3 and 0",
+                     id="columns-array-and-empty-array"),
         # a list's rows are built as Samples, so a nested list is a row
         # Sample refuses; an array is judged by its shape
         pytest.param(lambda: SampleColumns([[0, 1]], [[0, 0]]), "t_ms must be an integer, got [0, 1]",

@@ -18,10 +18,14 @@ A change that means to alter a report regenerates them with these commands
 and says why; any other change must leave them as they are.
 """
 
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import pulsealarm
 from pulsealarm.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -47,3 +51,19 @@ def test_report_matches_golden(tmp_path, capsys, monkeypatch, command, seed, nam
 def test_explicit_waveform_matches_golden(tmp_path, capsys, monkeypatch, command, suffix):
     name = f"waveform_{command}_seed7"
     assert_golden(tmp_path, capsys, monkeypatch, command, "waveform.json", 7, name, suffix)
+
+
+def test_python_m_pulsealarm_matches_golden(tmp_path):
+    # the module entry point, in a fresh process: main's exit code reaches
+    # the shell, and the report and stdout are run's golden ones
+    src = pathlib.Path(pulsealarm.__file__).parents[1]
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-m", "pulsealarm", "run", "--config", str(GOLDEN / "run.json"),
+         "--seed", "11", "--out", "run_seed11.jsonl"],
+        cwd=tmp_path, env=env, capture_output=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr.decode()
+    assert (tmp_path / "run_seed11.jsonl").read_bytes() == (GOLDEN / "run_seed11.jsonl").read_bytes()
+    assert result.stdout == (GOLDEN / "run_seed11.txt").read_bytes()
