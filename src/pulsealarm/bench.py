@@ -3,6 +3,7 @@ baseline over a corpus of waveforms with injected stray pulses and noise."""
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
 from dataclasses import dataclass, replace
@@ -45,10 +46,13 @@ def place_strays(
     grid_ms: float,
 ) -> tuple[StrayPulse, ...]:
     """Scatter stray pulses between beats, snapped to the sample grid and
-    kept away from the real pulses so overlap cannot mask them."""
+    kept away from the real pulses so overlap cannot mask them. Each stray
+    lands in the middle half of a random beat interval, at least width_ms
+    from every other; a draw that lands too close is dropped, and drawing
+    stops after count * 100 draws, so fewer than count may be placed."""
     if count == 0 or len(truth_times) < 2:
         return ()
-    times: list[float] = []
+    times: list[float] = []  # sorted, so only a draw's two neighbours can be too close
     attempts = 0
     while len(times) < count and attempts < count * 100:
         attempts += 1
@@ -58,9 +62,10 @@ def place_strays(
         t = grid_ms * round((truth_times[k] + offset) / grid_ms)
         # non-overlapping strays only: two superimposed mid-band pulses
         # could sum past the upper threshold and stop being "mid-band"
-        if all(abs(t - other) >= width_ms for other in times):
-            times.append(t)
-    return tuple(StrayPulse(t, peak, width_ms) for t in sorted(times))
+        j = bisect.bisect(times, t)
+        if all(abs(t - other) >= width_ms for other in times[max(j - 1, 0) : j + 1]):
+            times.insert(j, t)
+    return tuple(StrayPulse(t, peak, width_ms) for t in times)
 
 
 @dataclass(frozen=True)
@@ -108,20 +113,28 @@ def bench_corpus(
     rows = []
     grid_ms = 1000.0 / base_spec.sample_rate_hz
     base_beats = base_spec.beat_times()
+    # the most strays that fit: in each beat interval they span at most its
+    # middle half plus a grid step (each snaps half a step either way)
+    room = sum(math.floor(((b - a) / 2 + grid_ms) / stray_width_ms) + 1
+               for a, b in zip(base_beats, base_beats[1:]))
+    if any(count > room for count in stray_counts):
+        raise ValueError(f"stray_counts: at most {room} strays of {stray_width_ms:g} ms fit "
+                         f"between the base's beats, got {list(stray_counts)}")
     for stray_count in stray_counts:
         for noise in noise_levels:
             totals = [0, 0, 0, 0]
             for run in range(runs_per_cell):
                 cell_seed = seed * 1_000_003 + hash((stray_count, noise, run)) % 1_000_003
                 rng = random.Random(cell_seed)
+                strays = place_strays(
+                    base_beats, stray_count, stray_peak, stray_width_ms, rng, grid_ms
+                )
+                if len(strays) < stray_count:
+                    raise ValueError(f"stray_counts: only {len(strays)} of {stray_count} "
+                                     f"strays found room in {stray_count * 100} draws "
+                                     f"(noise {noise:g}, run {run})")
                 spec = replace(
-                    base_spec,
-                    noise_stddev=noise,
-                    stray_pulses=place_strays(
-                        base_beats, stray_count, stray_peak,
-                        stray_width_ms, rng, grid_ms,
-                    ),
-                    rng_seed=cell_seed,
+                    base_spec, noise_stddev=noise, stray_pulses=strays, rng_seed=cell_seed
                 )
                 samples, truth = synthesize(spec)
                 schmitt_times = [b.t_ms for b in detect_beats(samples, schmitt)]

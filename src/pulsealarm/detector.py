@@ -237,15 +237,15 @@ class BeatDetector:
         upper threshold (HIGH) or at or below the lower one (LOW), so it is
         the last mark forward-filled from the carried level. Its rising
         edges are the candidate beats, and only they pass through _gate in
-        Python.
+        Python. The order check compares the first time with last_t_ms and
+        the block with itself in place; only a refusal copies the block.
         """
         t, v = columns.t_ms, columns.value
         if not t.size:
             return []
-        ts = np.concatenate(([self.last_t_ms], t))
-        stalled = np.flatnonzero(ts[1:] <= ts[:-1])
-        if stalled.size:
-            i = stalled[0]
+        if t[0] <= self.last_t_ms or (t[1:] <= t[:-1]).any():
+            ts = np.concatenate(([self.last_t_ms], t))
+            i = np.flatnonzero(ts[1:] <= ts[:-1])[0]
             raise StreamOrderError(_NOT_ADVANCING.format(ts[i + 1], ts[i]))
         cfg = self.config
         up = v >= cfg.upper_threshold

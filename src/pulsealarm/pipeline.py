@@ -10,6 +10,7 @@ a time, as `serve` does from the decoder's one outcome per frame."""
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Iterable
@@ -171,16 +172,16 @@ class Pipeline:
         beats = self._detector.push_chunk(columns)
         t = columns.t_ms
         self._report.sample_count += t.size
-        deadline, tick = self._deadline, None
-        if t.size and deadline <= int(t[-1]):
+        tick = math.inf
+        if t.size and self._deadline <= int(t[-1]):
             # t_ms is never negative, so a time of 0 finds the same sample
-            tick = int(t[np.searchsorted(t, max(deadline, 0))])
+            tick = int(t[np.searchsorted(t, max(self._deadline, 0))])
         for beat in beats:
-            if tick is not None and beat.t_ms >= tick:
+            if beat.t_ms >= tick:
                 self._engine_step(ClockTick(tick))
-                tick = None
+                tick = math.inf
             self._beat(beat)
-        if tick is not None:
+        if tick < math.inf:
             self._engine_step(ClockTick(tick))
 
     def report(

@@ -101,11 +101,7 @@ def _checksum(seq: int, t_ms: int, value: int) -> int:
 
 
 def encode_frame(seq: int, sample: Sample) -> bytes:
-    return _encode(seq, sample.t_ms, sample.value)
-
-
-def _encode(seq: int, t_ms: int, value: int) -> bytes:
-    """encode_frame of the fields of a row that Sample accepts."""
+    t_ms, value = sample.t_ms, sample.value
     _check_fields(seq, t_ms)
     return _FRAME.pack(SYNC_BYTE, seq, t_ms, value, _checksum(seq, t_ms, value))
 
@@ -236,8 +232,9 @@ def replay_file(
 
     speed is a real-time multiplier: 1.0 paces frames at the recorded
     sample intervals, 2.0 twice as fast, 0 disables pacing entirely. Each
-    frame waits for its own due time on the monotonic clock, so a late
-    wake-up delays one frame, not every frame after it.
+    frame has one due time, in seconds after the first frame (all 0 when
+    unpaced), and waits for it on the monotonic clock, so a late wake-up
+    delays one frame, not every frame after it.
     Returns the number of frames sent. The whole file is read and checked,
     every frame encoded and the pacing checked against the longest sleep,
     before `connect` is called, so a refused file or speed opens no sink.
@@ -247,19 +244,18 @@ def replay_file(
         data = encode_stream(columns)
     except ValueError as exc:  # only a t_ms can be refused; sample i is line i + 2
         raise PulseAlarmError(f"line {int(np.argmax(columns.t_ms >= 2**32)) + 2}: {exc}") from None
-    times = columns.t_ms.tolist()
-    first, last = (times[0], times[-1]) if times else (0, 0)
-    span_s = (last - first) / 1000.0 / speed if speed > 0 else 0.0
+    t = columns.t_ms
+    due = ((t - t[:1]) / 1000.0 / speed if speed > 0 else np.zeros(t.size)).tolist()
+    span_s = due[-1] if due else 0.0
     longest_s = threading.TIMEOUT_MAX - time.monotonic()  # time.sleep's deadline bound
     if span_s > longest_s:
         raise PulseAlarmError(f"speed {speed:g}: the last frame would be due {span_s:g} s "
                               f"after the first, past the longest sleep of {longest_s:g} s")
     sink = connect()
     start = time.monotonic()
-    for i, t_ms in enumerate(times):
-        if speed > 0:
-            delay = start + (t_ms - first) / 1000.0 / speed - time.monotonic()
-            if delay > 0:
-                time.sleep(delay)
+    for i, due_s in enumerate(due):
+        delay = start + due_s - time.monotonic()
+        if delay > 0:
+            time.sleep(delay)
         sink(data[i * FRAME_LEN : (i + 1) * FRAME_LEN])
-    return len(times)
+    return len(due)

@@ -1,8 +1,13 @@
+import random
+from itertools import accumulate
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pulsealarm import SchmittConfig, WaveformSpec, synthesize
 from pulsealarm import bench
-from pulsealarm.bench import bench_corpus, match_beats
+from pulsealarm.bench import bench_corpus, match_beats, place_strays
 
 
 @pytest.mark.parametrize("seed", [3, 8])
@@ -57,3 +62,50 @@ def test_a_bad_setting_is_named_by_its_own_key(monkeypatch, key, value, message)
     monkeypatch.setattr(bench, "synthesize", None)
     with pytest.raises(ValueError, match=f"^{message}$"):
         bench_corpus(WaveformSpec(duration_ms=1000), **{key: value})
+
+
+def _place_strays_against_all(truth_times, count, peak, width_ms, rng, grid_ms):
+    """place_strays with each draw tested against every placed stray."""
+    if count == 0 or len(truth_times) < 2:
+        return ()
+    times = []
+    for _ in range(count * 100):
+        if len(times) == count:
+            break
+        k = rng.randrange(len(truth_times) - 1)
+        ibi = truth_times[k + 1] - truth_times[k]
+        t = grid_ms * round((truth_times[k] + rng.uniform(0.25 * ibi, 0.75 * ibi)) / grid_ms)
+        if all(abs(t - other) >= width_ms for other in times):
+            times.append(t)
+    return tuple(bench.StrayPulse(t, peak, width_ms) for t in sorted(times))
+
+
+@settings(max_examples=100)
+@given(
+    truth=st.lists(st.floats(200, 2000), min_size=0, max_size=12),
+    count=st.integers(0, 80),
+    width_ms=st.floats(1, 400),
+    grid_ms=st.sampled_from([1.0, 4.0, 10.0]),
+    seed=st.integers(0, 2**32),
+)
+def test_neighbour_overlap_test_places_the_same_strays(truth, count, width_ms, grid_ms, seed):
+    truth_times = list(accumulate(truth, initial=0.0))
+    args = (truth_times, count, 510, width_ms)
+    assert place_strays(*args, random.Random(seed), grid_ms) == _place_strays_against_all(
+        *args, random.Random(seed), grid_ms
+    )
+
+
+@pytest.mark.parametrize("count", [64, 1000, 100_000])
+def test_more_strays_than_the_base_holds_refused_before_drawing(monkeypatch, count):
+    # a 10 s base at 60 bpm has 9 beat intervals of 1000 ms, each of which
+    # holds at most floor((500 + 1) / 80) + 1 = 7 strays: 63 in all
+    monkeypatch.setattr(bench, "place_strays", None)
+    with pytest.raises(ValueError, match=rf"^stray_counts: at most 63 strays of 80 ms fit .*, "
+                                         rf"got \[0, {count}\]$"):
+        bench_corpus(WaveformSpec(duration_ms=10000), [0, count], [0.0], 1)
+
+
+def test_strays_the_draws_fall_short_of_refused():
+    with pytest.raises(ValueError, match=r"^stray_counts: only 49 of 60 strays found room in 6000 draws"):
+        bench_corpus(WaveformSpec(duration_ms=10000), [60], [0.0], 1)

@@ -537,6 +537,9 @@ def amend(config, path, value):
             ("bench", BENCH, "bench.runs_per_cell", 0),
             ("bench", BENCH, "bench.runs_per_cell", -1),
             ("bench", BENCH, "bench.stray_counts", [-5]),
+            # more strays than the base can hold, and more than the draws placed
+            ("bench", BENCH, "bench.stray_counts", [1000]),
+            ("bench", amend(BENCH, "bench.base.duration_ms", 10000), "bench.stray_counts", [60]),
             ("bench", BENCH, "bench.match_tolerance_ms", -1),
             # refused by its own key before any cell is built, so even on a
             # grid with no cell, or no stray, that would meet it

@@ -354,6 +354,9 @@ def feed_chunks(detector, samples, chunks):
 # a chunk that ends HIGH, then one that opens HIGH: no edge between them
 @example(stream=([Sample(0, 600), Sample(10, 600)], [(0, 1, True), (1, 2, True)]),
          config=NAIVE_500)
+# a chunk whose first time repeats the last chunk's last time: refused as push refuses it
+@example(stream=([Sample(0, 300), Sample(10, 600), Sample(10, 600), Sample(20, 300)],
+                 [(0, 2, True), (2, 4, True)]), config=CONFIG)
 def test_chunking_equals_push(stream, config):
     samples, chunks = stream
 

@@ -292,6 +292,14 @@ class TestReplayFile:
             ("frame", 1), ("sleep", pytest.approx(0.010)), ("frame", 2),
         ]
 
+    def test_unpaced_sends_every_frame_in_order_without_sleeping(self, tmp_path, monkeypatch):
+        path = tmp_path / "wave.csv"
+        path.write_text("t_ms,value\n0,300\n10,300\n30,300\n")
+        clock = FakeClock(monkeypatch)
+        assert replay_file(path, lambda: lambda frame: clock.events.append(("frame", frame[1])),
+                           speed=0) == 3
+        assert clock.events == [("frame", 0), ("frame", 1), ("frame", 2)]
+
     def test_late_wake_ups_do_not_add_up(self, tmp_path, monkeypatch):
         path = tmp_path / "wave.csv"
         path.write_text("t_ms,value\n" + "".join(f"{10 * i},300\n" for i in range(101)))
