@@ -7,11 +7,13 @@ band can never produce a beat. A refractory guard suppresses double-triggers
 on a single pulse. push steps it one Sample at a time; push_chunk scans a
 whole block of SampleColumns with numpy, and the two can be mixed on one
 detector. They differ only in how they find rising edges: both pass each
-edge through one refractory gate, the only place a beat is built. Sample
-states the one rule for a row; SampleColumns builds a list's rows through
-it and checks an array in bulk, and the rows it hands out are not checked
-again. A deliberately fragile single-threshold detector is kept as a
-baseline.
+edge through one refractory gate, the only place a beat is built.
+push_chunk indexes only the HIGH marks, a few samples per beat, and builds
+no full-length index. Sample states the one rule for a row; SampleColumns
+builds a list's rows through it and checks an array in bulk, copied or,
+on the package's own batch paths, adopted, and the rows it hands out are
+not checked again. A deliberately fragile single-threshold detector is
+kept as a baseline.
 """
 
 from __future__ import annotations
@@ -113,8 +115,19 @@ class SampleColumns(collections.abc.Sequence):
                 raise ValueError(f"{name} must be one-dimensional, got shape {column.shape}")
         if t.shape != v.shape:
             raise ValueError(f"t_ms and value must have one length, got {t.size} and {v.size}")
-        # a uint64 entry at or above 2**63 casts to a negative one
-        t_64, v_64 = t.astype(np.int64), v.astype(np.int64)
+        # copies; a uint64 entry at or above 2**63 casts to a negative one
+        self._adopt(t.astype(np.int64), v.astype(np.int64), t, v)
+
+    @classmethod
+    def _own(cls, t_ms: np.ndarray, value: np.ndarray) -> SampleColumns:
+        """Columns over two int64 arrays the package has just built and no
+        longer uses, checked as the constructor checks and frozen, not copied."""
+        columns = object.__new__(cls)
+        columns._adopt(t_ms, value, t_ms, value)
+        return columns
+
+    def _adopt(self, t_64, v_64, t, v):
+        """Keep int64 t_64 and v_64 read-only; a row out of range raises from t and v."""
         bad = np.flatnonzero((t_64 < 0) | (v_64 < 0) | (v_64 > ADC_MAX))
         if bad.size:
             Sample(t[bad[0]], v[bad[0]])  # raises for this row
@@ -130,7 +143,7 @@ class SampleColumns(collections.abc.Sequence):
         """samples as columns; a SampleColumns is returned as it is."""
         if isinstance(samples, SampleColumns):
             return samples
-        return cls(*_int64_columns(list(samples)))
+        return cls._own(*_int64_columns(list(samples)))
 
     def __len__(self) -> int:
         return self.t_ms.size
@@ -234,8 +247,9 @@ class BeatDetector:
         """push over every sample of a block, in one numpy scan.
 
         The level changes only at a marked sample, one at or above the
-        upper threshold (HIGH) or at or below the lower one (LOW), so it is
-        the last mark forward-filled from the carried level. Its rising
+        upper threshold (HIGH) or at or below the lower one (LOW). Nearly
+        every sample is a LOW mark, at the baseline, so the scan indexes
+        the HIGH marks alone and keeps the LOW ones a bool mask. The rising
         edges are the candidate beats, and only they pass through _gate in
         Python. The order check compares the first time with last_t_ms and
         the block with itself in place; only a refusal copies the block.
@@ -247,15 +261,19 @@ class BeatDetector:
             ts = np.concatenate(([self.last_t_ms], t))
             i = np.flatnonzero(ts[1:] <= ts[:-1])[0]
             raise StreamOrderError(_NOT_ADVANCING.format(ts[i + 1], ts[i]))
-        cfg = self.config
-        up = v >= cfg.upper_threshold
-        marked = np.flatnonzero(up | (v <= cfg.lower_threshold))
-        level = up[marked]
-        rising = level & ~np.concatenate(([self.high], level[:-1]))
-        if level.size:
-            self.high = bool(level[-1])
+        up = np.flatnonzero(v >= self.config.upper_threshold)
+        low = v <= self.config.lower_threshold
+        edges = []
+        if up.size:
+            # up[j] rises iff a LOW mark lies in (up[j - 1], up[j]); the
+            # carried level stands in for the one before up[0]
+            rising = np.logical_or.reduceat(low[: up[-1] + 1], np.concatenate(([0], up[:-1] + 1)))
+            rising[0] |= not self.high
+            edges = t[up[rising]].tolist()
+            self.high, low = True, low[up[-1] + 1 :]
+        self.high = self.high and not low.any()  # any LOW mark after the last HIGH one
         self.last_t_ms = int(t[-1])
-        return list(filter(None, map(self._gate, t[marked[rising]].tolist())))
+        return list(filter(None, map(self._gate, edges)))
 
     def _gate(self, t: int) -> Optional[BeatEvent]:
         """The beat at a rising edge at t, or None inside the refractory

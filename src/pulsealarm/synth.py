@@ -122,24 +122,19 @@ class GroundTruth:
     beat_times_ms: tuple[float, ...]
 
 
-def _stamp_raised_cosine(
-    values: np.ndarray, times: np.ndarray, center: float, amplitude: float, width: float
-):
-    half = width / 2.0
-    lo = np.searchsorted(times, center - half, side="left")
-    hi = np.searchsorted(times, center + half, side="right")
-    if lo >= hi:
-        return
-    window = times[lo:hi]
-    values[lo:hi] += amplitude * 0.5 * (1.0 + np.cos(math.pi * (window - center) / half))
-
-
 def synthesize(spec: WaveformSpec) -> tuple[SampleColumns, GroundTruth]:
-    """Generate the sample columns and their ground truth for a spec."""
+    """Generate the sample columns and their ground truth for a spec.
+
+    Every pulse, beats then strays, is stamped in one numpy pass. Its one
+    full-length scratch array is the float time grid, which then holds the
+    noise; the values become the counts in place. A fresh array costs page
+    faults on the scale of the arithmetic."""
     period = 1000.0 / spec.sample_rate_hz
     n = int(round(spec.duration_ms / period))
-    t_ms = np.round(np.arange(n) * period).astype(np.int64)
-    times = t_ms.astype(np.float64)
+    times = np.arange(n, dtype=np.float64)
+    times *= period
+    np.round(times, out=times)
+    t_ms = times.astype(np.int64)
 
     values = np.full(n, float(spec.baseline))
     if spec.wander_amplitude:
@@ -148,20 +143,31 @@ def synthesize(spec: WaveformSpec) -> tuple[SampleColumns, GroundTruth]:
         )
 
     beats = spec.beat_times()
-    for beat in beats:
-        _stamp_raised_cosine(
-            values, times, beat, spec.pulse_amplitude, spec.pulse_width_ms
-        )
-    for stray in spec.stray_pulses:
-        _stamp_raised_cosine(
-            values, times, stray.t_ms, stray.peak - spec.baseline, stray.width_ms
-        )
+    pulses = [(beat, spec.pulse_width_ms, spec.pulse_amplitude) for beat in beats]
+    pulses += [(s.t_ms, s.width_ms, s.peak - spec.baseline) for s in spec.stray_pulses]
+    centers, widths, peaks = np.array(pulses, dtype=np.float64).reshape(-1, 3).T
+    halves = widths / 2.0
+    lo = np.searchsorted(times, centers - halves, side="left")
+    sizes = np.searchsorted(times, centers + halves, side="right") - lo
+    pulse = np.repeat(np.arange(centers.size), sizes)
+    idx = np.arange(pulse.size) + np.repeat(lo - (np.cumsum(sizes) - sizes), sizes)
+    stamps = peaks[pulse] * 0.5 * (
+        1.0 + np.cos(math.pi * (times[idx] - centers[pulse]) / halves[pulse]))
+    # WaveformSpec keeps beat windows apart; strays may overlap anything,
+    # and add.at adds a repeated index once per window, in order
+    split = sizes[: len(beats)].sum()
+    values[idx[:split]] += stamps[:split]
+    np.add.at(values, idx[split:], stamps[split:])
     if spec.noise_stddev:
-        rng = np.random.default_rng(spec.rng_seed)
-        values += rng.normal(0.0, spec.noise_stddev, n)
+        np.random.default_rng(spec.rng_seed).standard_normal(out=times)
+        times *= spec.noise_stddev  # normal(0, s, n) draws s * standard_normal
+        values += times
 
-    counts = np.clip(np.round(values), 0, ADC_MAX).astype(np.int64)
-    return SampleColumns(t_ms, counts), GroundTruth(tuple(beats))
+    np.round(values, out=values)
+    np.clip(values, 0, ADC_MAX, out=values)
+    counts = values.view(np.int64)  # each count overwrites the float it is cast from
+    np.copyto(counts, values, casting="unsafe")
+    return SampleColumns._own(t_ms, counts), GroundTruth(tuple(beats))
 
 
 _HEADER = "t_ms,value\n"
@@ -203,7 +209,7 @@ def _read_canonical(data: bytes) -> Optional[SampleColumns]:
         return None
     fields = np.fromstring(body.replace(b"\n", b","), np.int64, sep=",")
     try:
-        columns = SampleColumns(fields[0::2], fields[1::2])
+        columns = SampleColumns._own(fields[0::2], fields[1::2])
     except ValueError:  # a value above the ADC range
         return None
     t = columns.t_ms

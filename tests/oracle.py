@@ -2,9 +2,42 @@
 
 Kept deliberately independent of the package's streaming code: the beat
 scans work over fully buffered arrays in a single literal pass of the
-hysteresis definition, and the frame scan walks its bytes one at a time,
-so agreement with the streaming detector and decoder is meaningful.
+hysteresis definition, the frame scan walks its bytes one at a time, and
+the synthesis stamps one pulse at a time, so agreement with the streaming
+detector, the decoder and the one-pass synthesis is meaningful.
 """
+
+import math
+
+import numpy as np
+
+
+def reference_synthesize(spec):
+    """A WaveformSpec's (t_ms, value) int64 arrays, one pulse at a time.
+
+    Each beat, then each stray, adds its raised cosine to the float
+    waveform over the samples within half its width of its center; noise
+    is drawn with Generator.normal; the values are rounded and clamped to
+    the ADC range.
+    """
+    period = 1000.0 / spec.sample_rate_hz
+    n = int(round(spec.duration_ms / period))
+    t_ms = np.round(np.arange(n) * period).astype(np.int64)
+    times = t_ms.astype(np.float64)
+    values = np.full(n, float(spec.baseline))
+    if spec.wander_amplitude:
+        values += spec.wander_amplitude * np.sin(2.0 * math.pi * times / spec.wander_period_ms)
+    pulses = [(beat, spec.pulse_amplitude, spec.pulse_width_ms) for beat in spec.beat_times()]
+    pulses += [(s.t_ms, s.peak - spec.baseline, s.width_ms) for s in spec.stray_pulses]
+    for center, amplitude, width in pulses:
+        half = width / 2.0
+        lo = np.searchsorted(times, center - half, side="left")
+        hi = np.searchsorted(times, center + half, side="right")
+        window = times[lo:hi]
+        values[lo:hi] += amplitude * 0.5 * (1.0 + np.cos(math.pi * (window - center) / half))
+    if spec.noise_stddev:
+        values += np.random.default_rng(spec.rng_seed).normal(0.0, spec.noise_stddev, n)
+    return t_ms, np.clip(np.round(values), 0, 1023).astype(np.int64)
 
 
 def offline_beat_scan(times, values, upper, lower, refractory_ms):

@@ -109,6 +109,12 @@ class TestSampleColumns:
         with pytest.raises(ValueError):
             columns.value[0] = 3
 
+    def test_constructor_copies_int64_arrays(self):
+        t_ms, value = np.array([0, 10]), np.array([5, 6])
+        columns = SampleColumns(t_ms, value)
+        t_ms[0] = value[0] = 7  # the caller's arrays stay writeable, and apart
+        assert list(columns) == [Sample(0, 5), Sample(10, 6)]
+
     def test_columns_cannot_be_rebound(self):
         """Rows are built without Sample's check, trusting the columns'
         check at construction, so neither column can be swapped after it."""
@@ -297,6 +303,38 @@ def test_no_double_trigger_and_monotone_output(values):
 
 
 NAIVE_500 = SchmittConfig(500, 499, 1)  # naive_detect_beats(samples, 500)
+
+
+# (t_ms, value) blocks, each fed whole to push_chunk, and the beats they
+# give under CONFIG (HIGH at 550 and above, LOW at 470 and below)
+_EDGE_BLOCKS = {
+    "low-marks-only-re-arm-carried-high":
+        ([[(0, 600)], [(100, 500), (200, 400)], [(300, 600)]], [0, 300]),
+    "block-inside-the-band-keeps-high":
+        ([[(0, 600)], [(100, 500), (200, 520)], [(300, 600)]], [0]),
+    "block-inside-the-band-keeps-low":
+        ([[(0, 400)], [(100, 500), (200, 520)], [(300, 600)]], [300]),
+    "first-sample-high-carried-high": ([[(0, 600), (100, 500)], [(300, 600), (400, 400)]], [0]),
+    "first-sample-high-carried-low":
+        ([[(0, 600), (100, 400)], [(300, 600), (400, 400)]], [0, 300]),
+    "consecutive-high-marks": ([[(0, 400), (10, 600), (20, 600), (30, 700), (40, 400),
+                                 (300, 550), (310, 551), (320, 400), (330, 600)]], [10, 300]),
+    "ends-high-then-starts-low": ([[(0, 400), (10, 600)], [(20, 400), (300, 600)]], [10, 300]),
+}
+
+
+@pytest.mark.parametrize("blocks, expected", _EDGE_BLOCKS.values(), ids=_EDGE_BLOCKS.keys())
+def test_push_chunk_edge_cases(blocks, expected):
+    """push_chunk equals push sample by sample after every block, and the
+    offline scan over the whole stream."""
+    chunked, pushed, beats = BeatDetector(CONFIG), BeatDetector(CONFIG), []
+    for block in blocks:
+        out = chunked.push_chunk(SampleColumns([t for t, _ in block], [v for _, v in block]))
+        assert out == pushed_beats(block, pushed)
+        assert state(chunked) == state(pushed)
+        beats += out
+    times, values = zip(*(row for block in blocks for row in block))
+    assert [b.t_ms for b in beats] == offline_beat_scan(times, values, 550, 470, 250) == expected
 
 
 @st.composite

@@ -1,6 +1,7 @@
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -25,6 +26,8 @@ from pulsealarm import (
     write_waveform,
 )
 from pulsealarm.synth import _read_canonical, _read_waveform_lines
+
+from oracle import reference_synthesize
 
 NAN = float("nan")
 GOLDEN_CSV = Path(__file__).parent / "golden" / "waveform_synth_seed7.csv"
@@ -83,6 +86,50 @@ class TestSynthesize:
         period = 1000.0 / spec.sample_rate_hz
         for beat, true_t in zip(beats, truth.beat_times_ms):
             assert abs(beat.t_ms - true_t) <= period
+
+
+@st.composite
+def _specs(draw):
+    """WaveformSpecs at awkward sample periods, with one or two rate
+    segments, wander and noise each on or off, and strays that overlap the
+    beats and each other or lie partly or wholly outside [0, duration)."""
+    duration = draw(st.integers(1, 4000))
+    # from 4 Hz up, so that 240 bpm is at most one beat per sample
+    rate = draw(st.sampled_from([97.0, 333.0, 100.0, 1000.0]) | st.floats(4.0, 1000.0))
+    bpms = draw(st.lists(st.floats(20.0, 240.0), min_size=1, max_size=2))
+    schedule = bpms[0] if len(bpms) == 1 else (
+        (0, bpms[0]), (draw(st.floats(0, duration)), bpms[1]))
+    baseline = draw(st.integers(0, 700))
+    strays = draw(st.lists(st.builds(
+        StrayPulse, st.floats(-400.0, duration + 400.0), st.integers(0, ADC_MAX),
+        st.floats(0.5, 600.0)), max_size=8))
+    return WaveformSpec(
+        duration_ms=duration, sample_rate_hz=rate, heart_rate_bpm=schedule,
+        pulse_amplitude=draw(st.integers(0, ADC_MAX - baseline)), baseline=baseline,
+        pulse_width_ms=60000.0 / max(bpms) * draw(st.floats(0.001, 0.999)),
+        noise_stddev=draw(st.just(0.0) | st.floats(0.1, 80.0)),
+        wander_amplitude=draw(st.just(0.0) | st.floats(-150.0, 150.0)),
+        wander_period_ms=draw(st.floats(50.0, 20000.0)),
+        stray_pulses=tuple(strays), rng_seed=draw(st.integers(0, 2**32)),
+    )
+
+
+@settings(max_examples=300)
+@given(spec=_specs())
+# strays over a beat and each other, across either end, and wholly past the end
+@example(spec=WaveformSpec(
+    duration_ms=2000, sample_rate_hz=333.0, heart_rate_bpm=((0, 60), (900, 150)),
+    noise_stddev=5.0, wander_amplitude=20.0,
+    stray_pulses=(StrayPulse(1000.0, 900, 300.0), StrayPulse(1100.0, 100, 300.0),
+                  StrayPulse(-50.0, 700, 200.0), StrayPulse(1990.0, 600, 100.0),
+                  StrayPulse(5000.0, 600, 100.0))))
+def test_synthesize_equals_reference(spec):
+    """The one-pass synthesis is bit for bit the pulse-by-pulse one."""
+    columns, truth = synthesize(spec)
+    t_ms, value = reference_synthesize(spec)
+    assert np.array_equal(columns.t_ms, t_ms)
+    assert np.array_equal(columns.value, value)
+    assert truth.beat_times_ms == tuple(spec.beat_times())
 
 
 class TestSpecValidation:
@@ -214,6 +261,27 @@ class TestWaveformCsv:
         path = tmp_path / "empty.csv"
         path.write_text("t_ms,value\n")
         assert read_waveform(path) == []
+
+    def test_value_past_the_adc_range_leaves_the_numpy_path(self, tmp_path):
+        data = b"t_ms,value\n0,5\n10,1024\n"
+        assert _read_canonical(data) is None
+        path = tmp_path / "bad.csv"
+        path.write_bytes(data)
+        message = r"^line 3: value must be in \[0, 1023\], got 1024"
+        with pytest.raises(WaveformParseError, match=message):
+            read_waveform(path)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["numpy-path", "line-parser"])
+    def test_columns_built_are_read_only_int64(self, tmp_path, newline):
+        samples, _ = synthesize(WaveformSpec(duration_ms=3000, noise_stddev=5.0, rng_seed=1))
+        path = tmp_path / "wave.csv"
+        write_waveform(samples, path)
+        path.write_bytes(path.read_bytes().replace(b"\n", newline.encode()))
+        for columns in samples, read_waveform(path):
+            for column in columns.t_ms, columns.value:
+                assert column.dtype == np.int64
+                with pytest.raises(ValueError, match="read-only"):
+                    column[0] = 1
 
     def test_written_file_takes_the_numpy_path(self):
         columns = _read_canonical(GOLDEN_CSV.read_bytes())
