@@ -127,9 +127,10 @@ class SampleColumns(collections.abc.Sequence):
         return columns
 
     def _adopt(self, t_64, v_64, t, v):
-        """Keep int64 t_64 and v_64 read-only; a row out of range raises from t and v."""
-        bad = np.flatnonzero((t_64 < 0) | (v_64 < 0) | (v_64 > ADC_MAX))
-        if bad.size:
+        """Keep int64 t_64 and v_64 read-only; a row out of range raises from t
+        and v. Reductions check the columns; only a failed check builds a mask."""
+        if t_64.size and (t_64.min() < 0 or v_64.min() < 0 or v_64.max() > ADC_MAX):
+            bad = np.flatnonzero((t_64 < 0) | (v_64 < 0) | (v_64 > ADC_MAX))
             Sample(t[bad[0]], v[bad[0]])  # raises for this row
         t_64.flags.writeable = v_64.flags.writeable = False
         object.__setattr__(self, "t_ms", t_64)

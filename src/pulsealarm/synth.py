@@ -184,32 +184,79 @@ def write_waveform(samples: Sequence[Sample], path) -> None:
 def read_waveform(path) -> SampleColumns:
     """Read a waveform CSV back into sample columns, sample i from line i + 2.
 
-    A canonical file, the header `t_ms,value` and then lines of 1-18 digits,
-    a comma and 1-18 digits, each ending in `\\n`, is parsed by numpy in one
-    pass. Any other file, or a canonical one with a refused row, is read by
-    the line parser, which raises the first line's WaveformParseError."""
+    A canonical file, the header `t_ms,value` and then lines of 1-16 digits,
+    a comma and 1-16 digits, each ending in `\\n`, is parsed by numpy a block
+    of lines at a time, each field folded from one or two 64-bit words. Any
+    other file, or a canonical one with a refused row, is read by the line
+    parser, which raises the first line's WaveformParseError."""
     with open(path, "rb") as f:
         data = f.read()
     columns = _read_canonical(data)
     return SampleColumns.of(_read_waveform_lines(data)) if columns is None else columns
 
 
+# Whole lines of about this many bytes are parsed at a time. At ~10 bytes a
+# row, a block's int64 temporaries (~27 KB each) stay in L2 and so small
+# that glibc keeps their heap between reads: a warm read makes no page
+# faults (64 KiB blocks made ~490 a 60 000-row read).
+_BLOCK = 1 << 15
+# _MASK[w] keeps the low nibble, the digit, of the last w bytes of a little-endian word
+_MASK = np.array([0x0F0F0F0F0F0F0F0F >> 8 * (8 - w) << 8 * (8 - w) for w in range(9)], np.uint64)
+
+
+def _fold(words: np.ndarray) -> np.ndarray:
+    """The value of each word's 8 decimal digits, the first in its low byte,
+    in place: each step adds every digit group, times its weight, into the
+    next, for 4 two-digit, 2 four-digit and then 1 eight-digit value
+    (Lemire's SWAR fold; every operand is uint64)."""
+    for shift, keep in (8, 0x00FF00FF00FF00FF), (16, 0x0000FFFF0000FFFF), (32, 0xFFFFFFFF):
+        words *= np.uint64(10 ** (shift // 8) << shift | 1)
+        words >>= np.uint64(shift)
+        words &= np.uint64(keep)
+    return words
+
+
 def _read_canonical(data: bytes) -> Optional[SampleColumns]:
     """The columns of a canonical CSV whose rows Sample accepts in strictly
-    increasing time order, else None. 18 digits cannot overflow int64."""
-    body = data[len(_HEADER):]
-    if (not data.startswith(_HEADER.encode()) or not body.endswith(b"\n")
-            or body.translate(None, b"0123456789,\n")):
+    increasing time order, else None. 16 digits cannot overflow int64.
+
+    Blocks of whole lines are checked, then folded: each field is the
+    digits in the 8 bytes before its separator, plus 10**8 times the 8
+    bytes before those for a field of 9-16 digits. The header guarantees
+    8 bytes before the first separator."""
+    if not data.startswith(_HEADER.encode()) or not data.endswith(b"\n"):
         return None
-    raw = np.frombuffer(body, np.uint8)
-    ends = np.flatnonzero(raw < ord("0"))  # the `,` or `\n` after each field
-    widths = np.diff(ends) - 1  # field lengths after the first, which is ends[0]
-    if not ((raw[ends[0::2]] == ord(",")).all() and (raw[ends[1::2]] == ord("\n")).all()
-            and 1 <= min(ends[0], widths.min()) and max(ends[0], widths.max()) <= 18):
-        return None
-    fields = np.fromstring(body.replace(b"\n", b","), np.int64, sep=",")
+    raw = np.frombuffer(data, np.uint8)
+    words = np.ndarray((len(data) - 7,), "<u8", data, 0, (1,))  # words[i]: bytes i to i+7
+    # a row per body newline, counted by numpy ~4x faster than bytes.count
+    rows = sum(np.count_nonzero(raw[i : i + _BLOCK] == ord("\n"))
+               for i in range(len(_HEADER), raw.size, _BLOCK))
+    out = np.empty((2, rows), np.int64)
+    row, start = 0, len(_HEADER)
+    while start < len(data):
+        stop = data.find(b"\n", start + _BLOCK) + 1 or len(data)
+        block = raw[start:stop]
+        ends = np.flatnonzero(block < ord("0"))  # the `,` or `\n` after each field
+        widths = np.diff(ends, prepend=-1)
+        widths -= 1  # digits per field
+        if not (block.max() <= ord("9") and (block[ends[0::2]] == ord(",")).all()
+                and (block[ends[1::2]] == ord("\n")).all()
+                and 1 <= widths.min() and (widest := widths.max()) <= 16):
+            return None
+        ends += start - 8
+        fields = words[ends]
+        fields &= _MASK.take(widths, mode="clip")
+        _fold(fields)
+        if widest > 8:  # a field of 1-8 digits masks its high word to 0, so index 0 will do
+            high = words[np.maximum(ends - 8, 0)]
+            high &= _MASK.take(widths - 8, mode="clip")
+            fields += _fold(high) * np.uint64(10**8)
+        n = fields.size // 2
+        out[0, row : row + n] = fields[0::2]
+        out[1, row : row + n] = fields[1::2]
+        row, start = row + n, stop
     try:
-        columns = SampleColumns._own(fields[0::2], fields[1::2])
+        columns = SampleColumns._own(out[0], out[1])
     except ValueError:  # a value above the ADC range
         return None
     t = columns.t_ms

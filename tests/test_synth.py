@@ -1,5 +1,6 @@
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from pulsealarm import (
     synthesize,
     write_waveform,
 )
+from pulsealarm import synth
 from pulsealarm.synth import _read_canonical, _read_waveform_lines
 
 from oracle import reference_synthesize
@@ -283,17 +285,30 @@ class TestWaveformCsv:
                 with pytest.raises(ValueError, match="read-only"):
                     column[0] = 1
 
-    def test_written_file_takes_the_numpy_path(self):
+    def test_written_file_takes_the_numpy_path(self, tmp_path, monkeypatch):
         columns = _read_canonical(GOLDEN_CSV.read_bytes())
         assert columns is not None and len(columns) > 0
         assert columns == SampleColumns.of(_read_waveform_lines(GOLDEN_CSV.read_bytes()))
+        # a minute at 1 kHz spans many blocks, and none may fall back
+        samples, _ = synthesize(WaveformSpec(duration_ms=60000, sample_rate_hz=1000.0,
+                                             noise_stddev=20.0, rng_seed=3))
+        path = tmp_path / "wave.csv"
+        write_waveform(samples, path)
+        assert path.stat().st_size >= 9 * synth._BLOCK
+
+        def line_parser(data):
+            raise AssertionError("a canonical file was read by the line parser")
+
+        monkeypatch.setattr(synth, "_read_waveform_lines", line_parser)
+        assert read_waveform(path) == samples
 
 
 # The canonical grammar's bytes and the ones the line parser also reads
-# (int() takes a sign, spaces and underscores), so both paths are met.
-_CSV_ALPHABET = "0123456789,\n\r -+_."
+# (int() takes a sign, spaces and underscores), so both paths are met;
+# `/` and `:` are the bytes either side of the digits.
+_CSV_ALPHABET = "0123456789,\n\r -+_./:\x00"
 _HEADERS = ["t_ms,value\n", "t_ms,value\r\n", " t_ms,value\n", "t_ms,value", "value,t_ms\n", ""]
-_DIGITS = st.sampled_from([1, 2, 17, 18, 19, 20]).flatmap(
+_DIGITS = st.sampled_from([1, 2, 8, 9, 16, 17, 18, 19, 20]).flatmap(
     lambda n: st.text("0123456789", min_size=n, max_size=n))
 
 
@@ -302,7 +317,9 @@ def _waveform_csvs(draw):
     """A header, then rows that mostly advance in time and hold ADC values,
     at most two of them damaged in a field or in their line ending."""
     header = draw(st.just(_HEADERS[0]) | st.sampled_from(_HEADERS) | st.text(_CSV_ALPHABET, max_size=12))
-    t = draw(st.integers(0, 100) | st.sampled_from([10**17, 10**18, 10**19, 2**63]).map(lambda x: x - 3))
+    # times that grow past 8, 16, 17, 18 and 19 digits, or reach 2**63
+    wide = st.sampled_from([10**8, 10**16, 10**17, 10**18, 10**19, 2**63]).map(lambda x: x - 3)
+    t = draw(st.integers(0, 100) | wide)
     rows = []
     for _ in range(draw(st.integers(0, 8))):
         t += draw(st.integers(-1, 30))  # -1 and 0 do not advance
@@ -333,13 +350,27 @@ def _read_or_message(read, path):
 @example(data=b"t_ms,value\n0,5\n10,6\n10,7\n")  # a repeated t_ms
 @example(data=b"t_ms,value\n0,5\n9223372036854775808,6\n")  # t_ms of 2**63
 @example(data=b"t_ms,value\n0,5\n999999999999999999,6\n")  # 18 digits
+@example(data=b"t_ms,value\n12345678,5\n123456789,6\n")  # 8 then 9 digits
+@example(data=b"t_ms,value\n0,5\n9999999999999999,6\n")  # a 16-digit t_ms
+@example(data=b"t_ms,value\n0,5\n12345678901234567,6\n")  # a 17-digit t_ms
+@example(data=b"t_ms,value\n0000000012,0000000005\n")  # leading zeros over 8 bytes
+@example(data=b"t_ms,value\n0,\n")  # an empty field
+@example(data=b"t_ms,value\n0,5\n1:,6\n")  # `:`, the byte after `9`
+@example(data=b"t_ms,value\n0,5\n1\x00,6\n")  # a NUL
 def test_numpy_path_equals_line_parser(tmp_path_factory, data):
+    """Both readers agree, with blocks from the default size down to a
+    byte, so that a block edge falls after nearly every line."""
     path = tmp_path_factory.getbasetemp() / "fuzz.csv"
     path.write_bytes(data)
-    fast = _read_or_message(read_waveform, path)
     lines = _read_or_message(lambda p: SampleColumns.of(_read_waveform_lines(p.read_bytes())), path)
-    assert type(fast) is type(lines)
-    assert fast == lines
+    taken = set()
+    for block in synth._BLOCK, 64, 9, 1:
+        with mock.patch.object(synth, "_BLOCK", block):
+            fast = _read_or_message(read_waveform, path)
+            taken.add(_read_canonical(data) is None)
+        assert type(fast) is type(lines)
+        assert fast == lines
+    assert len(taken) == 1  # the block size never decides which reader runs
 
 
 class TestWakeScenario:
