@@ -122,21 +122,31 @@ class GroundTruth:
     beat_times_ms: tuple[float, ...]
 
 
+# Noise is drawn, scaled and added this many doubles (32 KiB) at a time,
+# through one slice that stays in cache, so the output block stays the only
+# full-length allocation. Each slice continues the generator's stream where
+# the last stopped, so no value depends on the slice size.
+_NOISE_SLICE = 4096
+
+
 def synthesize(spec: WaveformSpec) -> tuple[SampleColumns, GroundTruth]:
     """Generate the sample columns and their ground truth for a spec.
 
-    Every pulse, beats then strays, is stamped in one numpy pass. Its one
-    full-length scratch array is the float time grid, which then holds the
-    noise; the values become the counts in place. A fresh array costs page
+    Every pulse, beats then strays, is stamped in one numpy pass. The one
+    full-length array kept is the (2, n) int64 block returned: row 0, viewed
+    as floats, holds the time grid until it is cast in place to t_ms, and
+    row 1 holds the float values until they become the counts in place.
+    One 16n-byte block, rather than several 8n-byte arrays, keeps the C
+    heap's pages between calls (see README), where fresh ones cost page
     faults on the scale of the arithmetic."""
     period = 1000.0 / spec.sample_rate_hz
     n = int(round(spec.duration_ms / period))
-    times = np.arange(n, dtype=np.float64)
-    times *= period
+    out = np.empty((2, n), np.int64)
+    times, values = out.view(np.float64)
+    np.multiply(np.arange(n, dtype=np.float64), period, out=times)
     np.round(times, out=times)
-    t_ms = times.astype(np.int64)
 
-    values = np.full(n, float(spec.baseline))
+    values.fill(spec.baseline)
     if spec.wander_amplitude:
         values += spec.wander_amplitude * np.sin(
             2.0 * math.pi * times / spec.wander_period_ms
@@ -158,16 +168,23 @@ def synthesize(spec: WaveformSpec) -> tuple[SampleColumns, GroundTruth]:
     split = sizes[: len(beats)].sum()
     values[idx[:split]] += stamps[:split]
     np.add.at(values, idx[split:], stamps[split:])
+    np.copyto(out[0], times, casting="unsafe")  # each t_ms overwrites the float it is cast from
+
     if spec.noise_stddev:
-        np.random.default_rng(spec.rng_seed).standard_normal(out=times)
-        times *= spec.noise_stddev  # normal(0, s, n) draws s * standard_normal
-        values += times
+        rng = np.random.default_rng(spec.rng_seed)
+        part = np.empty(min(n, _NOISE_SLICE))
+        # a huge stddev overflows to ±inf, which the clip maps to the ADC bounds
+        with np.errstate(over="ignore"):
+            for a in range(0, n, _NOISE_SLICE):
+                noise = part[: n - a]
+                rng.standard_normal(out=noise)
+                noise *= spec.noise_stddev  # normal(0, s, n) draws s * standard_normal
+                values[a : a + noise.size] += noise
 
     np.round(values, out=values)
     np.clip(values, 0, ADC_MAX, out=values)
-    counts = values.view(np.int64)  # each count overwrites the float it is cast from
-    np.copyto(counts, values, casting="unsafe")
-    return SampleColumns._own(t_ms, counts), GroundTruth(tuple(beats))
+    np.copyto(out[1], values, casting="unsafe")
+    return SampleColumns._own(out[0], out[1]), GroundTruth(tuple(beats))
 
 
 _HEADER = "t_ms,value\n"

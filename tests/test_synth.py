@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -126,12 +128,70 @@ def _specs(draw):
                   StrayPulse(-50.0, 700, 200.0), StrayPulse(1990.0, 600, 100.0),
                   StrayPulse(5000.0, 600, 100.0))))
 def test_synthesize_equals_reference(spec):
-    """The one-pass synthesis is bit for bit the pulse-by-pulse one."""
-    columns, truth = synthesize(spec)
+    """The one-pass synthesis is bit for bit the pulse-by-pulse one, with
+    noise slices from the default size down to one double, so that a slice
+    edge falls inside every drawn waveform."""
+    t_ms, value = reference_synthesize(spec)
+    for size in synth._NOISE_SLICE, 64, 7, 1:
+        with mock.patch.object(synth, "_NOISE_SLICE", size):
+            columns, truth = synthesize(spec)
+        assert np.array_equal(columns.t_ms, t_ms)
+        assert np.array_equal(columns.value, value)
+        assert truth.beat_times_ms == tuple(spec.beat_times())
+
+
+def test_long_synthesis_equals_reference():
+    """A minute at 1 kHz with noise, wander and strays crosses 14 slice
+    edges at the default size, and ends in a part slice."""
+    spec = WaveformSpec(
+        duration_ms=60000, sample_rate_hz=1000.0, heart_rate_bpm=((0, 55), (31000, 130)),
+        noise_stddev=9.0, wander_amplitude=40.0, wander_period_ms=7000.0,
+        stray_pulses=(StrayPulse(4095.0, 800, 40.0), StrayPulse(40000.0, 650, 300.0),
+                      StrayPulse(59990.0, 900, 80.0)),
+        rng_seed=28,
+    )
+    assert 60000 % synth._NOISE_SLICE
+    columns, _ = synthesize(spec)
     t_ms, value = reference_synthesize(spec)
     assert np.array_equal(columns.t_ms, t_ms)
     assert np.array_equal(columns.value, value)
-    assert truth.beat_times_ms == tuple(spec.beat_times())
+
+
+def test_huge_noise_clips_without_a_warning():
+    """A stddev whose draws overflow to ±inf maps them to the ADC bounds,
+    as Generator.normal does, and raises no numpy warning."""
+    spec = WaveformSpec(duration_ms=3000, noise_stddev=1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        columns, _ = synthesize(spec)
+    t_ms, value = reference_synthesize(spec)
+    assert np.array_equal(columns.t_ms, t_ms)
+    assert np.array_equal(columns.value, value)
+    assert set(np.unique(value)) == {0, ADC_MAX}
+
+
+class TestOneBlock:
+    """synthesize keeps one full-length block, the (2, n) columns it
+    returns, and builds both columns inside it."""
+
+    SPEC = WaveformSpec(duration_ms=60000, sample_rate_hz=1000.0, noise_stddev=8.0, rng_seed=1)
+
+    def test_columns_share_one_block(self):
+        columns, _ = synthesize(self.SPEC)
+        assert columns.t_ms.base is columns.value.base
+        assert columns.t_ms.base.shape == (2, 60000)
+
+    def test_peak_is_the_block_and_one_float_grid(self):
+        """16n bytes of output, plus the float arange that the time grid is
+        scaled from, plus slices and pulse windows far below n."""
+        n = 60000
+        tracemalloc.start()
+        try:
+            synthesize(self.SPEC)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * n + 64 * 1024
 
 
 class TestSpecValidation:
