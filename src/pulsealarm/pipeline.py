@@ -119,7 +119,8 @@ class Pipeline:
     push_chunk is the block step. push stays as the one-sample step because
     a one-sample chunk costs tens of microseconds in numpy set-up, and
     `serve` pushes the decoder's one outcome per frame, however many frames
-    a recv holds. Both fill one RunReport as they go, which report() copies.
+    a recv holds. Both fill one RunReport as they go, which report() copies
+    with the engine's phase.
     """
 
     def __init__(
@@ -143,7 +144,6 @@ class Pipeline:
         self._engine_state, transitions = step(self._engine_state, event)
         self._deadline = next_tick_ms(self._engine_state)
         self._report.transitions.extend(transitions)
-        self._report.final_phase = self._engine_state.phase
 
     def _beat(self, beat: BeatEvent) -> None:
         self._report.beat_count += 1
@@ -187,10 +187,12 @@ class Pipeline:
     def report(
         self, gap_count: int = 0, corrupt_count: int = 0, resync_count: int = 0
     ) -> RunReport:
-        """A copy of the run so far, with the protocol's counts."""
+        """A copy of the run so far, in the engine's phase now, with the
+        protocol's counts."""
         run = self._report
         return replace(
             run, transitions=list(run.transitions), readings=list(run.readings),
+            final_phase=self._engine_state.phase,
             gap_count=gap_count, corrupt_count=corrupt_count, resync_count=resync_count,
         )
 

@@ -15,12 +15,16 @@ total over arbitrary input: corruption surfaces as outcomes, never
 exceptions, and parsing resumes at the next plausible sync byte.
 
 One wire layout, _FRAME for one frame and _WIRE for a block of frames,
-serves the encoder and the decoder. The decoder checks frames one at a
-time, or a run of at least _BULK_MIN buffered whole frames in one numpy
-pass that builds their outcomes a field at a time, with the same outcomes
-and counts. A pass stops at a frame that fails or whose seq jumps; the
-frame-by-frame scan takes that frame, and after every break (Resync,
-CorruptFrame, Gap) the next _BULK_RETRY frames.
+serves the encoder and the decoder. The decoder has one path: each feed
+indexes every frame offset of its buffer once in numpy, then walks only
+the breaks between runs of valid, consecutive frames (see FrameDecoder).
+That index has a fixed cost per feed: a recv of one frame costs about
+13 µs in feed, against about 2.5 µs for the frame-by-frame scan it
+replaced (best of 7, Python 3.11, numpy 2.4, 2-core VM), about 1.3% of a
+core for a sender paced at 1 kHz; at 5 frames per recv a frame costs about
+twice what it did, and from about 16 frames on less. A benchmark case of
+one-frame recvs is what should decide whether a small-buffer path is ever
+worth its code again.
 """
 
 from __future__ import annotations
@@ -42,30 +46,6 @@ _FRAME = struct.Struct(">BBIHB")  # sync, seq, t_ms, value, checksum
 FRAME_LEN = _FRAME.size  # 9
 # _FRAME as a numpy record, for a block of frames at once
 _WIRE = np.dtype([("sync", "u1"), ("seq", "u1"), ("t_ms", ">u4"), ("value", ">u2"), ("check", "u1")])
-_BULK_MIN = 16
-"""The fewest whole frames, buffered from the scan position, that
-FrameDecoder checks in one numpy pass rather than one at a time. In recvs
-of n frames through feed and Pipeline.push, as serve runs them, a pass per
-recv took this share of the frame-by-frame scan's time (12 sets of 21
-alternating runs, their medians averaged, raw time, Python 3.11, numpy
-2.4, 2-core VM), so a pass pays off from about 14 frames, and at 16 it
-won in every set:
-    n              8     12    14    16    20    24    32
-    pass / scan    1.36  1.07  1.03  0.87  0.76  0.72  0.63"""
-_BULK_RETRY = 32
-"""The frames in a row, valid and in seq, that the scan waits for after a
-break (a Resync, CorruptFrame or Gap) before it tries a pass again. With
-one break every D frames, each pass then ends D - _BULK_RETRY frames on,
-and one that ends within about 14 loses to the scan. With one corrupt
-frame every D frames, in 4096-byte chunks through feed and Pipeline.push,
-a retry of 32 took this share of the time of a retry of 16 (16
-alternating runs, median of the ratios, raw time, Python 3.11, numpy 2.4,
-2-core VM):
-    D              17    20    24    32    40    48    64
-    32 / 16        0.76  0.69  0.83  0.97  1.27  1.28  1.22
-A retry of 16 would charge a stream damaged every 17-30 frames a short
-pass per corrupt frame; 32 keeps it on the scan, and charges such passes
-only to D = 33-46."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -122,28 +102,35 @@ class FrameDecoder:
     Resync counting the bytes skipped to find a sync byte; gaps,
     corrupt_frames and resyncs count the last three.
 
-    feed scans frame by frame, but where at least _BULK_MIN whole frames are
-    buffered from the scan position it checks them in one numpy pass (see
-    _decode_run) up to the first frame that fails or whose seq jumps. The
-    scan takes that frame, so it alone emits CorruptFrame, Resync and Gap.
-    After any of the three it tries a pass again at the start of the next
-    feed or once _BULK_RETRY frames in a row have passed it valid and in
-    seq, so that a densely damaged stream, which would end each pass within
-    a frame or two, is not charged a pass per valid frame. The outcomes and
-    counts are the frame-by-frame scan's at any chunking.
+    feed decodes in two stages, as Langdale and Lemire parse JSON ("Parsing
+    Gigabytes of JSON per Second", VLDB J. 2019). Stage 1 indexes the
+    buffer once, in numpy: valid[i] where offset i starts a whole frame that
+    passes its checks, and link[i] where the frame FRAME_LEN bytes on is
+    valid too and its seq is one more. Stage 2 walks the buffer one step
+    per break: bytes.find to the next sync byte (a Resync), one byte past a
+    sync byte that leads no valid frame (a CorruptFrame), or a run of linked
+    frames, whose outcomes _build makes a field at a time. A frame whose seq
+    jumps from the last one delivered is a run of its own, and its Gap
+    follows it. A feed costs about 13 µs however few frames it holds, so a
+    paced sender's one-frame recvs cost about 5x what the old
+    frame-by-frame scan did; the module docstring has the numbers.
     """
 
     def __init__(self):
-        self._buf = bytearray()
+        self._buf = b""
         self._last_seq: int | None = None
         self.gaps = self.corrupt_frames = self.resyncs = 0
 
     def feed(self, data: bytes) -> list[ParseOutcome]:
-        self._buf.extend(data)
+        buf = self._buf + data
+        raw = np.frombuffer(buf, np.uint8)
+        n = max(len(buf) - FRAME_LEN + 1, 0)  # the offsets that start a whole frame
+        m = max(n - FRAME_LEN, 0)  # the offsets with a whole frame after their own
+        x = np.bitwise_xor.accumulate(raw)  # bytes 1-8 of the frame at i XOR to x[i + 8] ^ x[i]
+        valid = (raw[:n] == SYNC_BYTE) & (raw[6 : 6 + n] <= ADC_MAX >> 8) & (x[8 : 8 + n] == x[:n])
+        link = np.zeros(n, bool)  # false where no whole frame follows, so every run ends
+        link[:m] = valid[FRAME_LEN:] & (raw[FRAME_LEN + 1 : FRAME_LEN + 1 + m] - raw[1 : 1 + m] == 1)
         out: list[ParseOutcome] = []
-        buf = self._buf
-        last_start = len(buf) - _BULK_MIN * FRAME_LEN  # _BULK_MIN whole frames from here on
-        bulk_from = 0  # no pass before it: each break moves it _BULK_RETRY frames on
         i = 0
         while True:
             sync = buf.find(SYNC_BYTE, i)
@@ -151,59 +138,27 @@ class FrameDecoder:
             if sync > i:
                 out.append(Resync(sync - i))
                 self.resyncs += 1
-                bulk_from = sync + _BULK_RETRY * FRAME_LEN
             i = sync
-            if len(buf) - i < FRAME_LEN:
+            if i >= n:
                 break  # a partial frame, or none: wait for more bytes
-            if i <= last_start and i >= bulk_from:
-                i = self._decode_run(buf, i, out)
-                bulk_from = i + 1  # the scan takes the frame that ended the pass
-                continue
-            _, seq, t_ms, value, check = _FRAME.unpack_from(buf, i)
-            if check != _checksum(seq, t_ms, value) or value > ADC_MAX:
+            if not valid[i]:
                 out.append(CorruptFrame())
                 self.corrupt_frames += 1
                 i += 1  # drop only the sync byte, rescan inside the frame
-                bulk_from = i + _BULK_RETRY * FRAME_LEN
                 continue
-            out.append(SampleOutcome(seq, Sample(t_ms, value)))
-            i += FRAME_LEN
-            if self._last_seq is not None and (seq - self._last_seq) % 256 != 1:
+            jump = self._last_seq is not None and (buf[i + 1] - self._last_seq) % 256 != 1
+            k = 1 if jump else 1 + int(link[i::FRAME_LEN].argmin())
+            # a valid frame passes Sample's check: its t_ms is unsigned, its value <= ADC_MAX
+            frames = np.frombuffer(buf, _WIRE, k, i)
+            rows = _build(Sample, frames["t_ms"].tolist(), frames["value"].tolist())
+            out.extend(_build(SampleOutcome, frames["seq"].tolist(), rows))
+            i += k * FRAME_LEN
+            self._last_seq = buf[i - FRAME_LEN + 1]
+            if jump:
                 out.append(Gap())
                 self.gaps += 1
-                bulk_from = i + _BULK_RETRY * FRAME_LEN
-            self._last_seq = seq
-        del buf[:i]
+        self._buf = buf[i:]
         return out
-
-    def _decode_run(self, buf: bytearray, i: int, out: list[ParseOutcome]) -> int:
-        """The bulk pass over the whole frames from buf[i]: the leading run
-        of valid frames whose seqs count up by one from _last_seq (from any
-        seq at the start of a stream) becomes SampleOutcomes. _build makes
-        their Samples and outcomes a field at a time: the mask below and the
-        unsigned 4-byte t_ms already hold each row to Sample's rule. Returns
-        the offset of the first frame that fails or jumps, or past the last
-        whole frame."""
-        n = (len(buf) - i) // FRAME_LEN
-        block = buf[i : i + n * FRAME_LEN]  # a copy: a view of buf would block its resize
-        raw = np.frombuffer(block, np.uint8).reshape(n, FRAME_LEN)
-        frames = np.frombuffer(block, _WIRE)
-        seq, t_ms, value = frames["seq"], frames["t_ms"], frames["value"]
-        # the XOR of bytes 1-7 equals byte 8 where the XOR of bytes 1-8 is 0
-        ok = (raw[:, 0] == SYNC_BYTE) & (value <= ADC_MAX) & (
-            np.bitwise_xor.reduce(raw[:, 1:], axis=1) == 0
-        )
-        # and each seq follows the one before it (uint8 wraps), the first
-        # one's (buf[i + 1]) the last delivered
-        ok[1:] &= seq[1:] - seq[:-1] == 1
-        ok[0] &= self._last_seq is None or (buf[i + 1] - self._last_seq) % 256 == 1
-        k = n if ok.all() else int(ok.argmin())
-        if not k:
-            return i
-        rows = _build(Sample, t_ms[:k].tolist(), value[:k].tolist())
-        out.extend(_build(SampleOutcome, seq[:k].tolist(), rows))
-        self._last_seq = int(seq[k - 1])
-        return i + k * FRAME_LEN
 
 
 def encode_stream(samples: Sequence[Sample], start_seq: int = 0) -> bytes:

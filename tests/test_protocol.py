@@ -26,7 +26,6 @@ from pulsealarm import (
     synthesize,
     write_waveform,
 )
-from pulsealarm import protocol
 from pulsealarm.detector import ADC_MAX
 from pulsealarm.protocol import FRAME_LEN
 
@@ -129,12 +128,29 @@ class TestFeed:
         assert got == samples
 
 
+def _assert_feed_matches_reference(chunks):
+    """A fresh decoder fed chunks in order gives reference_frame_scan's
+    outcomes, and counts its gaps, corrupt frames and resyncs."""
+    decoder = FrameDecoder()
+    got = [(type(o).__name__, *astuple(o)) for chunk in chunks for o in decoder.feed(chunk)]
+    expected = reference_frame_scan(chunks)
+    assert got == expected
+    kinds = Counter(outcome[0] for outcome in expected)
+    assert (decoder.gaps, decoder.corrupt_frames, decoder.resyncs) == (
+        kinds["Gap"], kinds["CorruptFrame"], kinds["Resync"]
+    )
+
+
 @settings(max_examples=200)
 @given(data=st.binary(max_size=400))
+@example(data=bytes(20) + b"\xaa" + bytes(3))  # a sync byte within a buffer's last 8 bytes
+@example(data=b"\xaa" * 17)
 def test_feed_total_over_arbitrary_bytes(data):
-    decoder = FrameDecoder()
-    decoder.feed(data)
-    decoder.feed(data[::-1])
+    """Arbitrary bytes, their sync bytes in any place, the last 8 bytes of a
+    buffer included, decode as the reference does, a byte at a time and as
+    one chunk followed by its reverse."""
+    _assert_feed_matches_reference([data[i : i + 1] for i in range(len(data))])
+    _assert_feed_matches_reference([data, data[::-1]])
 
 
 @settings(max_examples=50)
@@ -230,20 +246,6 @@ def _damaged_stream(draw):
         part, seq = _part(draw, seq, ["frame", "frame", *_DAMAGE])
         parts.append(part)
     return b"".join(parts)
-
-
-@settings(max_examples=300, deadline=None)
-@given(data=_damaged_stream(), size=st.sampled_from([1, 7, 4096]))
-def test_feed_matches_reference_scan(data, size):
-    chunks = [data[i : i + size] for i in range(0, len(data), size)]
-    decoder = FrameDecoder()
-    got = [(type(o).__name__, *astuple(o)) for chunk in chunks for o in decoder.feed(chunk)]
-    expected = reference_frame_scan(chunks)
-    assert got == expected
-    kinds = Counter(outcome[0] for outcome in expected)
-    assert (decoder.gaps, decoder.corrupt_frames, decoder.resyncs) == (
-        kinds["Gap"], kinds["CorruptFrame"], kinds["Resync"]
-    )
 
 
 class FakeClock:
@@ -346,10 +348,9 @@ class TestReplayFile:
 
 @st.composite
 def _clean_runs(draw):
-    """Runs of 0-300 clean frames, long enough for the decoder's bulk pass,
-    each followed by at most one damaged frame of _damaged_stream's kinds.
-    A run may jump its seq at any frame, its first included, and it wraps
-    from 255 to 0 when it passes 255."""
+    """Runs of 0-300 clean frames, each followed by at most one damaged
+    frame of _damaged_stream's kinds. A run may jump its seq at any frame,
+    its first included, and it wraps from 255 to 0 when it passes 255."""
     rng = draw(st.randoms(use_true_random=False))
     parts = []
     seq = draw(st.sampled_from([200, 255]) | st.integers(0, 255))
@@ -367,49 +368,39 @@ def _clean_runs(draw):
     return b"".join(parts)
 
 
-_BULK = FRAME_LEN * protocol._BULK_MIN  # the bytes of the fewest frames for a bulk pass
-_RUN = [Sample(10 * i, i % (ADC_MAX + 1)) for i in range(80)]
+_RUN = [Sample(10 * i, i % (ADC_MAX + 1)) for i in range(400)]
+_EVERY_OTHER_CORRUPT = [bytearray(encode_frame(i % 256, Sample(10 * i, 5))) for i in range(1000)]
+for _frame in _EVERY_OTHER_CORRUPT[1::2]:
+    _frame[8] ^= 0x01
 
 
-@pytest.mark.parametrize(
-    "bulk_min, retry", [(protocol._BULK_MIN, protocol._BULK_RETRY), (1, 1)], ids=["bulk-min", "all-bulk"]
-)
-@settings(max_examples=150, deadline=None)
-@given(data=_clean_runs(), size=st.sampled_from([1, 9, _BULK - 1, _BULK, _BULK + 1, 4096]))
-# a run that jumps its seq at the first frame of a later feed's bulk pass
-@example(data=encode_stream(_RUN[:32]) + encode_stream(_RUN[32:], start_seq=40), size=_BULK)
+@settings(max_examples=400, deadline=None)
+@given(data=_damaged_stream() | _clean_runs(), size=st.sampled_from([1, 7, 9, 18, 144, 4096]))
+# a run that jumps its seq at the first frame of a later feed
+@example(data=encode_stream(_RUN[:32]) + encode_stream(_RUN[32:80], start_seq=40), size=144)
 # a jump inside a run, and a run that wraps from 255 to 0
-@example(data=encode_stream(_RUN[:40]) + encode_stream(_RUN[40:], start_seq=50), size=4096)
-@example(data=encode_stream(_RUN, start_seq=200), size=4096)
-def test_bulk_pass_matches_reference_scan(bulk_min, retry, data, size):
-    """feed's bulk pass gives the frame-by-frame scan's outcomes and counts
-    at every chunking. At _BULK_MIN and _BULK_RETRY 1 a pass takes every
-    valid frame but the first after each failed one."""
-    chunks = [data[i : i + size] for i in range(0, len(data), size)]
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(protocol, "_BULK_MIN", bulk_min)
-        patch.setattr(protocol, "_BULK_RETRY", retry)
-        decoder = FrameDecoder()
-        got = [(type(o).__name__, *astuple(o)) for chunk in chunks for o in decoder.feed(chunk)]
-    expected = reference_frame_scan(chunks)
-    assert got == expected
-    kinds = Counter(outcome[0] for outcome in expected)
-    assert (decoder.gaps, decoder.corrupt_frames, decoder.resyncs) == (
-        kinds["Gap"], kinds["CorruptFrame"], kinds["Resync"]
-    )
+@example(data=encode_stream(_RUN[:40]) + encode_stream(_RUN[40:80], start_seq=50), size=4096)
+@example(data=encode_stream(_RUN[:80], start_seq=200), size=4096)
+# dense damage: every other frame corrupt, so no run lasts past a frame
+@example(data=b"".join(_EVERY_OTHER_CORRUPT), size=4096)
+# one seq jump, at frame 200 of 400, inside one feed
+@example(data=encode_stream(_RUN[:200]) + encode_stream(_RUN[200:], start_seq=50), size=4096)
+def test_feed_matches_reference_scan(data, size):
+    """Damaged streams and long clean runs decode as the reference does at
+    every chunking: a frame or less per feed, a few frames and many."""
+    _assert_feed_matches_reference([data[i : i + size] for i in range(0, len(data), size)])
 
 
-@pytest.mark.parametrize("bulk_min", [protocol._BULK_MIN, 1], ids=["bulk-min", "all-bulk"])
-def test_bulk_outcomes_are_exact_objects(monkeypatch, bulk_min):
-    """The bulk pass builds its SampleOutcomes and their Samples without
-    running their constructors; each is still exactly what the constructors
-    build: of its own type, with int fields, equal, hashed alike and frozen."""
-    monkeypatch.setattr(protocol, "_BULK_MIN", bulk_min)
+@pytest.mark.parametrize("size", [FRAME_LEN, 4096])
+def test_feed_outcomes_are_exact_objects(size):
+    """feed builds its SampleOutcomes and their Samples without running
+    their constructors; each is still exactly what the constructors build:
+    of its own type, with int fields, equal, hashed alike and frozen."""
     rng = random.Random(22)
     samples = [Sample(rng.randrange(2**32), rng.randrange(ADC_MAX + 1)) for _ in range(2000)]
     data = encode_stream(samples, start_seq=100)
     decoder = FrameDecoder()
-    got = [o for i in range(0, len(data), 4096) for o in decoder.feed(data[i : i + 4096])]
+    got = [o for i in range(0, len(data), size) for o in decoder.feed(data[i : i + size])]
     assert len(got) == len(samples)
     for i, (outcome, sample) in enumerate(zip(got, samples)):
         expected = SampleOutcome((100 + i) % 256, Sample(sample.t_ms, sample.value))
@@ -433,39 +424,3 @@ def test_encode_stream_refuses_the_first_time_beyond_the_frame_field():
     samples = [Sample(0, 0), Sample(2**32, 0), Sample(2**33, 0)]
     with pytest.raises(ValueError, match=rf"^t_ms must fit 4 bytes \(below 2\*\*32\), got {2**32}$"):
         encode_stream(samples)
-
-
-def test_dense_damage_is_not_charged_a_bulk_pass_per_frame(monkeypatch):
-    """With every other frame corrupt, no run of valid frames lasts; after
-    the pass at the start of a feed ends at the first corrupt frame, the
-    scan goes frame by frame, with the same outcomes as the reference."""
-    passes = []
-    decode_run = FrameDecoder._decode_run
-    monkeypatch.setattr(FrameDecoder, "_decode_run",
-                        lambda self, *args: passes.append(args[1]) or decode_run(self, *args))
-    frames = [bytearray(encode_frame(i % 256, Sample(10 * i, 5))) for i in range(1000)]
-    for frame in frames[1::2]:
-        frame[8] ^= 0x01
-    data = b"".join(frames)
-    chunks = [data[i : i + 4096] for i in range(0, len(data), 4096)]
-    decoder = FrameDecoder()
-    got = [(type(o).__name__, *astuple(o)) for chunk in chunks for o in decoder.feed(chunk)]
-    assert got == reference_frame_scan(chunks)
-    assert passes == [0] * len(chunks)
-
-
-def test_a_seq_jump_ends_a_bulk_pass(monkeypatch):
-    """A pass stops at a frame whose seq jumps, as at a failed frame: the
-    scan takes that frame and emits the Gap, and the next _BULK_RETRY
-    frames, before a pass takes the rest."""
-    passes = []
-    decode_run = FrameDecoder._decode_run
-    monkeypatch.setattr(FrameDecoder, "_decode_run",
-                        lambda self, *args: passes.append(args[1]) or decode_run(self, *args))
-    run = [Sample(10 * i, i % (ADC_MAX + 1)) for i in range(400)]
-    data = encode_stream(run[:200]) + encode_stream(run[200:], start_seq=50)
-    decoder = FrameDecoder()
-    got = [(type(o).__name__, *astuple(o)) for o in decoder.feed(data)]
-    assert got == reference_frame_scan([data])
-    assert [o for o in got if o[0] == "Gap"] == [("Gap",)]
-    assert passes == [0, (200 + 1 + protocol._BULK_RETRY) * FRAME_LEN]
