@@ -5,6 +5,7 @@ from dataclasses import FrozenInstanceError, astuple
 from functools import reduce
 from operator import xor
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -27,6 +28,7 @@ from pulsealarm import (
     write_waveform,
 )
 from pulsealarm.detector import ADC_MAX
+from pulsealarm import protocol
 from pulsealarm.protocol import FRAME_LEN
 
 from oracle import reference_frame_scan
@@ -369,26 +371,83 @@ def _clean_runs(draw):
 
 
 _RUN = [Sample(10 * i, i % (ADC_MAX + 1)) for i in range(400)]
-_EVERY_OTHER_CORRUPT = [bytearray(encode_frame(i % 256, Sample(10 * i, 5))) for i in range(1000)]
-for _frame in _EVERY_OTHER_CORRUPT[1::2]:
-    _frame[8] ^= 0x01
 
 
-@settings(max_examples=400, deadline=None)
-@given(data=_damaged_stream() | _clean_runs(), size=st.sampled_from([1, 7, 9, 18, 144, 4096]))
+@settings(max_examples=300, deadline=None)
+@given(data=_damaged_stream(), size=st.sampled_from([1, 7, 9, 18, 144, 4096]))
 # a run that jumps its seq at the first frame of a later feed
 @example(data=encode_stream(_RUN[:32]) + encode_stream(_RUN[32:80], start_seq=40), size=144)
 # a jump inside a run, and a run that wraps from 255 to 0
 @example(data=encode_stream(_RUN[:40]) + encode_stream(_RUN[40:80], start_seq=50), size=4096)
 @example(data=encode_stream(_RUN[:80], start_seq=200), size=4096)
-# dense damage: every other frame corrupt, so no run lasts past a frame
-@example(data=b"".join(_EVERY_OTHER_CORRUPT), size=4096)
-# one seq jump, at frame 200 of 400, inside one feed
-@example(data=encode_stream(_RUN[:200]) + encode_stream(_RUN[200:], start_seq=50), size=4096)
 def test_feed_matches_reference_scan(data, size):
-    """Damaged streams and long clean runs decode as the reference does at
-    every chunking: a frame or less per feed, a few frames and many."""
+    """Damaged streams decode as the reference does at every chunking: a
+    frame or less per feed, a few frames and many; so do runs that jump
+    their seq at a feed's first frame or inside a feed, or wrap from 255
+    to 0."""
     _assert_feed_matches_reference([data[i : i + size] for i in range(0, len(data), size)])
+
+
+@pytest.mark.parametrize(
+    "sizes", [[1, 9, 10, 17, 18], [144, 287, 288, 289, 4096, 10**6]], ids=["bulk-min", "all-bulk"]
+)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_bulk_pass_matches_reference_scan(sizes, data):
+    """Long clean runs, each walked in one step as far as the feed holds
+    them, decode as the reference does: at bulk-min the feeds cut every
+    run to two frames or fewer, at all-bulk they hold 16 frames or more,
+    up to the whole stream at once."""
+    stream = data.draw(_clean_runs(), "stream")
+    size = data.draw(st.sampled_from(sizes), "size")
+    _assert_feed_matches_reference([stream[i : i + size] for i in range(0, len(stream), size)])
+
+
+class _CountingIndex:
+    """Stands in for numpy inside pulsealarm.protocol and counts the calls of
+    np.bitwise_xor.accumulate, the prefix XOR that stage 1 of feed takes
+    once over its buffer."""
+
+    def __init__(self, monkeypatch):
+        self.passes = 0
+        self.bitwise_xor = self
+        monkeypatch.setattr(protocol, "np", self)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def accumulate(self, array):
+        self.passes += 1
+        return np.bitwise_xor.accumulate(array)
+
+
+def test_dense_damage_is_not_charged_a_bulk_pass_per_frame(monkeypatch):
+    """With every other frame corrupt, no run of valid frames lasts past a
+    frame; feed still indexes its buffer once per call, not once per frame,
+    and gives the reference's outcomes."""
+    frames = [bytearray(encode_frame(i % 256, Sample(10 * i, 5))) for i in range(1000)]
+    for frame in frames[1::2]:
+        frame[8] ^= 0x01
+    data = b"".join(frames)
+    chunks = [data[i : i + 4096] for i in range(0, len(data), 4096)]
+    index = _CountingIndex(monkeypatch)
+    _assert_feed_matches_reference(chunks)
+    assert index.passes == len(chunks)
+
+
+def test_a_seq_jump_ends_a_bulk_pass(monkeypatch):
+    """A run stops at a frame whose seq jumps: that frame is a run of its
+    own, its Gap follows it, and the next run takes the rest of the feed."""
+    runs = []
+    build = protocol._build
+    monkeypatch.setattr(protocol, "_build",
+                        lambda cls, *cols: (cls is Sample and runs.append(len(cols[0]))) or build(cls, *cols))
+    data = encode_stream(_RUN[:200]) + encode_stream(_RUN[200:], start_seq=50)
+    decoder = FrameDecoder()
+    got = [(type(o).__name__, *astuple(o)) for o in decoder.feed(data)]
+    assert got == reference_frame_scan([data])
+    assert [i for i, o in enumerate(got) if o[0] == "Gap"] == [201]
+    assert runs == [200, 1, 199]
 
 
 @pytest.mark.parametrize("size", [FRAME_LEN, 4096])
