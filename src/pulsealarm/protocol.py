@@ -14,22 +14,19 @@ or its value is above ADC_MAX (1023), which Sample refuses. The decoder is
 total over arbitrary input: corruption surfaces as outcomes, never
 exceptions, and parsing resumes at the next plausible sync byte.
 
-One wire layout, _FRAME for one frame and _WIRE for a block of frames,
-serves the encoder and the decoder. The decoder has one path: each feed
-indexes every frame offset of its buffer once in numpy, then walks only
-the breaks between runs of valid, consecutive frames (see FrameDecoder).
-That index has a fixed cost per feed: a recv of one frame costs about
-13 µs in feed, against about 2.5 µs for the frame-by-frame scan it
-replaced (best of 7, Python 3.11, numpy 2.4, 2-core VM), about 1.3% of a
-core for a sender paced at 1 kHz; at 5 frames per recv a frame costs about
-twice what it did, and from about 16 frames on less. A benchmark case of
-one-frame recvs is what should decide whether a small-buffer path is ever
-worth its code again.
+One record layout, _WIRE, states the frame for the encoder and the decoder.
+The decoder has one path: each feed indexes every frame offset of its
+buffer once in numpy, then walks only the breaks between runs of valid,
+consecutive frames (see FrameDecoder). That index has a fixed cost per
+feed, about 13 µs (best of 7, Python 3.11, numpy 2.4, 2-core VM), however
+few frames the buffer holds: about 1.3% of a core for a sender paced at
+1 kHz whose recvs hold one frame each. That cost is the reason a
+small-buffer path may come back, if a benchmark case of one-frame recvs
+shows it is worth its code.
 """
 
 from __future__ import annotations
 
-import struct
 import threading
 import time
 from dataclasses import dataclass
@@ -42,10 +39,8 @@ from .errors import PulseAlarmError
 from .synth import read_waveform
 
 SYNC_BYTE = 0xAA
-_FRAME = struct.Struct(">BBIHB")  # sync, seq, t_ms, value, checksum
-FRAME_LEN = _FRAME.size  # 9
-# _FRAME as a numpy record, for a block of frames at once
 _WIRE = np.dtype([("sync", "u1"), ("seq", "u1"), ("t_ms", ">u4"), ("value", ">u2"), ("check", "u1")])
+FRAME_LEN = _WIRE.itemsize  # 9
 
 
 @dataclass(frozen=True, slots=True)
@@ -72,26 +67,8 @@ class Resync:
 ParseOutcome = Union[SampleOutcome, Gap, CorruptFrame, Resync]
 
 
-def _checksum(seq: int, t_ms: int, value: int) -> int:
-    """XOR of frame bytes 1-7, folded from the fields: the high and low
-    halves of t_ms and value XOR to 16 bits, then its two bytes to one.
-    The fields may be ints or integer arrays alike."""
-    x = t_ms ^ (t_ms >> 16) ^ value
-    return (seq ^ x ^ (x >> 8)) & 0xFF
-
-
 def encode_frame(seq: int, sample: Sample) -> bytes:
-    t_ms, value = sample.t_ms, sample.value
-    _check_fields(seq, t_ms)
-    return _FRAME.pack(SYNC_BYTE, seq, t_ms, value, _checksum(seq, t_ms, value))
-
-
-def _check_fields(seq: int, t_ms: int) -> None:
-    """Refuse a seq outside one byte and a t_ms that does not fit 4 bytes."""
-    if not 0 <= seq <= 255:
-        raise ValueError(f"seq must fit one byte, got {seq}")
-    if t_ms >= 2**32:
-        raise ValueError(f"t_ms must fit 4 bytes (below 2**32), got {t_ms}")
+    return encode_stream((sample,), seq)
 
 
 class FrameDecoder:
@@ -111,9 +88,7 @@ class FrameDecoder:
     sync byte that leads no valid frame (a CorruptFrame), or a run of linked
     frames, whose outcomes _build makes a field at a time. A frame whose seq
     jumps from the last one delivered is a run of its own, and its Gap
-    follows it. A feed costs about 13 µs however few frames it holds, so a
-    paced sender's one-frame recvs cost about 5x what the old
-    frame-by-frame scan did; the module docstring has the numbers.
+    follows it. The module docstring states a feed's fixed cost.
     """
 
     def __init__(self):
@@ -162,28 +137,36 @@ class FrameDecoder:
 
 
 def encode_stream(samples: Sequence[Sample], start_seq: int = 0) -> bytes:
-    """Encode an ordered sample stream with a sequential frame counter:
-    encode_frame over every row, seq counting up from start_seq modulo 256,
-    in one numpy pass over the wire layout. A start_seq outside one byte,
-    or else the first t_ms that does not fit 4 bytes, raises encode_frame's
-    ValueError."""
+    """Encode an ordered sample stream with a sequential frame counter, seq
+    counting up from start_seq modulo 256, in one numpy pass over _WIRE.
+    A start_seq that is not an integer (an int or a numpy integer, as
+    Sample takes) or not within one byte, or else the first t_ms that does
+    not fit 4 bytes, raises ValueError."""
+    if type(start_seq) is not int and not isinstance(start_seq, np.integer):
+        raise ValueError(f"seq must be an integer, got {start_seq!r}")
+    if not 0 <= start_seq <= 255:
+        raise ValueError(f"seq must fit one byte, got {start_seq}")
     columns = SampleColumns.of(samples)
-    t, v = columns.t_ms, columns.value
+    t = columns.t_ms
     beyond = np.flatnonzero(t >= 2**32)
-    _check_fields(start_seq, int(t[beyond[0]]) if beyond.size else 0)
+    if beyond.size:
+        raise ValueError(f"t_ms must fit 4 bytes (below 2**32), got {t[beyond[0]]}")
     frames = np.empty(t.size, _WIRE)
     frames["sync"] = SYNC_BYTE
-    frames["seq"] = seq = (start_seq + np.arange(t.size)) % 256
+    frames["seq"] = (start_seq + np.arange(t.size)) % 256
     frames["t_ms"] = t
-    frames["value"] = v
-    frames["check"] = _checksum(seq, t, v)
+    frames["value"] = columns.value
+    # the check byte is the XOR of bytes 1-7, the rule feed tests
+    raw = frames.view(np.uint8).reshape(-1, FRAME_LEN)
+    frames["check"] = np.bitwise_xor.reduce(raw[:, 1:8], axis=1)
     return frames.tobytes()
 
 
 def replay_file(
     path, connect: Callable[[], Callable[[bytes], None]], speed: float = 0.0
 ) -> int:
-    """Encode a waveform CSV frame by frame into the sink `connect()` returns.
+    """Encode a waveform CSV in one pass, then send it frame by frame into
+    the sink `connect()` returns.
 
     speed is a real-time multiplier: 1.0 paces frames at the recorded
     sample intervals, 2.0 twice as fast, 0 disables pacing entirely. Each

@@ -12,6 +12,13 @@ config files next to them, run in that directory:
     pulsealarm run --config waveform.json --seed 7 \\
         --out waveform_run_seed7.jsonl > waveform_run_seed7.txt
 
+`waveform_synth_seed7.frames` is `waveform_synth_seed7.csv` as the byte
+stream `send` writes it, written in that directory by:
+
+    python -c 'import sys; from pulsealarm import encode_stream, read_waveform; \\
+        sys.stdout.buffer.write(encode_stream(read_waveform("waveform_synth_seed7.csv")))' \\
+        > waveform_synth_seed7.frames
+
 `waveform.json` sets every waveform, engine and trigger key, so its two
 reports pin the spec, rate schedule and strays the config loader builds.
 A change that means to alter a report regenerates them with these commands
@@ -26,6 +33,7 @@ import sys
 import pytest
 
 import pulsealarm
+from pulsealarm import encode_frame, encode_stream, read_waveform
 from pulsealarm.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -67,3 +75,12 @@ def test_python_m_pulsealarm_matches_golden(tmp_path):
     assert result.returncode == 0, result.stderr.decode()
     assert (tmp_path / "run_seed11.jsonl").read_bytes() == (GOLDEN / "run_seed11.jsonl").read_bytes()
     assert result.stdout == (GOLDEN / "run_seed11.txt").read_bytes()
+
+
+def test_frames_match_golden():
+    # the bytes themselves, not only a round trip: a layout change made in
+    # the encoder and the decoder alike passes every round trip
+    columns = read_waveform(GOLDEN / "waveform_synth_seed7.csv")
+    frames = (GOLDEN / "waveform_synth_seed7.frames").read_bytes()
+    assert encode_stream(columns) == frames
+    assert b"".join(encode_frame(i % 256, row) for i, row in enumerate(columns)) == frames

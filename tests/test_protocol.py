@@ -1,4 +1,5 @@
 import random
+import re
 import threading
 from collections import Counter
 from dataclasses import FrozenInstanceError, astuple
@@ -59,6 +60,23 @@ class TestEncodeFrame:
 
     def test_frame_length(self):
         assert len(encode_frame(7, Sample(123456, 1023))) == 9
+
+    @pytest.mark.parametrize(
+        "seq",
+        [3.5, 3.0, True, False, np.float64(3), np.bool_(True), "3"],
+        ids=["float", "whole-float", "True", "False", "np.float64", "np.bool_", "str"],
+    )
+    def test_seq_not_an_integer(self, seq):
+        # refused as Sample refuses a float or a bool field
+        with pytest.raises(ValueError, match=f"^seq must be an integer, got {re.escape(repr(seq))}$"):
+            encode_frame(seq, Sample(0, 0))
+        with pytest.raises(ValueError, match="^seq must be an integer"):
+            encode_stream([Sample(0, 0)], seq)
+
+    @pytest.mark.parametrize("seq", [np.uint8(3), np.int64(3)], ids=["np.uint8", "np.int64"])
+    def test_numpy_integer_seq(self, seq):
+        assert encode_frame(seq, Sample(1, 1)) == bytes.fromhex("aa0300000001000103")
+        assert encode_stream([Sample(1, 1)], seq) == encode_frame(3, Sample(1, 1))
 
 
 class TestFeed:
@@ -180,14 +198,22 @@ def test_round_trip_identity(start_seq, specs):
     specs=st.lists(
         st.tuples(st.integers(0, 2**32 - 1), st.integers(0, ADC_MAX)), max_size=30
     ),
+    cuts=st.lists(st.integers(0, 9 * 300), max_size=6),
 )
-@example(start_seq=250, specs=[(10 * i, i) for i in range(12)])  # seq wraps past 255
-@example(start_seq=0, specs=[(i, i % (ADC_MAX + 1)) for i in range(300)])
-def test_encode_stream_of_columns_equals_frame_by_frame(start_seq, specs):
+@example(start_seq=250, specs=[(10 * i, i) for i in range(12)], cuts=[])  # seq wraps past 255
+@example(start_seq=0, specs=[(i, i % (ADC_MAX + 1)) for i in range(300)], cuts=[1, 9, 1000])
+def test_encode_stream_decodes_to_one_sample_per_row(start_seq, specs, cuts):
+    """encode_stream, of a list or of columns alike, cut at any offsets,
+    decodes in reference_frame_scan to one SampleOutcome per sample, seq
+    counting up from start_seq modulo 256, and to nothing else."""
     samples = [Sample(t, v) for t, v in specs]
-    frames = b"".join(encode_frame((start_seq + i) % 256, s) for i, s in enumerate(samples))
-    assert encode_stream(SampleColumns.of(samples), start_seq) == frames
-    assert encode_stream(samples, start_seq) == frames
+    data = encode_stream(samples, start_seq)
+    assert encode_stream(SampleColumns.of(samples), start_seq) == data
+    offsets = [0, *sorted({c % (len(data) + 1) for c in cuts}), len(data)]
+    chunks = [data[a:b] for a, b in zip(offsets, offsets[1:])]
+    assert reference_frame_scan(chunks) == [
+        ("SampleOutcome", (start_seq + i) % 256, (t, v)) for i, (t, v) in enumerate(specs)
+    ]
 
 
 @settings(max_examples=200)
