@@ -58,34 +58,30 @@ class RunReport:
 
     def to_jsonl(self) -> str:
         """Line-delimited records: transitions, readings, then a summary.
-        Deterministic byte-for-byte for identical runs."""
-        records = [
-            {
-                "kind": "transition",
-                "t_ms": t.t_ms,
-                "from": t.from_phase.value,
-                "to": t.to_phase.value,
-                "trigger": t.trigger,
-            }
+        Deterministic byte-for-byte for identical runs. Each line equals
+        json.dumps(record, sort_keys=True); transitions and readings are
+        formatted directly, with bpm in repr, json's form of a finite float."""
+        lines = [
+            f'{{"from": "{t.from_phase.value}", "kind": "transition", "t_ms": {t.t_ms}, '
+            f'"to": "{t.to_phase.value}", "trigger": "{t.trigger}"}}\n'
             for t in self.transitions
         ]
-        records.extend(
-            {"kind": "reading", "t_ms": r.t_ms, "bpm": round(r.bpm, 4), "status": r.status.value}
+        lines.extend(
+            f'{{"bpm": {round(r.bpm, 4)!r}, "kind": "reading", "status": "{r.status.value}", '
+            f'"t_ms": {r.t_ms}}}\n'
             for r in self.readings
         )
-        records.append(
-            {
-                "kind": "summary",
-                "samples": self.sample_count,
-                "beats": self.beat_count,
-                **{status.value: n for status, n in self.status_counts().items()},
-                "gaps": self.gap_count,
-                "corrupt_frames": self.corrupt_count,
-                "resyncs": self.resync_count,
-                "final_phase": self.final_phase.value,
-            }
-        )
-        return "".join(json.dumps(record, sort_keys=True) + "\n" for record in records)
+        summary = {
+            "kind": "summary",
+            "samples": self.sample_count,
+            "beats": self.beat_count,
+            **{status.value: n for status, n in self.status_counts().items()},
+            "gaps": self.gap_count,
+            "corrupt_frames": self.corrupt_count,
+            "resyncs": self.resync_count,
+            "final_phase": self.final_phase.value,
+        }
+        return "".join(lines) + json.dumps(summary, sort_keys=True) + "\n"
 
     def summary_text(self) -> str:
         counts = ", ".join(f"{s.value} {n}" for s, n in self.status_counts().items())

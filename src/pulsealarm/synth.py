@@ -205,18 +205,24 @@ def read_waveform(path) -> SampleColumns:
     a comma and 1-16 digits, each ending in `\\n`, is parsed by numpy a block
     of lines at a time, each field folded from one or two 64-bit words. Any
     other file, or a canonical one with a refused row, is read by the line
-    parser, which raises the first line's WaveformParseError."""
+    parser, which raises the first line's WaveformParseError. An input that
+    cannot seek, such as a pipe, is read whole first."""
     with open(path, "rb") as f:
-        data = f.read()
-    columns = _read_canonical(data)
-    return SampleColumns.of(_read_waveform_lines(data)) if columns is None else columns
+        data = f if f.seekable() else io.BytesIO(f.read())
+        if (columns := _read_canonical(data)) is None:
+            data.seek(0)
+            return SampleColumns.of(_read_waveform_lines(data.read()))
+    return columns
 
 
-# Whole lines of about this many bytes are parsed at a time. At ~10 bytes a
-# row, a block's int64 temporaries (~27 KB each) stay in L2 and so small
-# that glibc keeps their heap between reads: a warm read makes no page
-# faults (64 KiB blocks made ~490 a 60 000-row read).
+# The file goes through one buffer of about this many bytes, which holds a
+# block of whole lines at a time. At ~10 bytes a row, a block's int64
+# temporaries (~27 KB each) stay in L2, and as the file is never held whole,
+# glibc keeps the heap a read uses for the next one (see README).
 _BLOCK = 1 << 15
+# bytes before a block, so that both words folded for a field at its start,
+# 8 and 16 bytes before its separator, lie in the buffer
+_PAD = 16
 # _MASK[w] keeps the low nibble, the digit, of the last w bytes of a little-endian word
 _MASK = np.array([0x0F0F0F0F0F0F0F0F >> 8 * (8 - w) << 8 * (8 - w) for w in range(9)], np.uint64)
 
@@ -233,45 +239,65 @@ def _fold(words: np.ndarray) -> np.ndarray:
     return words
 
 
-def _read_canonical(data: bytes) -> Optional[SampleColumns]:
-    """The columns of a canonical CSV whose rows Sample accepts in strictly
-    increasing time order, else None. 16 digits cannot overflow int64.
+def _read_canonical(f) -> Optional[SampleColumns]:
+    """The columns of the canonical CSV in the binary file f, if Sample
+    accepts its rows in strictly increasing time order, else None. 16
+    digits cannot overflow int64.
 
-    Blocks of whole lines are checked, then folded: each field is the
-    digits in the 8 bytes before its separator, plus 10**8 times the 8
-    bytes before those for a field of 9-16 digits. The header guarantees
-    8 bytes before the first separator."""
-    if not data.startswith(_HEADER.encode()) or not data.endswith(b"\n"):
+    Two passes read the file through one buffer. The first counts the rows
+    and checks the final byte, so that the output is allocated once, at
+    its size. The second seeks back and parses blocks of whole lines, each
+    block's partial last line carried to the buffer's front. A block is
+    checked, then folded: each field is the digits in the 8 bytes before
+    its separator, plus 10**8 times the 8 bytes before those for a field of
+    9-16 digits; the _PAD bytes before the block keep both in the buffer."""
+    buf = bytearray(_PAD + max(_BLOCK, 34))  # 34: 16 digits, `,`, 16 digits, `\n`
+    raw = np.frombuffer(buf, np.uint8)
+    words = np.ndarray((len(buf) - 7,), "<u8", buf, 0, (1,))  # words[i]: bytes i to i+7
+    body = memoryview(buf)[_PAD:]
+    size = f.readinto(body)
+    if not buf.startswith(_HEADER.encode(), _PAD, _PAD + size):
         return None
-    raw = np.frombuffer(data, np.uint8)
-    words = np.ndarray((len(data) - 7,), "<u8", data, 0, (1,))  # words[i]: bytes i to i+7
-    # a row per body newline, counted by numpy ~4x faster than bytes.count
-    rows = sum(np.count_nonzero(raw[i : i + _BLOCK] == ord("\n"))
-               for i in range(len(_HEADER), raw.size, _BLOCK))
+    rows, last = -1, 0  # -1: the header's newline ends no row
+    while size:
+        # a row per newline, counted by numpy ~4x faster than bytearray.count
+        rows += np.count_nonzero(raw[_PAD : _PAD + size] == ord("\n"))
+        last = buf[_PAD + size - 1]
+        size = f.readinto(body)
+    if last != ord("\n"):
+        return None
     out = np.empty((2, rows), np.int64)
-    row, start = 0, len(_HEADER)
-    while start < len(data):
-        stop = data.find(b"\n", start + _BLOCK) + 1 or len(data)
-        block = raw[start:stop]
+    f.seek(len(_HEADER))
+    row = carry = 0
+    while size := f.readinto(body[carry:]):
+        end = _PAD + carry + size
+        stop = buf.rfind(b"\n", _PAD, end) + 1 or _PAD  # the block ends after its last newline
+        carry = end - stop
+        if stop == _PAD:
+            continue
+        block = raw[_PAD:stop]
         ends = np.flatnonzero(block < ord("0"))  # the `,` or `\n` after each field
         widths = np.diff(ends, prepend=-1)
         widths -= 1  # digits per field
+        n = ends.size // 2
         if not (block.max() <= ord("9") and (block[ends[0::2]] == ord(",")).all()
                 and (block[ends[1::2]] == ord("\n")).all()
-                and 1 <= widths.min() and (widest := widths.max()) <= 16):
+                and 1 <= widths.min() and (widest := widths.max()) <= 16 and row + n <= rows):
             return None
-        ends += start - 8
+        ends += _PAD - 8
         fields = words[ends]
         fields &= _MASK.take(widths, mode="clip")
         _fold(fields)
-        if widest > 8:  # a field of 1-8 digits masks its high word to 0, so index 0 will do
-            high = words[np.maximum(ends - 8, 0)]
+        if widest > 8:  # a field of 1-8 digits masks its high word to 0
+            high = words[ends - 8]
             high &= _MASK.take(widths - 8, mode="clip")
             fields += _fold(high) * np.uint64(10**8)
-        n = fields.size // 2
         out[0, row : row + n] = fields[0::2]
         out[1, row : row + n] = fields[1::2]
-        row, start = row + n, stop
+        row += n
+        buf[_PAD : _PAD + carry] = buf[stop:end]
+    if carry or row != rows:  # a line longer than the buffer, or a file that changed
+        return None
     try:
         columns = SampleColumns._own(out[0], out[1])
     except ValueError:  # a value above the ADC range

@@ -3,10 +3,13 @@
 Kept deliberately independent of the package's streaming code: the beat
 scans work over fully buffered arrays in a single literal pass of the
 hysteresis definition, the frame scan walks its bytes one at a time, and
-the synthesis stamps one pulse at a time, so agreement with the streaming
-detector, the decoder and the one-pass synthesis is meaningful.
+the synthesis stamps one pulse at a time, and the report is one
+json.dumps per record, so agreement with the streaming detector, the
+decoder, the one-pass synthesis and the directly formatted report is
+meaningful.
 """
 
+import json
 import math
 
 import numpy as np
@@ -38,6 +41,38 @@ def reference_synthesize(spec):
     if spec.noise_stddev:
         values += np.random.default_rng(spec.rng_seed).normal(0.0, spec.noise_stddev, n)
     return t_ms, np.clip(np.round(values), 0, 1023).astype(np.int64)
+
+
+def reference_jsonl(report):
+    """A RunReport's line-delimited records, each a dict through
+    json.dumps(record, sort_keys=True): transitions, readings, then a summary."""
+    records = [
+        {
+            "kind": "transition",
+            "t_ms": t.t_ms,
+            "from": t.from_phase.value,
+            "to": t.to_phase.value,
+            "trigger": t.trigger,
+        }
+        for t in report.transitions
+    ]
+    records.extend(
+        {"kind": "reading", "t_ms": r.t_ms, "bpm": round(r.bpm, 4), "status": r.status.value}
+        for r in report.readings
+    )
+    records.append(
+        {
+            "kind": "summary",
+            "samples": report.sample_count,
+            "beats": report.beat_count,
+            **{status.value: n for status, n in report.status_counts().items()},
+            "gaps": report.gap_count,
+            "corrupt_frames": report.corrupt_count,
+            "resyncs": report.resync_count,
+            "final_phase": report.final_phase.value,
+        }
+    )
+    return "".join(json.dumps(record, sort_keys=True) + "\n" for record in records)
 
 
 def offline_beat_scan(times, values, upper, lower, refractory_ms):

@@ -13,6 +13,7 @@ from pulsealarm import (
     BpmStatus,
     ClockTick,
     EngineConfig,
+    LogTransition,
     Phase,
     Pipeline,
     RunReport,
@@ -28,7 +29,7 @@ from pulsealarm import (
     synthesize,
 )
 
-from oracle import offline_beat_scan
+from oracle import offline_beat_scan, reference_jsonl
 
 SCHMITT = SchmittConfig(upper_threshold=550, lower_threshold=470, refractory_ms=250)
 DURATION_MS = 8000
@@ -244,6 +245,34 @@ def test_non_advancing_sample_in_a_chunk_refused_as_push_refuses_it(stall, back,
         pipeline.push_chunk(stream[a:b])
     assert str(chunked.value) == str(pushed.value)
     assert pipeline.report().to_jsonl() == report
+
+
+_COUNT = st.integers(0, 2**63 - 1)
+_TRIGGERS = ["clock_tick", "bpm_reading"]
+# bpm over 1e-6 to 1e6, with values that round to an integer at 4 places
+# and values whose repr has an exponent
+_BPM = (st.floats(1e-6, 1e6) | st.integers(1, 10**6).map(lambda n: n + 0.00004)
+        | st.sampled_from([1e-6, 4.9e-05, 5e-05, 0.0001, 59.99995, 60.0, 1e6, 1e16, 1.5e300]))
+_REPORTS = st.builds(
+    RunReport,
+    st.lists(st.builds(LogTransition, _COUNT, st.sampled_from(Phase), st.sampled_from(Phase),
+                       st.sampled_from(_TRIGGERS)), max_size=4),
+    st.lists(st.builds(BpmEstimate, _COUNT, _BPM, st.sampled_from(BpmStatus)), max_size=6),
+    _COUNT, _COUNT, st.sampled_from(Phase), _COUNT, _COUNT, _COUNT,
+)
+
+
+@given(report=_REPORTS)
+@example(report=RunReport(
+    [LogTransition(2**63 - 1 - i, a, b, trigger) for i, (a, b, trigger) in enumerate(
+        (a, b, trigger) for a in Phase for b in Phase for trigger in _TRIGGERS)],
+    [BpmEstimate(i, bpm, status) for i, (bpm, status) in enumerate(
+        zip([1e-6, 59.99995, 72.12345, 1e16], list(BpmStatus) * 2))],
+    2**63 - 1, 0, Phase.STOPPED, 1, 2**63 - 1, 3))
+def test_report_jsonl_equals_reference(report):
+    """to_jsonl formats transitions and readings directly; each line is
+    the json.dumps(record, sort_keys=True) of the oracle's record."""
+    assert report.to_jsonl() == reference_jsonl(report)
 
 
 def test_report_tallies_readings_by_status():

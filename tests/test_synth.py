@@ -1,4 +1,7 @@
+import io
 import math
+import os
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -326,12 +329,22 @@ class TestWaveformCsv:
 
     def test_value_past_the_adc_range_leaves_the_numpy_path(self, tmp_path):
         data = b"t_ms,value\n0,5\n10,1024\n"
-        assert _read_canonical(data) is None
+        assert _read_canonical(io.BytesIO(data)) is None
         path = tmp_path / "bad.csv"
         path.write_bytes(data)
         message = r"^line 3: value must be in \[0, 1023\], got 1024"
         with pytest.raises(WaveformParseError, match=message):
             read_waveform(path)
+
+    @pytest.mark.parametrize("after", [b"t_ms,value\n0,5\n10,6\n20,7\n", b"t_ms,value\n0,5\n",
+                                       b"t_ms,value\n0,5\n10,6\n20,7"], ids=["grown", "shrunk", "no-newline"])
+    def test_a_file_changed_between_the_passes_leaves_the_numpy_path(self, after):
+        class Changed(io.BytesIO):
+            def seek(self, *args):  # the second pass reads other bytes
+                self.__init__(after)
+                return super().seek(*args)
+
+        assert _read_canonical(Changed(b"t_ms,value\n0,5\n10,6\n")) is None
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["numpy-path", "line-parser"])
     def test_columns_built_are_read_only_int64(self, tmp_path, newline):
@@ -346,7 +359,7 @@ class TestWaveformCsv:
                     column[0] = 1
 
     def test_written_file_takes_the_numpy_path(self, tmp_path, monkeypatch):
-        columns = _read_canonical(GOLDEN_CSV.read_bytes())
+        columns = _read_canonical(io.BytesIO(GOLDEN_CSV.read_bytes()))
         assert columns is not None and len(columns) > 0
         assert columns == SampleColumns.of(_read_waveform_lines(GOLDEN_CSV.read_bytes()))
         # a minute at 1 kHz spans many blocks, and none may fall back
@@ -417,6 +430,10 @@ def _read_or_message(read, path):
 @example(data=b"t_ms,value\n0,\n")  # an empty field
 @example(data=b"t_ms,value\n0,5\n1:,6\n")  # `:`, the byte after `9`
 @example(data=b"t_ms,value\n0,5\n1\x00,6\n")  # a NUL
+@example(data=b"t_ms,value\n0,5\n" + b"0" * (synth._BLOCK + 40) + b"7,6\n")  # a line longer than the buffer
+@example(data=b"t_ms,value\n" + b"".join(  # 9-16-digit fields, a look-back across each refill
+    b"%d,%d\n" % (10**8 * k + k, k) for k in range(1, 40)) + b"1234567890123456,1\n")
+@example(data=b"t_ms,value")  # the header alone, with no final newline
 def test_numpy_path_equals_line_parser(tmp_path_factory, data):
     """Both readers agree, with blocks from the default size down to a
     byte, so that a block edge falls after nearly every line."""
@@ -427,10 +444,30 @@ def test_numpy_path_equals_line_parser(tmp_path_factory, data):
     for block in synth._BLOCK, 64, 9, 1:
         with mock.patch.object(synth, "_BLOCK", block):
             fast = _read_or_message(read_waveform, path)
-            taken.add(_read_canonical(data) is None)
+            taken.add(_read_canonical(io.BytesIO(data)) is None)
         assert type(fast) is type(lines)
         assert fast == lines
     assert len(taken) == 1  # the block size never decides which reader runs
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_fifo_reads_as_a_regular_file(tmp_path):
+    """A pipe cannot seek, so it is read whole and then parsed as the same
+    file's bytes are; canonical bytes and the line parser's alike."""
+    samples, _ = synthesize(WaveformSpec(duration_ms=20000, sample_rate_hz=1000.0,
+                                         noise_stddev=20.0, rng_seed=3))
+    path = tmp_path / "wave.csv"
+    write_waveform(samples, path)
+    fifo = tmp_path / "wave.fifo"
+    os.mkfifo(fifo)
+    for data in path.read_bytes(), path.read_bytes().replace(b"\n", b"\r\n"):
+        path.write_bytes(data)
+        writer = threading.Thread(target=fifo.write_bytes, args=(data,))
+        writer.start()
+        try:
+            assert read_waveform(fifo) == read_waveform(path) == samples
+        finally:
+            writer.join()
 
 
 class TestWakeScenario:
