@@ -6,8 +6,8 @@ falls to the lower threshold, so excursions that stay inside the hysteresis
 band can never produce a beat. A refractory guard suppresses double-triggers
 on a single pulse. push steps it one Sample at a time; push_chunk scans a
 whole block of SampleColumns with numpy, and the two can be mixed on one
-detector. They differ only in how they find rising edges: both pass each
-edge through one refractory gate, the only place a beat is built.
+detector. They differ only in how they find rising edges: both pass a
+call's edges to one refractory gate, the only place a beat is built.
 push_chunk indexes only the HIGH marks, a few samples per beat, and builds
 no full-length index. Sample states the one rule for a row; SampleColumns
 builds a list's rows through it and checks an array in bulk, copied or,
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import collections.abc
 import enum
-import statistics
 from collections import deque
 from dataclasses import dataclass, replace
 from itertools import chain, repeat
@@ -194,7 +193,7 @@ class SchmittConfig:
             raise ValueError(f"refractory_ms must be positive, got {self.refractory_ms}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BeatEvent:
     """A detected heartbeat. ibi_ms is absent for the first beat of a stream."""
 
@@ -216,8 +215,8 @@ class BeatDetector:
     falls inside the refractory window of the previous beat (the level still
     flips). HIGH -> LOW requires value <= lower_threshold and never emits.
     Values inside the band change nothing. push and push_chunk differ only
-    in how they find rising edges; each edge goes through _gate, which
-    alone applies the refractory window and builds the BeatEvent. Both
+    in how they find rising edges; each passes a call's edges to _gate,
+    which alone applies the refractory window and builds the beats. Both
     raise StreamOrderError on a timestamp that does not advance, before
     changing any state.
     """
@@ -242,7 +241,8 @@ class BeatDetector:
         if sample.value < self.config.upper_threshold:
             return None
         self.high = True
-        return self._gate(t)
+        beats = self._gate([t])
+        return beats[0] if beats else None
 
     def push_chunk(self, columns: SampleColumns) -> list[BeatEvent]:
         """push over every sample of a block, in one numpy scan.
@@ -251,8 +251,8 @@ class BeatDetector:
         upper threshold (HIGH) or at or below the lower one (LOW). Nearly
         every sample is a LOW mark, at the baseline, so the scan indexes
         the HIGH marks alone and keeps the LOW ones a bool mask. The rising
-        edges are the candidate beats, and only they pass through _gate in
-        Python. The order check compares the first time with last_t_ms and
+        edges are the candidate beats, and only they are stepped in Python,
+        by _gate. The order check compares the first time with last_t_ms and
         the block with itself in place; only a refusal copies the block.
         """
         t, v = columns.t_ms, columns.value
@@ -274,16 +274,21 @@ class BeatDetector:
             self.high, low = True, low[up[-1] + 1 :]
         self.high = self.high and not low.any()  # any LOW mark after the last HIGH one
         self.last_t_ms = int(t[-1])
-        return list(filter(None, map(self._gate, edges)))
+        return self._gate(edges)
 
-    def _gate(self, t: int) -> Optional[BeatEvent]:
-        """The beat at a rising edge at t, or None inside the refractory
-        window of the last beat."""
-        last = self.last_beat_t_ms
-        if last is not None and t - last < self.config.refractory_ms:
-            return None
-        self.last_beat_t_ms = t
-        return BeatEvent(t, None if last is None else t - last)
+    def _gate(self, edges: list[int]) -> list[BeatEvent]:
+        """The beats at rising edges at the times in edges, in order: an
+        edge inside the refractory window of the last beat makes none. The
+        window is applied over plain ints, then every beat is built at once."""
+        last, refractory = self.last_beat_t_ms, self.config.refractory_ms
+        times, ibis = [], []
+        for t in edges:
+            if last is None or t - last >= refractory:
+                times.append(t)
+                ibis.append(None if last is None else t - last)
+                last = t
+        self.last_beat_t_ms = last
+        return _build(BeatEvent, times, ibis)
 
 
 def detect_beats(
@@ -367,4 +372,8 @@ class BpmEstimator:
         if beat.ibi_ms is None:
             return None
         self._rates.append(bpm_from_ibi(beat.ibi_ms))
-        return plausibility_filter(statistics.median(self._rates), beat.t_ms)
+        # the median as statistics.median takes it, which costs its import
+        rates = sorted(self._rates)
+        mid = len(rates) // 2
+        median = rates[mid] if len(rates) % 2 else (rates[mid - 1] + rates[mid]) / 2
+        return plausibility_filter(median, beat.t_ms)

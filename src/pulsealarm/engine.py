@@ -119,8 +119,8 @@ def step(
     in_band = event.status is BpmStatus.VALID and state.config.satisfaction_band.contains(
         event.bpm
     )
-    if not in_band:
-        return replace(state, in_band_streak=0), []
+    if not in_band:  # resets the streak, a no-op if it is already 0
+        return (replace(state, in_band_streak=0) if state.in_band_streak else state), []
     streak = state.in_band_streak + 1
     if streak >= state.config.required_streak:
         return replace(state, phase=Phase.STOPPED, in_band_streak=0), [

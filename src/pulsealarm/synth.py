@@ -217,26 +217,46 @@ def read_waveform(path) -> SampleColumns:
 
 # The file goes through one buffer of about this many bytes, which holds a
 # block of whole lines at a time. At ~10 bytes a row, a block's int64
-# temporaries (~27 KB each) stay in L2, and as the file is never held whole,
+# temporaries (~52 KB each) stay in L2, and as the file is never held whole,
 # glibc keeps the heap a read uses for the next one (see README).
 _BLOCK = 1 << 15
-# bytes before a block, so that both words folded for a field at its start,
-# 8 and 16 bytes before its separator, lie in the buffer
+# bytes before a block, two aligned words, so that both words folded for a
+# field at its start, 8 and 16 bytes before its separator, lie in the buffer
 _PAD = 16
-# _MASK[w] keeps the low nibble, the digit, of the last w bytes of a little-endian word
-_MASK = np.array([0x0F0F0F0F0F0F0F0F >> 8 * (8 - w) << 8 * (8 - w) for w in range(9)], np.uint64)
+# _MASK[s] keeps the low nibble, the digit, of the last s - 1 bytes of a little-endian
+# word: the digits of a field that spans s bytes with its separator
+_MASK = np.array([0x0F0F0F0F0F0F0F0F >> 8 * (8 - w) << 8 * (8 - w) for w in range(-1, 9)], np.uint64)
+# _fold's steps, a multiplier, a shift and a mask each, and the operands
+# below: all uint64, since numpy turns uint64 mixed with int64 into float64
+_FOLD = [tuple(map(np.uint64, (10 ** (shift // 8) << shift | 1, shift, keep)))
+         for shift, keep in ((8, 0x00FF00FF00FF00FF), (16, 0x0000FFFF0000FFFF), (32, 0xFFFFFFFF))]
+_3, _7, _8, _56, _E8 = map(np.uint64, (3, 7, 8, 56, 10**8))
 
 
 def _fold(words: np.ndarray) -> np.ndarray:
     """The value of each word's 8 decimal digits, the first in its low byte,
     in place: each step adds every digit group, times its weight, into the
     next, for 4 two-digit, 2 four-digit and then 1 eight-digit value
-    (Lemire's SWAR fold; every operand is uint64)."""
-    for shift, keep in (8, 0x00FF00FF00FF00FF), (16, 0x0000FFFF0000FFFF), (32, 0xFFFFFFFF):
-        words *= np.uint64(10 ** (shift // 8) << shift | 1)
-        words >>= np.uint64(shift)
-        words &= np.uint64(keep)
+    (Lemire's SWAR fold)."""
+    for multiplier, shift, keep in _FOLD:
+        words *= multiplier
+        words >>= shift
+        words &= keep
     return words
+
+
+def _gather(words: np.ndarray, q: np.ndarray, right: np.ndarray, left: np.ndarray) -> np.ndarray:
+    """words[q] >> right | words[q + 1] << left << 8: the little-endian word
+    that starts right // 8 bytes into words[q], from two gathers of aligned
+    words. right is 0-56 and left is 56 - right, so that no single shift
+    reaches 64, whose result numpy versions disagree on."""
+    out = words[q]
+    out >>= right
+    after = words[1:][q]
+    after <<= left
+    after <<= _8
+    out |= after
+    return out
 
 
 def _read_canonical(f) -> Optional[SampleColumns]:
@@ -244,16 +264,21 @@ def _read_canonical(f) -> Optional[SampleColumns]:
     accepts its rows in strictly increasing time order, else None. 16
     digits cannot overflow int64.
 
-    Two passes read the file through one buffer. The first counts the rows
-    and checks the final byte, so that the output is allocated once, at
-    its size. The second seeks back and parses blocks of whole lines, each
-    block's partial last line carried to the buffer's front. A block is
-    checked, then folded: each field is the digits in the 8 bytes before
-    its separator, plus 10**8 times the 8 bytes before those for a field of
-    9-16 digits; the _PAD bytes before the block keep both in the buffer."""
-    buf = bytearray(_PAD + max(_BLOCK, 34))  # 34: 16 digits, `,`, 16 digits, `\n`
+    Two passes read the file through one buffer of whole 64-bit words. The
+    first counts the rows and checks the final byte, so that the output is
+    allocated once, at its size. The second seeks back and parses blocks of
+    whole lines, each block's partial last line carried to the buffer's
+    front. A block is checked, then folded: each field is the digits in the
+    8 bytes before its separator, plus 10**8 times the 8 bytes before those
+    for a field of 9-16 digits; the _PAD bytes before the block keep both
+    in the buffer. Each of those words is gathered from the buffer's aligned
+    words, as numpy gathers from an unaligned view several times slower."""
+    length = _PAD + max(_BLOCK, 34)  # 34: 16 digits, `,`, 16 digits, `\n`
+    # whole words: a separator at byte i ends a word that spans aligned words
+    # i // 8 - 1 and i // 8, so every word read lies in the buffer
+    buf = bytearray(length + -length % 8)
     raw = np.frombuffer(buf, np.uint8)
-    words = np.ndarray((len(buf) - 7,), "<u8", buf, 0, (1,))  # words[i]: bytes i to i+7
+    words = raw.view("<u8")
     body = memoryview(buf)[_PAD:]
     size = f.readinto(body)
     if not buf.startswith(_HEADER.encode(), _PAD, _PAD + size):
@@ -277,21 +302,30 @@ def _read_canonical(f) -> Optional[SampleColumns]:
             continue
         block = raw[_PAD:stop]
         ends = np.flatnonzero(block < ord("0"))  # the `,` or `\n` after each field
-        widths = np.diff(ends, prepend=-1)
-        widths -= 1  # digits per field
+        spans = np.empty_like(ends)  # each field's digits and its separator
+        spans[0] = ends[0] + 1
+        np.subtract(ends[1:], ends[:-1], out=spans[1:])
         n = ends.size // 2
-        if not (block.max() <= ord("9") and (block[ends[0::2]] == ord(",")).all()
-                and (block[ends[1::2]] == ord("\n")).all()
-                and 1 <= widths.min() and (widest := widths.max()) <= 16 and row + n <= rows):
+        # each pair of separators is `,\n`, read as one little-endian uint16,
+        # and each field 1-16 digits, a span of 2-17
+        if not (block.max() <= ord("9") and not ends.size % 2
+                and (block[ends].view("<u2") == ord(",") | ord("\n") << 8).all()
+                and 2 <= spans.min() and (widest := spans.max()) <= 17 and row + n <= rows):
             return None
-        ends += _PAD - 8
-        fields = words[ends]
-        fields &= _MASK.take(widths, mode="clip")
+        # a field's word, the 8 bytes before its separator at buffer byte
+        # _PAD + e, starts right // 8 = e % 8 bytes into words[1:][e // 8], as
+        # _PAD is two words, and its high word as far into words[e // 8]
+        right = ends.view(np.uint64) & _7
+        right <<= _3
+        left = np.subtract(_56, right)
+        q = np.right_shift(ends, 3, out=ends)
+        fields = _gather(words[1:], q, right, left)
+        fields &= _MASK.take(spans, mode="clip")
         _fold(fields)
-        if widest > 8:  # a field of 1-8 digits masks its high word to 0
-            high = words[ends - 8]
-            high &= _MASK.take(widths - 8, mode="clip")
-            fields += _fold(high) * np.uint64(10**8)
+        if widest > 9:  # a field of 1-8 digits, a span of 2-9, masks its high word to 0
+            high = _gather(words, q, right, left)
+            high &= _MASK.take(spans - 8, mode="clip")
+            fields += _fold(high) * _E8
         out[0, row : row + n] = fields[0::2]
         out[1, row : row + n] = fields[1::2]
         row += n

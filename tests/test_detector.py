@@ -1,4 +1,5 @@
 import random
+import statistics
 import tracemalloc
 from dataclasses import FrozenInstanceError
 from itertools import pairwise
@@ -12,6 +13,7 @@ from pulsealarm import (
     ADC_MAX,
     BeatDetector,
     BeatEvent,
+    BpmEstimator,
     BpmStatus,
     Sample,
     SampleColumns,
@@ -414,6 +416,26 @@ def test_chunking_equals_push(stream, config):
         assert [b.t_ms for b in reference] == offline_beat_scan(times, values, 550, 470, 250)
     else:
         assert [(b.t_ms, b.ibi_ms) for b in reference] == offline_crossing_scan(times, values, 500)
+
+
+@given(
+    window=st.integers(min_value=1, max_value=15),
+    # a few repeated intervals, so that windows hold ties
+    ibis=st.lists(st.sampled_from([300, 600, 1000]) | st.integers(min_value=1, max_value=5000),
+                  min_size=1, max_size=40),
+)
+def test_estimator_median_equals_statistics_median(window, ibis):
+    """Each reading is statistics.median of the window's rates, bit for bit,
+    at odd and even fills, ties included."""
+    estimator, t, rates = BpmEstimator(window), 0, []
+    assert estimator.add(BeatEvent(t)) is None
+    for ibi in ibis:
+        t += ibi
+        rates.append(bpm_from_ibi(ibi))
+        estimate = estimator.add(BeatEvent(t, ibi))
+        expected = statistics.median(rates[-window:])
+        assert (estimate.t_ms, estimate.bpm.hex()) == (t, expected.hex())
+        assert estimate == plausibility_filter(expected, t)
 
 
 @given(bpm=st.floats(min_value=0, max_value=500, allow_nan=False))

@@ -108,6 +108,8 @@ class TestStep:
             ),
             pytest.param(AlarmEngineState(CONFIG, 1000), reading(500, 150),
                          id="armed-reading"),
+            pytest.param(ringing_state(), reading(2000, 95), id="ringing-out-of-band-reading"),
+            pytest.param(ringing_state(), reading(2000, 220), id="ringing-rejected-reading"),
         ],
     )
     def test_no_op_returns_same_state(self, state, event):

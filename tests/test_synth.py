@@ -1,6 +1,7 @@
 import io
 import math
 import os
+import re
 import threading
 import tracemalloc
 import warnings
@@ -405,6 +406,11 @@ def _waveform_csvs(draw):
     return (header + "".join(f"{a},{b}{end}" for a, b, end in rows)).encode()
 
 
+# read_waveform's fast grammar: the files the numpy path must read itself
+# whenever the line parser accepts them
+_CANONICAL = re.compile(rb"t_ms,value\n(?:[0-9]{1,16},[0-9]{1,16}\n)*")
+
+
 def _read_or_message(read, path):
     try:
         return read(path)
@@ -434,20 +440,28 @@ def _read_or_message(read, path):
 @example(data=b"t_ms,value\n" + b"".join(  # 9-16-digit fields, a look-back across each refill
     b"%d,%d\n" % (10**8 * k + k, k) for k in range(1, 40)) + b"1234567890123456,1\n")
 @example(data=b"t_ms,value")  # the header alone, with no final newline
+@example(data=b"t_ms,value\n" + b"".join(  # 7-byte rows: a word starting at each offset mod 8
+    b"%d,%d\n" % (t, 100 + t) for t in range(10, 26)))
+@example(data=b"t_ms,value\n" + b"".join(  # 16-byte rows: at a 64-byte block, four fill the
+    b"%d,%d\n" % (10**9 + k, 1000 + k) for k in range(5)))  # buffer to its last word
+@example(data=b"t_ms,value\n1,5\n" + b"".join(  # 9 to 16 digits beside short fields
+    b"%d,%d\n" % (10**w + w, w) for w in range(8, 16)))
 def test_numpy_path_equals_line_parser(tmp_path_factory, data):
     """Both readers agree, with blocks from the default size down to a
-    byte, so that a block edge falls after nearly every line."""
+    byte, so that a block edge falls after nearly every line, and the
+    numpy path reads every canonical file that the line parser accepts."""
     path = tmp_path_factory.getbasetemp() / "fuzz.csv"
     path.write_bytes(data)
     lines = _read_or_message(lambda p: SampleColumns.of(_read_waveform_lines(p.read_bytes())), path)
+    canonical = isinstance(lines, SampleColumns) and _CANONICAL.fullmatch(data) is not None
     taken = set()
     for block in synth._BLOCK, 64, 9, 1:
         with mock.patch.object(synth, "_BLOCK", block):
             fast = _read_or_message(read_waveform, path)
-            taken.add(_read_canonical(io.BytesIO(data)) is None)
+            taken.add(_read_canonical(io.BytesIO(data)) is not None)
         assert type(fast) is type(lines)
         assert fast == lines
-    assert len(taken) == 1  # the block size never decides which reader runs
+    assert taken == {canonical}  # one reader at every block size, numpy's for a canonical file
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
