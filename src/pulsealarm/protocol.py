@@ -165,14 +165,15 @@ def encode_stream(samples: Sequence[Sample], start_seq: int = 0) -> bytes:
 def replay_file(
     path, connect: Callable[[], Callable[[bytes], None]], speed: float = 0.0
 ) -> int:
-    """Encode a waveform CSV in one pass, then send it frame by frame into
-    the sink `connect()` returns.
+    """Encode a waveform CSV in one pass, then send it into the sink
+    `connect()` returns, the frames due at one time in one call.
 
     speed is a real-time multiplier: 1.0 paces frames at the recorded
     sample intervals, 2.0 twice as fast, 0 disables pacing entirely. Each
-    frame has one due time, in seconds after the first frame (all 0 when
-    unpaced), and waits for it on the monotonic clock, so a late wake-up
-    delays one frame, not every frame after it.
+    frame has one due time, in seconds after the first frame, and waits for
+    it on the monotonic clock, so a late wake-up delays one frame, not every
+    frame after it. Unpaced, every frame is due at 0, and the whole stream
+    is one call.
     Returns the number of frames sent. The whole file is read and checked,
     every frame encoded and the pacing checked against the longest sleep,
     before `connect` is called, so a refused file or speed opens no sink.
@@ -183,7 +184,10 @@ def replay_file(
     except ValueError as exc:  # only a t_ms can be refused; sample i is line i + 2
         raise PulseAlarmError(f"line {int(np.argmax(columns.t_ms >= 2**32)) + 2}: {exc}") from None
     t = columns.t_ms
-    due = ((t - t[:1]) / 1000.0 / speed if speed > 0 else np.zeros(t.size)).tolist()
+    due = (t - t[:1]) / 1000.0 / speed if speed > 0 else np.zeros(t.size)
+    # the first frame of each run of equal due times (every due time is >= 0), then the end
+    firsts = np.flatnonzero(np.diff(due, prepend=-1.0)).tolist() + [t.size]
+    due = due.tolist()
     span_s = due[-1] if due else 0.0
     longest_s = threading.TIMEOUT_MAX - time.monotonic()  # time.sleep's deadline bound
     if span_s > longest_s:
@@ -191,9 +195,9 @@ def replay_file(
                               f"after the first, past the longest sleep of {longest_s:g} s")
     sink = connect()
     start = time.monotonic()
-    for i, due_s in enumerate(due):
-        delay = start + due_s - time.monotonic()
+    for i, j in zip(firsts, firsts[1:]):
+        delay = start + due[i] - time.monotonic()
         if delay > 0:
             time.sleep(delay)
-        sink(data[i * FRAME_LEN : (i + 1) * FRAME_LEN])
+        sink(data[i * FRAME_LEN : j * FRAME_LEN])
     return len(due)

@@ -2,11 +2,11 @@
 
 Kept deliberately independent of the package's streaming code: the beat
 scans work over fully buffered arrays in a single literal pass of the
-hysteresis definition, the frame scan walks its bytes one at a time, and
-the synthesis stamps one pulse at a time, and the report is one
-json.dumps per record, so agreement with the streaming detector, the
-decoder, the one-pass synthesis and the directly formatted report is
-meaningful.
+hysteresis definition, the frame scan walks its bytes one at a time, the
+synthesis stamps one pulse at a time, the CSV writer formats one row at a
+time, and the report is one json.dumps per record, so agreement with the
+streaming detector, the decoder, the one-pass synthesis, the block-wise
+CSV writer and the directly formatted report is meaningful.
 """
 
 import json
@@ -41,6 +41,15 @@ def reference_synthesize(spec):
     if spec.noise_stddev:
         values += np.random.default_rng(spec.rng_seed).normal(0.0, spec.noise_stddev, n)
     return t_ms, np.clip(np.round(values), 0, 1023).astype(np.int64)
+
+
+def reference_write_waveform(columns, path):
+    """Write a SampleColumns as the waveform CSV, one row at a time through
+    str.format: the header `t_ms,value`, then `t,v` per sample, each line
+    ending in `\\n`."""
+    with open(path, "w", newline="\n") as f:
+        f.write("t_ms,value\n")
+        f.writelines(map("{},{}\n".format, columns.t_ms.tolist(), columns.value.tolist()))
 
 
 def reference_jsonl(report):

@@ -1,0 +1,82 @@
+"""Metamorphic relations: how a run's output must change when its input
+changes in a known way, checked without an expected output for each input
+(Chen et al., "Metamorphic Testing: A Review of Challenges and
+Opportunities", ACM Computing Surveys 51(1), 2018)."""
+
+from dataclasses import replace
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from pulsealarm import (
+    ADC_MAX,
+    SampleColumns,
+    SchmittConfig,
+    StrayPulse,
+    UserProfile,
+    WaveformSpec,
+    detect_beats,
+    make_wake_scenario,
+    read_waveform,
+    run_pipeline,
+    synthesize,
+    write_waveform,
+)
+
+SCHMITT = SchmittConfig()
+
+
+def _wake(seed):
+    """A 20 s wake scenario at 500 Hz with noise, needing 3 in-band readings."""
+    return make_wake_scenario(UserProfile(age_years=20, resting_bpm=90),
+                              sleep_duration_ms=10000, exercise_duration_ms=10000,
+                              sample_rate_hz=500.0, required_streak=3, noise_stddev=8.0,
+                              rng_seed=seed)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**16), offset=st.integers(0, 2**40 - 1))
+@example(seed=1, offset=2**40 - 1)  # 13-digit times
+def test_r1_a_time_shift_through_the_csv_shifts_the_report(tmp_path_factory, seed, offset):
+    """R1: shift every t_ms and the alarm time by offset, then write, read
+    and run: the report is the same, each of its times shifted."""
+    scenario = _wake(seed)
+    samples, _ = synthesize(scenario.spec)
+    path = tmp_path_factory.getbasetemp() / "r1.csv"
+
+    def run(shift):
+        write_waveform(SampleColumns(samples.t_ms + shift, samples.value), path)
+        return run_pipeline(read_waveform(path), SCHMITT, scenario.engine_config,
+                            scenario.alarm_time_ms + shift)
+
+    base = run(0)
+    assert base.transitions and base.readings
+    assert run(offset) == replace(
+        base,
+        transitions=[replace(t, t_ms=t.t_ms + offset) for t in base.transitions],
+        readings=[replace(r, t_ms=r.t_ms + offset) for r in base.readings],
+    )
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**16), noise=st.floats(0, 30), strays=st.integers(0, 5), share=st.floats(0, 1))
+def test_r5_a_level_shift_of_values_and_thresholds_keeps_the_beats(seed, noise, strays, share):
+    """R5: add c to every value and to both thresholds, all kept within the
+    ADC range: the trigger fires on the same samples, so the beats are the same."""
+    rng = np.random.default_rng(seed)
+    spec = WaveformSpec(
+        duration_ms=8000, sample_rate_hz=250.0, heart_rate_bpm=float(rng.uniform(40, 180)),
+        baseline=300, pulse_amplitude=400, noise_stddev=noise, rng_seed=seed,
+        stray_pulses=tuple(StrayPulse(float(rng.uniform(0, 8000)), int(rng.integers(471, 550)), 40.0)
+                           for _ in range(strays)),
+    )
+    samples, _ = synthesize(spec)
+    # c reaches from the lowest value (or threshold) down to 0 up to the highest up to ADC_MAX
+    low = min(int(samples.value.min()), SCHMITT.lower_threshold)
+    high = max(int(samples.value.max()), SCHMITT.upper_threshold)
+    c = round(-low + share * (low + ADC_MAX - high))
+    shifted = SchmittConfig(SCHMITT.upper_threshold + c, SCHMITT.lower_threshold + c, SCHMITT.refractory_ms)
+    beats = detect_beats(samples, SCHMITT)
+    assert beats
+    assert detect_beats(SampleColumns(samples.t_ms, samples.value + c), shifted) == beats

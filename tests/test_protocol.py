@@ -323,12 +323,14 @@ class TestReplayFile:
         ]
 
     def test_unpaced_sends_every_frame_in_order_without_sleeping(self, tmp_path, monkeypatch):
+        """Unpaced, every frame is due at once, so the stream is one call."""
         path = tmp_path / "wave.csv"
         path.write_text("t_ms,value\n0,300\n10,300\n30,300\n")
         clock = FakeClock(monkeypatch)
-        assert replay_file(path, lambda: lambda frame: clock.events.append(("frame", frame[1])),
+        assert replay_file(path, lambda: lambda data: clock.events.append(("send", data)),
                            speed=0) == 3
-        assert clock.events == [("frame", 0), ("frame", 1), ("frame", 2)]
+        samples = [Sample(0, 300), Sample(10, 300), Sample(30, 300)]
+        assert clock.events == [("send", b"".join(encode_frame(i, s) for i, s in enumerate(samples)))]
 
     def test_late_wake_ups_do_not_add_up(self, tmp_path, monkeypatch):
         path = tmp_path / "wave.csv"

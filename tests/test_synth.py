@@ -35,7 +35,7 @@ from pulsealarm import (
 from pulsealarm import synth
 from pulsealarm.synth import _read_canonical, _read_waveform_lines
 
-from oracle import reference_synthesize
+from oracle import reference_synthesize, reference_write_waveform
 
 NAN = float("nan")
 GOLDEN_CSV = Path(__file__).parent / "golden" / "waveform_synth_seed7.csv"
@@ -375,6 +375,34 @@ class TestWaveformCsv:
 
         monkeypatch.setattr(synth, "_read_waveform_lines", line_parser)
         assert read_waveform(path) == samples
+
+
+# t_ms of every digit count 1-19, up to 2**63 - 1
+_T_MS = st.integers(1, 19).flatmap(lambda w: st.integers(10 ** (w - 1) if w > 1 else 0, min(10**w, 2**63) - 1))
+
+
+@settings(max_examples=200)
+@given(rows=st.lists(st.tuples(_T_MS, st.integers(0, ADC_MAX)), max_size=20,
+                     unique_by=lambda row: row[0]).map(sorted))
+@example(rows=[])
+@example(rows=[(0, 0)])
+@example(rows=[(2**63 - 1, 1023)])
+@example(rows=[(9, 9), (10, 10), (99, 99), (100, 100), (999, 999), (1000, 1000)])  # in one block
+def test_writer_equals_reference(tmp_path_factory, rows):
+    """write_waveform writes the bytes of the row-at-a-time reference at any
+    block size, and read_waveform reads them back: a file whose fields have
+    at most 16 digits by the numpy path, one with 17-19 by the line parser."""
+    columns = SampleColumns(np.array([t for t, _ in rows], np.int64), np.array([v for _, v in rows], np.int64))
+    base = tmp_path_factory.getbasetemp()
+    reference_write_waveform(columns, base / "reference.csv")
+    expected = (base / "reference.csv").read_bytes()
+    for block in synth._ROWS, 1, 2, 7:
+        with mock.patch.object(synth, "_ROWS", block):
+            write_waveform(columns, base / "written.csv")
+        assert (base / "written.csv").read_bytes() == expected
+    assert read_waveform(base / "written.csv") == columns
+    numpy_path = _read_canonical(io.BytesIO(expected)) is not None
+    assert numpy_path == all(t < 10**16 for t, _ in rows)
 
 
 # The canonical grammar's bytes and the ones the line parser also reads
