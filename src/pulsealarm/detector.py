@@ -12,8 +12,11 @@ push_chunk indexes only the HIGH marks, a few samples per beat, and builds
 no full-length index. Sample states the one rule for a row; SampleColumns
 builds a list's rows through it and checks an array in bulk, copied or,
 on the package's own batch paths, adopted, and the rows it hands out are
-not checked again. A deliberately fragile single-threshold detector is
-kept as a baseline.
+not checked again. Its rows, the decoder's rows and the gate's beats all
+come from one builder, _build, which sets slots a field at a time through
+starmap, so that no C call packs a fresh argument tuple; a Sample row
+takes its ADC count from _COUNTS, one shared int per count. A deliberately
+fragile single-threshold detector is kept as a baseline.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import collections.abc
 import enum
 from collections import deque
 from dataclasses import dataclass, replace
-from itertools import chain, repeat
+from itertools import chain, repeat, starmap
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -68,14 +71,26 @@ class Sample:
             raise ValueError(f"value must be in [0, {ADC_MAX}], got {v}")
 
 
+_SINK = deque(maxlen=0)  # keeps nothing: extend only runs an iterator out
+# every ADC count as an int, so the rows built from a column share one int
+# per count: _COUNTS.take(values).tolist(), where values.tolist() would make
+# a fresh int for each count above 256 (take raises on a count out of range)
+_COUNTS = np.array(range(ADC_MAX + 1), dtype=object)
+
+
 def _build(cls, *columns) -> list:
     """The instances of a slotted dataclass whose fields, in order, hold the
     items of columns, built one field at a time in loops that run in C
     through the slots' setters, past frozen. It runs neither cls's __init__
-    nor its check, so every row must already pass that check."""
-    objs = list(map(object.__new__, repeat(cls, len(columns[0]))))
+    nor its check, so every row must already pass that check.
+
+    Both loops are starmap, not map: map packs a fresh argument tuple for
+    every call of object.__new__ or a setter, while starmap passes the one
+    (cls,) tuple each time and zip hands back the tuple it reuses. _SINK
+    runs each setter loop to its end without a new deque per call."""
+    objs = list(starmap(object.__new__, repeat((cls,), len(columns[0]))))
     for name, column in zip(cls.__slots__, columns):
-        deque(map(getattr(cls, name).__set__, objs, column), 0)
+        _SINK.extend(starmap(getattr(cls, name).__set__, zip(objs, column)))
     return objs
 
 
@@ -151,12 +166,13 @@ class SampleColumns(collections.abc.Sequence):
     def __getitem__(self, index):
         if isinstance(index, slice):
             return SampleColumns(self.t_ms[index], self.value[index])
-        return _build(Sample, [int(self.t_ms[index])], [int(self.value[index])])[0]
+        return _build(Sample, [int(self.t_ms[index])], [_COUNTS[self.value[index]]])[0]
 
     def __iter__(self):
         t, v, n = self.t_ms, self.value, _ROW_BLOCK
         return chain.from_iterable(
-            _build(Sample, t[i : i + n].tolist(), v[i : i + n].tolist()) for i in range(0, t.size, n)
+            _build(Sample, t[i : i + n].tolist(), _COUNTS.take(v[i : i + n]).tolist())
+            for i in range(0, t.size, n)
         )
 
     def __eq__(self, other):

@@ -113,7 +113,8 @@ class Pipeline:
     reaches the engine's deadline (next_tick_ms), because no earlier tick
     can change the state; the transitions are those of ticking every sample.
     push_chunk is the block step. push stays as the one-sample step because
-    a one-sample chunk costs tens of microseconds in numpy set-up, and
+    a one-sample chunk costs about 7 µs in numpy set-up against about
+    0.15 µs for push (best of 7, Python 3.11, numpy 2.4, 2-core VM), and
     `serve` pushes the decoder's one outcome per frame, however many frames
     a recv holds. Both fill one RunReport as they go, which report() copies
     with the engine's phase.

@@ -17,10 +17,11 @@ exceptions, and parsing resumes at the next plausible sync byte.
 One record layout, _WIRE, states the frame for the encoder and the decoder.
 The decoder has one path: each feed indexes every frame offset of its
 buffer once in numpy, then walks only the breaks between runs of valid,
-consecutive frames (see FrameDecoder). That index has a fixed cost per
-feed, about 13 µs (best of 7, Python 3.11, numpy 2.4, 2-core VM), however
-few frames the buffer holds: about 1.3% of a core for a sender paced at
-1 kHz whose recvs hold one frame each. That cost is the reason a
+consecutive frames (see FrameDecoder). That index, with the set-up of
+one run, has a fixed cost per feed, however few frames the buffer holds:
+a feed of one frame costs about 14 µs (best of 7 over 20 000 feeds,
+Python 3.11, numpy 2.4, 2-core VM), about 1.4% of a core for a sender
+paced at 1 kHz whose recvs hold one frame each. That cost is the reason a
 small-buffer path may come back, if a benchmark case of one-frame recvs
 shows it is worth its code.
 """
@@ -34,7 +35,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .detector import ADC_MAX, Sample, SampleColumns, _build
+from .detector import _COUNTS, ADC_MAX, Sample, SampleColumns, _build
 from .errors import PulseAlarmError
 from .synth import read_waveform
 
@@ -125,7 +126,7 @@ class FrameDecoder:
             k = 1 if jump else 1 + int(link[i::FRAME_LEN].argmin())
             # a valid frame passes Sample's check: its t_ms is unsigned, its value <= ADC_MAX
             frames = np.frombuffer(buf, _WIRE, k, i)
-            rows = _build(Sample, frames["t_ms"].tolist(), frames["value"].tolist())
+            rows = _build(Sample, frames["t_ms"].tolist(), _COUNTS.take(frames["value"]).tolist())
             out.extend(_build(SampleOutcome, frames["seq"].tolist(), rows))
             i += k * FRAME_LEN
             self._last_seq = buf[i - FRAME_LEN + 1]

@@ -17,6 +17,7 @@ from pulsealarm import (
     BpmStatus,
     Sample,
     SampleColumns,
+    SampleOutcome,
     SchmittConfig,
     StrayPulse,
     StreamOrderError,
@@ -28,7 +29,7 @@ from pulsealarm import (
     plausibility_filter,
     synthesize,
 )
-from pulsealarm.detector import _ROW_BLOCK
+from pulsealarm.detector import _COUNTS, _ROW_BLOCK, _build
 
 from oracle import offline_beat_scan, offline_crossing_scan
 
@@ -643,6 +644,47 @@ def test_columns_rows_are_checked_samples(rows, dtype):
             row.t_ms = 0
         with pytest.raises(FrozenInstanceError):
             row.value = 0
+
+
+def _fields_of(cls, n):
+    """n rows of cls's field values, as its constructor takes them."""
+    rng = random.Random(n)
+    rows = [(rng.randrange(2**63), rng.randrange(ADC_MAX + 1)) for _ in range(n)]
+    if cls is SampleOutcome:
+        return [(rng.randrange(256), Sample(*row)) for row in rows]
+    if cls is BeatEvent:  # every third beat has no interval, as a stream's first
+        return [(t, None if i % 3 == 0 else v + 1) for i, (t, v) in enumerate(rows)]
+    return rows
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 4096])
+@pytest.mark.parametrize("cls", [Sample, SampleOutcome, BeatEvent])
+def test_build_makes_the_constructors_objects(cls, n):
+    """_build's rows, made without running cls's __init__, are each exactly
+    the object the constructor makes: of cls, with int fields (or None, or
+    a Sample), equal, hashed alike and frozen."""
+    rows = _fields_of(cls, n)
+    columns = [[row[k] for row in rows] for k in range(len(cls.__slots__))]
+    if cls is Sample:  # as the row paths pass counts
+        columns[1] = _COUNTS.take(np.array(columns[1], np.int64)).tolist()
+    built = _build(cls, *columns)
+    assert len(built) == n
+    for obj, row in zip(built, rows):
+        expected = cls(*row)
+        assert type(obj) is cls
+        assert obj == expected and hash(obj) == hash(expected)
+        for name in cls.__slots__:
+            assert type(getattr(obj, name)) in (int, type(None), Sample)
+            assert type(getattr(obj, name)) is type(getattr(expected, name))
+            with pytest.raises(FrozenInstanceError):
+                setattr(obj, name, 0)
+
+
+def test_counts_are_every_adc_count_as_an_int():
+    assert _COUNTS.tolist() == list(range(ADC_MAX + 1))
+    assert all(type(c) is int for c in _COUNTS.tolist())
+    with pytest.raises(IndexError):
+        _COUNTS.take(np.array([ADC_MAX + 1]))
 
 
 def test_columns_build_rows_a_block_at_a_time():
