@@ -93,7 +93,8 @@ def bench_corpus(
     """Sweep stray density x noise level; per cell, total the false and
     missed beats of both detectors across runs_per_cell seeded waveforms.
     The defaults are `pulsealarm bench`'s: 80 ms strays peak at 510 counts,
-    inside the default Schmitt band and above the naive threshold of 500."""
+    inside the default Schmitt band and above the naive threshold of 500.
+    seed, a non-negative int, fixes every cell's strays and noise."""
     if runs_per_cell < 1:
         raise ValueError(f"runs_per_cell must be >= 1, got {runs_per_cell}")
     if any(count < 0 for count in stray_counts):
@@ -110,6 +111,8 @@ def bench_corpus(
         raise ValueError(f"stray_width_ms must be positive and finite, got {stray_width_ms}")
     if not all(0 <= noise < math.inf for noise in noise_levels):
         raise ValueError(f"noise_levels must be finite and >= 0, got {list(noise_levels)}")
+    if not (isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     rows = []
     grid_ms = 1000.0 / base_spec.sample_rate_hz
     base_beats = base_spec.beat_times()

@@ -135,7 +135,9 @@ class SampleColumns(collections.abc.Sequence):
     @classmethod
     def _own(cls, t_ms: np.ndarray, value: np.ndarray) -> SampleColumns:
         """Columns over two int64 arrays the package has just built and no
-        longer uses, checked as the constructor checks and frozen, not copied."""
+        longer writes, checked as the constructor checks and frozen, not
+        copied. An array may be shared already read-only, as synthesize's
+        cached time grid is by every result of one waveform shape."""
         columns = object.__new__(cls)
         columns._adopt(t_ms, value, t_ms, value)
         return columns

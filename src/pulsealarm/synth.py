@@ -5,6 +5,8 @@ on top of a flat baseline, optional sinusoidal baseline wander, optional
 Gaussian noise, and optional stray pulses (the adversarial mid-amplitude
 excursions a single-threshold detector falls for). Output values are
 integer ADC counts clamped to [0, 1023], deterministic for a fixed seed.
+All but the noise and the strays is built once per waveform shape and
+kept, so a sweep of seeds over one shape pays only for what calls differ in.
 
 A waveform CSV is columnar both ways: write_waveform formats and
 read_waveform parses it with numpy, a block of rows at a time.
@@ -12,6 +14,7 @@ read_waveform parses it with numpy, a block of rows at a time.
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 from dataclasses import dataclass, fields
@@ -108,16 +111,20 @@ class WaveformSpec:
     def beat_times(self) -> list[float]:
         """Beat times from 0 ms on. Each interval follows the rate of the last
         schedule segment starting at or before the beat that opens it."""
-        segments = self.segments()
-        beats = []
-        t = 0.0
-        i = 0
-        while t < self.duration_ms:
-            beats.append(t)
-            while i + 1 < len(segments) and t >= segments[i + 1][0]:
-                i += 1
-            t += 60000.0 / segments[i][1]
-        return beats
+        return _beat_times(self.segments(), self.duration_ms)
+
+
+def _beat_times(segments, duration_ms) -> list[float]:
+    """WaveformSpec.beat_times of a schedule's segments and a duration."""
+    beats = []
+    t = 0.0
+    i = 0
+    while t < duration_ms:
+        beats.append(t)
+        while i + 1 < len(segments) and t >= segments[i + 1][0]:
+            i += 1
+        t += 60000.0 / segments[i][1]
+    return beats
 
 
 @dataclass(frozen=True)
@@ -135,43 +142,26 @@ _NOISE_SLICE = 4096
 def synthesize(spec: WaveformSpec) -> tuple[SampleColumns, GroundTruth]:
     """Generate the sample columns and their ground truth for a spec.
 
-    Every pulse, beats then strays, is stamped in one numpy pass. The one
-    full-length array kept is the (2, n) int64 block returned: row 0, viewed
-    as floats, holds the time grid until it is cast in place to t_ms, and
-    row 1 holds the float values until they become the counts in place.
-    One 16n-byte block, rather than several 8n-byte arrays, keeps the C
-    heap's pages between calls (see README), where fresh ones cost page
-    faults on the scale of the arithmetic."""
+    A call copies its shape's base (see _base) into the float view of the
+    one int64 block it allocates, stamps its strays, adds its noise, and
+    rounds, clamps and casts the values in place to the counts. Its t_ms is
+    the shape's read-only grid, shared by every result of the shape. One
+    8n-byte block a call keeps the C heap's pages between calls (see
+    README), where fresh ones cost page faults on the scale of the arithmetic."""
     period = 1000.0 / spec.sample_rate_hz
-    n = int(round(spec.duration_ms / period))
-    out = np.empty((2, n), np.int64)
-    times, values = out.view(np.float64)
-    np.multiply(np.arange(n, dtype=np.float64), period, out=times)
-    np.round(times, out=times)
-
-    values.fill(spec.baseline)
-    if spec.wander_amplitude:
-        values += spec.wander_amplitude * np.sin(
-            2.0 * math.pi * times / spec.wander_period_ms
-        )
-
-    beats = spec.beat_times()
-    pulses = [(beat, spec.pulse_width_ms, spec.pulse_amplitude) for beat in beats]
-    pulses += [(s.t_ms, s.width_ms, s.peak - spec.baseline) for s in spec.stray_pulses]
-    centers, widths, peaks = np.array(pulses, dtype=np.float64).reshape(-1, 3).T
-    halves = widths / 2.0
-    lo = np.searchsorted(times, centers - halves, side="left")
-    sizes = np.searchsorted(times, centers + halves, side="right") - lo
-    pulse = np.repeat(np.arange(centers.size), sizes)
-    idx = np.arange(pulse.size) + np.repeat(lo - (np.cumsum(sizes) - sizes), sizes)
-    stamps = peaks[pulse] * 0.5 * (
-        1.0 + np.cos(math.pi * (times[idx] - centers[pulse]) / halves[pulse]))
-    # WaveformSpec keeps beat windows apart; strays may overlap anything,
-    # and add.at adds a repeated index once per window, in order
-    split = sizes[: len(beats)].sum()
-    values[idx[:split]] += stamps[:split]
-    np.add.at(values, idx[split:], stamps[split:])
-    np.copyto(out[0], times, casting="unsafe")  # each t_ms overwrites the float it is cast from
+    grid, base, beats = _base(
+        int(round(spec.duration_ms / period)), period, spec.baseline, spec.wander_amplitude,
+        spec.wander_period_ms, spec.segments(), spec.duration_ms, spec.pulse_width_ms,
+        spec.pulse_amplitude)
+    n = grid.size
+    out = np.empty(n, np.int64)
+    values = out.view(np.float64)
+    np.copyto(values, base)
+    if spec.stray_pulses:
+        # strays may overlap anything, and add.at adds a repeated index once
+        # per window, in order
+        np.add.at(values, *_pulses(
+            grid, [(s.t_ms, s.width_ms, s.peak - spec.baseline) for s in spec.stray_pulses]))
 
     if spec.noise_stddev:
         rng = np.random.default_rng(spec.rng_seed)
@@ -186,8 +176,51 @@ def synthesize(spec: WaveformSpec) -> tuple[SampleColumns, GroundTruth]:
 
     np.round(values, out=values)
     np.clip(values, 0, ADC_MAX, out=values)
-    np.copyto(out[1], values, casting="unsafe")
-    return SampleColumns._own(out[0], out[1]), GroundTruth(tuple(beats))
+    np.copyto(out, values, casting="unsafe")  # each count overwrites the float it is cast from
+    return SampleColumns._own(grid, out), GroundTruth(beats)
+
+
+@functools.lru_cache(maxsize=1)
+def _base(n, period, baseline, wander_amplitude, wander_period_ms, segments, duration_ms,
+          pulse_width_ms, pulse_amplitude):
+    """A shape's read-only int64 time grid, read-only float base (baseline,
+    wander and every beat's pulse) and beat times: all that the noise, the
+    strays and the seed leave alone. The last shape is kept. The base is
+    built in the float grid's buffer, so that a miss adds only the two."""
+    base = np.arange(n, dtype=np.float64)
+    base *= period
+    np.round(base, out=base)
+    grid = base.astype(np.int64)
+    base.fill(baseline)
+    if wander_amplitude:  # each int64 time converts back to its float exactly
+        base += wander_amplitude * np.sin(2.0 * math.pi * grid / wander_period_ms)
+    beats = tuple(_beat_times(segments, duration_ms))
+    # WaveformSpec keeps beat windows apart, so no index repeats
+    idx, stamps = _pulses(grid, [(beat, pulse_width_ms, pulse_amplitude) for beat in beats])
+    base[idx] += stamps
+    grid.flags.writeable = base.flags.writeable = False
+    return grid, base, beats
+
+
+def _pulses(grid: np.ndarray, pulses: list) -> tuple[np.ndarray, np.ndarray]:
+    """The sample indices and heights of raised-cosine pulses, given as
+    (center, width, peak) triples, on an increasing int64 time grid, in one
+    numpy pass: window after window, the samples within half a width of
+    each center."""
+    centers, widths, peaks = np.array(pulses, dtype=np.float64).reshape(-1, 3).T
+    halves = widths / 2.0
+    # a window's first time is at or after ceil(center - half), its last at
+    # or before floor(center + half); clipped to [-1, last time + 1], which
+    # selects the same samples, so that a far stray's bound casts to int64
+    top = int(grid[-1]) + 1 if grid.size else 0
+    lo = np.searchsorted(grid, np.clip(np.ceil(centers - halves), -1, top).astype(np.int64))
+    hi = np.searchsorted(
+        grid, np.clip(np.floor(centers + halves), -1, top).astype(np.int64), side="right")
+    sizes = hi - lo
+    pulse = np.repeat(np.arange(centers.size), sizes)
+    idx = np.arange(pulse.size) + np.repeat(lo - (np.cumsum(sizes) - sizes), sizes)
+    return idx, peaks[pulse] * 0.5 * (
+        1.0 + np.cos(math.pi * (grid[idx] - centers[pulse]) / halves[pulse]))
 
 
 _HEADER = "t_ms,value\n"

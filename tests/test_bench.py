@@ -53,12 +53,18 @@ def test_match_skips_truth_beats_passed_over():
             ("stray_width_ms", -5, r"stray_width_ms must be positive and finite, got -5"),
             ("stray_width_ms", float("nan"), r"stray_width_ms must be positive and finite, got nan"),
             ("noise_levels", [0.0, -1], r"noise_levels must be finite and >= 0, got \[0.0, -1\]"),
+            # not the rng_seed of the spec it reaches, numpy's TypeError on a
+            # noisy cell, or the seed 1
+            ("seed", -1, "seed must be a non-negative integer, got -1"),
+            ("seed", 1.5, r"seed must be a non-negative integer, got 1\.5"),
+            ("seed", True, "seed must be a non-negative integer, got True"),
         ]
     ],
 )
 def test_a_bad_setting_is_named_by_its_own_key(monkeypatch, key, value, message):
-    # refused before anything is synthesized, not under the name of the
-    # SchmittConfig or WaveformSpec field the value would reach
+    # refused before any stray is placed or waveform synthesized, not under
+    # the name of the SchmittConfig or WaveformSpec field the value would reach
+    monkeypatch.setattr(bench, "place_strays", None)
     monkeypatch.setattr(bench, "synthesize", None)
     with pytest.raises(ValueError, match=f"^{message}$"):
         bench_corpus(WaveformSpec(duration_ms=1000), **{key: value})

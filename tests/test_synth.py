@@ -5,6 +5,7 @@ import re
 import threading
 import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -131,17 +132,47 @@ def _specs(draw):
     stray_pulses=(StrayPulse(1000.0, 900, 300.0), StrayPulse(1100.0, 100, 300.0),
                   StrayPulse(-50.0, 700, 200.0), StrayPulse(1990.0, 600, 100.0),
                   StrayPulse(5000.0, 600, 100.0))))
+# strays far outside the waveform, wider than it, and with window bounds
+# past the int64 range
+@example(spec=WaveformSpec(
+    duration_ms=3000, sample_rate_hz=37.0, heart_rate_bpm=70, noise_stddev=3.0,
+    stray_pulses=(StrayPulse(1e12, 800, 50.0), StrayPulse(-1e12, 800, 50.0),
+                  StrayPulse(1500.0, 400, 1e9), StrayPulse(1e12, 600, 1e9),
+                  StrayPulse(1e300, 900, 50.0), StrayPulse(0.0, 350, 1e300))))
+# window edges on sample times: 100 and 110 ms at 100 Hz, and a beat's at
+# 0 and 30 ms
+@example(spec=WaveformSpec(
+    duration_ms=1000, sample_rate_hz=100.0, pulse_width_ms=60.0,
+    stray_pulses=(StrayPulse(105.0, 700, 10.0), StrayPulse(500.0, 650, 40.0))))
+@example(spec=WaveformSpec(
+    duration_ms=4000, sample_rate_hz=300.0, heart_rate_bpm=((0, 50), (1700, 200)),
+    pulse_width_ms=200.0, wander_amplitude=-90.0, wander_period_ms=700.0, noise_stddev=40.0,
+    stray_pulses=(StrayPulse(1200.0, 1000, 500.0),), rng_seed=2**32))
+# no samples at all: 1 ms at 100 Hz
+@example(spec=WaveformSpec(duration_ms=1, sample_rate_hz=100.0, noise_stddev=1.0,
+                           stray_pulses=(StrayPulse(0.0, 500, 10.0),)))
 def test_synthesize_equals_reference(spec):
-    """The one-pass synthesis is bit for bit the pulse-by-pulse one, with
-    noise slices from the default size down to one double, so that a slice
-    edge falls inside every drawn waveform."""
-    t_ms, value = reference_synthesize(spec)
+    """The synthesis is bit for bit the pulse-by-pulse one, on a cache miss
+    and on a hit: the spec, the same shape with other noise, strays and
+    seed, another shape, then the spec again, which the other shape has
+    evicted. The noise is drawn in slices from the default size down to
+    one double, so that a slice edge falls inside every drawn waveform."""
+    same_shape = replace(
+        spec, noise_stddev=spec.noise_stddev + 2.5, rng_seed=spec.rng_seed + 1,
+        stray_pulses=spec.stray_pulses[::-1] + (StrayPulse(spec.duration_ms / 3, 900, 45.0),))
+    other_shape = replace(spec, duration_ms=spec.duration_ms + 1)
+    order = (spec, same_shape, other_shape, spec)
+    expected = {s: reference_synthesize(s) for s in order}
     for size in synth._NOISE_SLICE, 64, 7, 1:
+        synth._base.cache_clear()
         with mock.patch.object(synth, "_NOISE_SLICE", size):
-            columns, truth = synthesize(spec)
-        assert np.array_equal(columns.t_ms, t_ms)
-        assert np.array_equal(columns.value, value)
-        assert truth.beat_times_ms == tuple(spec.beat_times())
+            for s in order:
+                columns, truth = synthesize(s)
+                t_ms, value = expected[s]
+                assert np.array_equal(columns.t_ms, t_ms)
+                assert np.array_equal(columns.value, value)
+                assert truth.beat_times_ms == tuple(s.beat_times())
+        assert synth._base.cache_info()[:2] == (1, 3)  # hits, misses
 
 
 def test_long_synthesis_equals_reference():
@@ -175,27 +206,79 @@ def test_huge_noise_clips_without_a_warning():
 
 
 class TestOneBlock:
-    """synthesize keeps one full-length block, the (2, n) columns it
-    returns, and builds both columns inside it."""
+    """Each call keeps one full-length block of its own, the value column it
+    returns; its t_ms is the shape's cached grid."""
 
     SPEC = WaveformSpec(duration_ms=60000, sample_rate_hz=1000.0, noise_stddev=8.0, rng_seed=1)
 
-    def test_columns_share_one_block(self):
-        columns, _ = synthesize(self.SPEC)
-        assert columns.t_ms.base is columns.value.base
-        assert columns.t_ms.base.shape == (2, 60000)
+    def test_value_is_the_block_and_t_ms_the_shared_grid(self):
+        a, _ = synthesize(self.SPEC)
+        b, _ = synthesize(replace(self.SPEC, rng_seed=2))
+        assert a.value.flags.owndata and a.value.shape == (60000,)
+        assert a.t_ms is b.t_ms
+        assert not np.shares_memory(a.value, b.value)
 
     def test_peak_is_the_block_and_one_float_grid(self):
-        """16n bytes of output, plus the float arange that the time grid is
-        scaled from, plus slices and pulse windows far below n."""
+        """A miss: the base's float values, built in the buffer that held the
+        float time grid, and its int64 grid, then the call's 8n-byte block,
+        plus slices and pulse windows far below n."""
         n = 60000
+        synth._base.cache_clear()
         tracemalloc.start()
         try:
             synthesize(self.SPEC)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert synth._base.cache_info().misses == 1
         assert peak <= 24 * n + 64 * 1024
+
+    def test_peak_on_a_hit_is_the_block(self):
+        n = 60000
+        synthesize(self.SPEC)
+        tracemalloc.start()
+        try:
+            synthesize(replace(self.SPEC, rng_seed=2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert synth._base.cache_info().currsize == 1
+        assert peak <= 8 * n + 64 * 1024
+
+
+@pytest.mark.parametrize("field,changed", [
+    ("duration_ms", 3001),  # the same 600 samples, and one more beat, at 3000 ms
+    ("sample_rate_hz", 250.0), ("heart_rate_bpm", ((0, 60), (1500, 90))),
+    ("pulse_amplitude", 380), ("baseline", 310), ("pulse_width_ms", 40.0),
+    ("wander_amplitude", 25.0), ("wander_period_ms", 900.0),
+])
+def test_a_shape_field_changed_alone_builds_its_own_base(field, changed):
+    spec = WaveformSpec(duration_ms=3000, sample_rate_hz=200.0, wander_amplitude=20.0,
+                        noise_stddev=2.0)
+    synthesize(spec)
+    other = replace(spec, **{field: changed})
+    columns, truth = synthesize(other)
+    t_ms, value = reference_synthesize(other)
+    assert np.array_equal(columns.t_ms, t_ms)
+    assert np.array_equal(columns.value, value)
+    assert truth.beat_times_ms == tuple(other.beat_times())
+
+
+def test_one_shape_shares_one_read_only_grid():
+    """Results of one shape share its t_ms, neither column can be written,
+    and a later call of the shape leaves an earlier result as it was."""
+    spec = WaveformSpec(duration_ms=5000, sample_rate_hz=250.0, noise_stddev=6.0,
+                        stray_pulses=(StrayPulse(1500.0, 520, 80.0),))
+    a, _ = synthesize(spec)
+    t_ms, value = a.t_ms.copy(), a.value.copy()
+    b, _ = synthesize(replace(spec, noise_stddev=30.0, stray_pulses=(), rng_seed=5))
+    assert np.shares_memory(a.t_ms, b.t_ms)
+    for columns in a, b:
+        for column in columns.t_ms, columns.value:
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 1
+    assert np.array_equal(a.t_ms, t_ms) and np.array_equal(a.value, value)
+    assert not np.array_equal(a.value, b.value)
 
 
 class TestSpecValidation:
