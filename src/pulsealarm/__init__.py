@@ -49,7 +49,7 @@ from .physiology import (
     satisfaction_band,
     sleep_rate_range,
 )
-from .pipeline import Pipeline, RunReport, run_pipeline
+from .pipeline import Pipeline, RunReport, StreamSession, run_pipeline
 from .protocol import (
     CorruptFrame,
     FrameDecoder,

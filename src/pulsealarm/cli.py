@@ -12,10 +12,10 @@ time, the required streak and the expected phase; without one
 `alarm_time_ms` is required. `--out` names the output, and `--seed` (not
 on `serve`) overrides every seed the command synthesizes from. `serve`
 takes its samples from the socket, so it refuses a `waveform` or
-`input_path`; it reports the gaps, corrupt frames and resyncs its
-FrameDecoder counts, and drops samples whose time does not advance,
-logging their count at WARNING, instead of aborting. It waits
-IDLE_TIMEOUT_S for a sender (else exit 3) and for data (else, or on a reset, closed).
+`input_path`; it hands each recv to a StreamSession, which owns the
+decoding, the pushing and the dropping of samples whose time does not
+advance, and logs the dropped count at WARNING. It waits IDLE_TIMEOUT_S
+for a sender (else exit 3) and for data (else, or on a reset, closed).
 
 Exit codes: 0 expected final phase (or nothing to check), 1 unexpected
 final phase, 2 configuration error (a malformed config or value, a value a
@@ -38,10 +38,10 @@ from typing import Optional
 from .bench import bench_corpus
 from .detector import _SMOOTHING_WINDOW, BpmEstimator, SchmittConfig
 from .engine import EngineConfig, Phase
-from .errors import ConfigError, PulseAlarmError, StreamOrderError
+from .errors import ConfigError, PulseAlarmError
 from .physiology import BandMode, UserProfile, satisfaction_band
-from .pipeline import Pipeline, RunReport, run_pipeline
-from .protocol import FrameDecoder, SampleOutcome, replay_file
+from .pipeline import RunReport, StreamSession, run_pipeline
+from .protocol import replay_file
 from .synth import (
     StrayPulse,
     WaveformSpec,
@@ -299,9 +299,7 @@ def cmd_send(args) -> int:
 def cmd_serve(config: dict, args) -> int:
     pipeline_args, _, expected = _load_run(config, "serve")
     port = _resolve_port(args)
-    pipeline = Pipeline(*pipeline_args)
-    decoder = FrameDecoder()
-    dropped = 0
+    session = StreamSession(*pipeline_args)
     with socket.create_server(("", port)) as server:
         actual_port = server.getsockname()[1]
         log.info("listening on port %d", actual_port)
@@ -316,21 +314,14 @@ def cmd_serve(config: dict, args) -> int:
             conn.settimeout(IDLE_TIMEOUT_S)
             try:
                 while data := conn.recv(4096):
-                    for outcome in decoder.feed(data):
-                        if isinstance(outcome, SampleOutcome):
-                            try:
-                                pipeline.push(outcome.sample)
-                            except StreamOrderError:  # a duplicated or reordered frame
-                                dropped += 1
+                    session.receive(data)
             except TimeoutError:  # a stalled sender ends the stream like a close
                 log.warning("no data for %g s; closing the connection", IDLE_TIMEOUT_S)
             except ConnectionError as exc:  # and so does a reset
                 log.warning("connection lost (%s); ending the stream", exc)
-        if dropped:
-            log.warning("dropped %d samples whose time did not advance", dropped)
-    report = pipeline.report(gap_count=decoder.gaps, corrupt_count=decoder.corrupt_frames,
-                             resync_count=decoder.resyncs)
-    return _finish_run(report, args.out, expected)
+        if session.dropped:
+            log.warning("dropped %d samples whose time did not advance", session.dropped)
+    return _finish_run(session.report(), args.out, expected)
 
 
 def build_parser() -> argparse.ArgumentParser:

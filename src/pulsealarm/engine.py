@@ -123,7 +123,7 @@ def step(
         return (replace(state, in_band_streak=0) if state.in_band_streak else state), []
     streak = state.in_band_streak + 1
     if streak >= state.config.required_streak:
-        return replace(state, phase=Phase.STOPPED, in_band_streak=0), [
+        return replace(state, phase=Phase.STOPPED), [
             LogTransition(t, Phase.RINGING, Phase.STOPPED, "bpm_reading")
         ]
     return replace(state, in_band_streak=streak), []

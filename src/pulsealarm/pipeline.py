@@ -5,7 +5,8 @@ device's serial-monitor listing (one reading per line with its status).
 Pipeline.push_chunk takes a block of SampleColumns in one detector scan,
 so Python runs once per beat, not per sample; run_pipeline is one call of
 it. Pipeline.push takes one Sample, for a caller that gets samples one at
-a time, as `serve` does from the decoder's one outcome per frame."""
+a time. StreamSession is `serve`'s receive loop: bytes in, through a
+FrameDecoder, one push per decoded frame."""
 
 from __future__ import annotations
 
@@ -37,6 +38,8 @@ from .engine import (
     next_tick_ms,
     step,
 )
+from .errors import StreamOrderError
+from .protocol import FrameDecoder, SampleOutcome
 
 
 @dataclass
@@ -112,11 +115,10 @@ class Pipeline:
     drives a rate reading. A sample drives a clock tick only once its time
     reaches the engine's deadline (next_tick_ms), because no earlier tick
     can change the state; the transitions are those of ticking every sample.
-    push_chunk is the block step. push stays as the one-sample step because
-    a one-sample chunk costs about 7 µs in numpy set-up against about
-    0.15 µs for push (best of 7, Python 3.11, numpy 2.4, 2-core VM), and
-    `serve` pushes the decoder's one outcome per frame, however many frames
-    a recv holds. Both fill one RunReport as they go, which report() copies
+    push_chunk is the block step. push stays as the one-sample step for
+    StreamSession, which pushes the decoder's one outcome per frame: a
+    one-sample chunk costs far more in numpy set-up (README gives the
+    timings). Both fill one RunReport as they go, which report() copies
     with the engine's phase.
     """
 
@@ -192,6 +194,32 @@ class Pipeline:
             final_phase=self._engine_state.phase,
             gap_count=gap_count, corrupt_count=corrupt_count, resync_count=resync_count,
         )
+
+
+class StreamSession:
+    """`serve`'s receive loop on one connection, without the socket: a
+    FrameDecoder and a Pipeline taking Pipeline's arguments. receive pushes
+    each decoded frame's sample; a sample whose time does not advance (a
+    duplicated or reordered frame) is dropped and counted in `dropped`
+    instead of ending the stream. report() carries the decoder's counts."""
+
+    def __init__(self, *pipeline_args):
+        self._decoder = FrameDecoder()
+        self._pipeline = Pipeline(*pipeline_args)
+        self.dropped = 0
+
+    def receive(self, data: bytes) -> None:
+        push = self._pipeline.push
+        for outcome in self._decoder.feed(data):
+            if isinstance(outcome, SampleOutcome):
+                try:
+                    push(outcome.sample)
+                except StreamOrderError:
+                    self.dropped += 1
+
+    def report(self) -> RunReport:
+        decoder = self._decoder
+        return self._pipeline.report(decoder.gaps, decoder.corrupt_frames, decoder.resyncs)
 
 
 def run_pipeline(

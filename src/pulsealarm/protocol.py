@@ -18,12 +18,9 @@ One record layout, _WIRE, states the frame for the encoder and the decoder.
 The decoder has one path: each feed indexes every frame offset of its
 buffer once in numpy, then walks only the breaks between runs of valid,
 consecutive frames (see FrameDecoder). That index, with the set-up of
-one run, has a fixed cost per feed, however few frames the buffer holds:
-a feed of one frame costs about 14 µs (best of 7 over 20 000 feeds,
-Python 3.11, numpy 2.4, 2-core VM), about 1.4% of a core for a sender
-paced at 1 kHz whose recvs hold one frame each. That cost is the reason a
-small-buffer path may come back, if a benchmark case of one-frame recvs
-shows it is worth its code.
+one run, has a fixed cost per feed, however few frames the buffer holds
+(README gives its timing); a small-buffer path may come back if a
+benchmark case of one-frame recvs shows it is worth its code.
 """
 
 from __future__ import annotations
@@ -89,7 +86,7 @@ class FrameDecoder:
     sync byte that leads no valid frame (a CorruptFrame), or a run of linked
     frames, whose outcomes _build makes a field at a time. A frame whose seq
     jumps from the last one delivered is a run of its own, and its Gap
-    follows it. The module docstring states a feed's fixed cost.
+    follows it.
     """
 
     def __init__(self):

@@ -70,6 +70,14 @@ class TestSchmittStep:
         )
         assert oracle == [0, 400]
 
+    def test_a_drop_to_exactly_the_lower_threshold_re_arms(self):
+        # the lower threshold itself re-arms the trigger, as in push_chunk
+        # and the oracle, so the rise at 300 ms beats
+        seq = [(0, 600), (1, 470), (300, 600)]
+        beats = pushed_beats(seq, BeatDetector(SchmittConfig()))
+        assert [b.t_ms for b in beats] == [0, 300]
+        assert offline_beat_scan([0, 1, 300], [600, 470, 600], 550, 470, 250) == [0, 300]
+
     def test_refused_sample_changes_nothing(self):
         detector = BeatDetector(CONFIG)
         assert pushed_beats([(0, 560), (50, 400)], detector) == [BeatEvent(0, None)]

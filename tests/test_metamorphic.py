@@ -11,13 +11,10 @@ from hypothesis import strategies as st
 
 from pulsealarm import (
     ADC_MAX,
-    FrameDecoder,
-    Pipeline,
     SampleColumns,
-    SampleOutcome,
     SchmittConfig,
     StrayPulse,
-    StreamOrderError,
+    StreamSession,
     UserProfile,
     WaveformSpec,
     detect_beats,
@@ -91,23 +88,13 @@ def test_r5_a_level_shift_of_values_and_thresholds_keeps_the_beats(seed, noise, 
 _RECV = 4096  # the most bytes serve's recv returns
 
 
-def _serve(scenario, data):
-    """The report and the dropped-sample count that serve makes of data,
-    received _RECV bytes at a time: each frame's sample is pushed, one whose
-    time does not advance is dropped, and the report holds the decoder's
-    counters."""
-    decoder = FrameDecoder()
-    pipeline = Pipeline(SCHMITT, scenario.engine_config, scenario.alarm_time_ms)
-    dropped = 0
+def _receive(scenario, data):
+    """The report and the dropped-sample count of a StreamSession, serve's
+    receive loop, handed data _RECV bytes at a time."""
+    session = StreamSession(SCHMITT, scenario.engine_config, scenario.alarm_time_ms)
     for i in range(0, len(data), _RECV):
-        for outcome in decoder.feed(data[i : i + _RECV]):
-            if isinstance(outcome, SampleOutcome):
-                try:
-                    pipeline.push(outcome.sample)
-                except StreamOrderError:
-                    dropped += 1
-    report = pipeline.report(decoder.gaps, decoder.corrupt_frames, decoder.resyncs)
-    return report, dropped
+        session.receive(data[i : i + _RECV])
+    return session.report(), session.dropped
 
 
 def _wake_stream(seed):
@@ -125,7 +112,7 @@ def test_r8_serve_on_the_encoded_stream_equals_run(seed):
     scenario, samples, data = _wake_stream(seed)
     expected = run_pipeline(samples, SCHMITT, scenario.engine_config, scenario.alarm_time_ms)
     assert expected.transitions and expected.readings
-    assert _serve(scenario, data) == (expected, 0)
+    assert _receive(scenario, data) == (expected, 0)
 
 
 @settings(max_examples=20, deadline=None)
@@ -133,7 +120,7 @@ def test_r8_serve_on_the_encoded_stream_equals_run(seed):
 def test_r2_any_start_seq_gives_the_same_report(seed, start_seq):
     """R2: the frame counter's first value changes nothing in the report."""
     scenario, samples, data = _wake_stream(seed)
-    assert _serve(scenario, encode_stream(samples, start_seq)) == _serve(scenario, data)
+    assert _receive(scenario, encode_stream(samples, start_seq)) == _receive(scenario, data)
 
 
 @settings(max_examples=20, deadline=None)
@@ -145,8 +132,8 @@ def test_r3_a_prefix_without_a_sync_byte_adds_one_resync(seed, prefix):
     are one Resync and change nothing else."""
     assert SYNC_BYTE not in prefix
     scenario, _, data = _wake_stream(seed)
-    base, dropped = _serve(scenario, data)
-    assert _serve(scenario, prefix + data) == (replace(base, resync_count=base.resync_count + 1), dropped)
+    base, dropped = _receive(scenario, data)
+    assert _receive(scenario, prefix + data) == (replace(base, resync_count=base.resync_count + 1), dropped)
 
 
 @settings(max_examples=10, deadline=None)
@@ -157,6 +144,6 @@ def test_r7_every_frame_sent_twice_adds_one_gap_and_one_drop_per_frame(seed):
     readings and transitions are the same."""
     scenario, samples, data = _wake_stream(seed)
     twice = np.repeat(np.frombuffer(data, np.uint8).reshape(-1, FRAME_LEN), 2, axis=0).tobytes()
-    base, _ = _serve(scenario, data)
+    base, _ = _receive(scenario, data)
     n = len(samples)
-    assert _serve(scenario, twice) == (replace(base, gap_count=base.gap_count + n), n)
+    assert _receive(scenario, twice) == (replace(base, gap_count=base.gap_count + n), n)
