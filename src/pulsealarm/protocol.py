@@ -15,12 +15,8 @@ total over arbitrary input: corruption surfaces as outcomes, never
 exceptions, and parsing resumes at the next plausible sync byte.
 
 One record layout, _WIRE, states the frame for the encoder and the decoder.
-The decoder has one path: each feed indexes every frame offset of its
-buffer once in numpy, then walks only the breaks between runs of valid,
-consecutive frames (see FrameDecoder). That index, with the set-up of
-one run, has a fixed cost per feed, however few frames the buffer holds
-(README gives its timing); a small-buffer path may come back if a
-benchmark case of one-frame recvs shows it is worth its code.
+The decoder has one path, in two stages (see FrameDecoder), at a fixed
+cost per feed however few frames the buffer holds (README gives its timing).
 """
 
 from __future__ import annotations
@@ -49,7 +45,7 @@ class SampleOutcome:
 
 @dataclass(frozen=True, slots=True)
 class Gap:
-    """A valid frame's seq did not follow the last valid frame's."""
+    """The next valid frame's seq does not follow the last valid frame's."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -72,10 +68,14 @@ def encode_frame(seq: int, sample: Sample) -> bytes:
 class FrameDecoder:
     """Incremental frame parser; feed bytes in any chunking.
 
-    Emits SampleOutcome for each valid frame, Gap when the seq counter jumps,
-    CorruptFrame when a sync byte leads a frame that fails validation, and
-    Resync counting the bytes skipped to find a sync byte; gaps,
-    corrupt_frames and resyncs count the last three.
+    Emits SampleOutcome for each valid frame, and each break marker where
+    the stream resumes, before the frame or sync byte after the break: Gap
+    before a frame whose seq does not follow the last valid frame's,
+    CorruptFrame for a sync byte that leads a frame failing validation, and
+    Resync, a regained sync, for a sync byte that ends a hunt, with the
+    bytes skipped over all the hunt's feeds (a hunt still on at the end has
+    none). So the outcomes, and their counts gaps, corrupt_frames and
+    resyncs (serve's), depend only on the bytes fed, not on their split.
 
     feed decodes in two stages, as Langdale and Lemire parse JSON ("Parsing
     Gigabytes of JSON per Second", VLDB J. 2019). Stage 1 indexes the
@@ -84,14 +84,13 @@ class FrameDecoder:
     valid too and its seq is one more. Stage 2 walks the buffer one step
     per break: bytes.find to the next sync byte (a Resync), one byte past a
     sync byte that leads no valid frame (a CorruptFrame), or a run of linked
-    frames, whose outcomes _build makes a field at a time. A frame whose seq
-    jumps from the last one delivered is a run of its own, and its Gap
-    follows it.
+    frames, a Gap first if its seq jumps, whose outcomes _build makes.
     """
 
     def __init__(self):
         self._buf = b""
         self._last_seq: int | None = None
+        self._skipped = 0  # the bytes skipped by a hunt no sync byte has ended yet
         self.gaps = self.corrupt_frames = self.resyncs = 0
 
     def feed(self, data: bytes) -> list[ParseOutcome]:
@@ -107,11 +106,13 @@ class FrameDecoder:
         i = 0
         while True:
             sync = buf.find(SYNC_BYTE, i)
-            sync = len(buf) if sync < 0 else sync  # no sync byte: skip to the end
-            if sync > i:
-                out.append(Resync(sync - i))
+            end = len(buf) if sync < 0 else sync  # no sync byte: hunt on in the next feed
+            self._skipped += end - i
+            i = end
+            if sync >= 0 and self._skipped:  # the sync byte at i ends a hunt
+                out.append(Resync(self._skipped))
                 self.resyncs += 1
-            i = sync
+                self._skipped = 0
             if i >= n:
                 break  # a partial frame, or none: wait for more bytes
             if not valid[i]:
@@ -119,17 +120,16 @@ class FrameDecoder:
                 self.corrupt_frames += 1
                 i += 1  # drop only the sync byte, rescan inside the frame
                 continue
-            jump = self._last_seq is not None and (buf[i + 1] - self._last_seq) % 256 != 1
-            k = 1 if jump else 1 + int(link[i::FRAME_LEN].argmin())
+            if self._last_seq is not None and (buf[i + 1] - self._last_seq) % 256 != 1:
+                out.append(Gap())
+                self.gaps += 1
+            k = 1 + int(link[i::FRAME_LEN].argmin())
             # a valid frame passes Sample's check: its t_ms is unsigned, its value <= ADC_MAX
             frames = np.frombuffer(buf, _WIRE, k, i)
             rows = _build(Sample, frames["t_ms"].tolist(), _COUNTS.take(frames["value"]).tolist())
             out.extend(_build(SampleOutcome, frames["seq"].tolist(), rows))
             i += k * FRAME_LEN
             self._last_seq = buf[i - FRAME_LEN + 1]
-            if jump:
-                out.append(Gap())
-                self.gaps += 1
         self._buf = buf[i:]
         return out
 

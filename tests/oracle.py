@@ -129,23 +129,26 @@ def offline_crossing_scan(times, values, threshold):
 def reference_frame_scan(chunks, sync=0xAA, frame_len=9, adc_max=1023):
     """Byte-by-byte reference for the framed protocol's incremental decoder.
 
-    Feeds `chunks` in order into one buffer, walking it a byte at a time:
-    a run of non-sync bytes is one ("Resync", count) when the walk reaches
-    a sync byte or the end of the chunk; a sync byte with fewer than
-    `frame_len` bytes behind it waits for the next chunk; a frame whose XOR
-    of bytes 1..7 differs from byte 8, or whose value exceeds `adc_max`, is
-    ("CorruptFrame",) and only its sync byte is dropped; a valid frame is
-    ("SampleOutcome", seq, (t_ms, value)), followed by ("Gap",) when seq
-    does not follow the last valid one modulo 256. Returns the outcomes as
-    tuples.
+    Feeds `chunks` in order into one buffer, walking it a byte at a time.
+    Each break marker comes where the stream resumes, before the frame or
+    sync byte after the break: the non-sync bytes skipped since the last
+    outcome, in this chunk and any before it, are one ("Resync", count),
+    a regained sync, when the walk reaches a sync byte, and none if the
+    chunks end first; a sync byte with fewer than `frame_len` bytes behind
+    it waits for the next chunk; a frame whose XOR of bytes 1..7 differs
+    from byte 8, or whose value exceeds `adc_max`, is ("CorruptFrame",) and
+    only its sync byte is dropped; a valid frame is ("SampleOutcome", seq,
+    (t_ms, value)), after ("Gap",) when seq does not follow the last valid
+    one modulo 256. Returns the outcomes as tuples, the same for every
+    split of the same bytes into chunks.
     """
     out = []
     buf = b""
     last_seq = None
+    skipped = 0
     for chunk in chunks:
         buf += chunk
         i = 0
-        skipped = 0
         while i < len(buf):
             if buf[i] != sync:
                 skipped += 1
@@ -166,12 +169,10 @@ def reference_frame_scan(chunks, sync=0xAA, frame_len=9, adc_max=1023):
                 out.append(("CorruptFrame",))
                 i += 1
                 continue
-            out.append(("SampleOutcome", seq, (t_ms, value)))
             if last_seq is not None and (seq - last_seq) % 256 != 1:
                 out.append(("Gap",))
+            out.append(("SampleOutcome", seq, (t_ms, value)))
             last_seq = seq
             i += frame_len
-        if skipped:
-            out.append(("Resync", skipped))
         buf = buf[i:]
     return out

@@ -2,7 +2,7 @@ import random
 import statistics
 import tracemalloc
 from dataclasses import FrozenInstanceError
-from itertools import pairwise
+from itertools import accumulate, pairwise, product
 
 import numpy as np
 import pytest
@@ -425,6 +425,29 @@ def test_chunking_equals_push(stream, config):
         assert [b.t_ms for b in reference] == offline_beat_scan(times, values, 550, 470, 250)
     else:
         assert [(b.t_ms, b.ibi_ms) for b in reference] == offline_crossing_scan(times, values, 500)
+
+
+def test_every_four_samples_at_the_thresholds_beat_as_the_offline_scan():
+    """Small scope: with SchmittConfig(550, 470, 3), every 4-sample sequence
+    of values one below, at and one above each threshold, at time steps of
+    1 or 3 ms (inside and at the refractory window), gives offline_beat_scan's
+    beats through push, and the same beats through push_chunk split into two
+    calls at every point. An exhaustive search finds every defect of its
+    size, where random draws only sample (Jackson, "Software Abstractions",
+    MIT Press 2006)."""
+    config = SchmittConfig(550, 470, 3)
+    levels = [469, 470, 471, 549, 550, 551]
+    for steps in product([1, 3], repeat=3):
+        times = list(accumulate(steps, initial=0))
+        for values in product(levels, repeat=4):
+            expected = offline_beat_scan(times, values, 550, 470, 3)
+            pushed = pushed_beats(zip(times, values), BeatDetector(config))
+            assert [b.t_ms for b in pushed] == expected, (times, values)
+            columns = SampleColumns(np.array(times), np.array(values))
+            for cut in range(len(times) + 1):
+                detector = BeatDetector(config)
+                chunked = detector.push_chunk(columns[:cut]) + detector.push_chunk(columns[cut:])
+                assert chunked == pushed, (times, values, cut)
 
 
 @given(

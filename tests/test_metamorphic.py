@@ -125,11 +125,13 @@ def test_r2_any_start_seq_gives_the_same_report(seed, start_seq):
 
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2**16),
-       prefix=st.binary(min_size=1, max_size=_RECV - 1).map(lambda b: b.replace(bytes([SYNC_BYTE]), b"\0")))
+       prefix=st.binary(min_size=1, max_size=3 * _RECV).map(lambda b: b.replace(bytes([SYNC_BYTE]), b"\0")))
 @example(seed=1, prefix=bytes(_RECV - 1))  # the first frame starts at the last byte of a recv
+@example(seed=1, prefix=bytes(3 * _RECV - 1))  # the same, after two recvs of the prefix alone
+@example(seed=1, prefix=bytes(3 * _RECV))  # three recvs of the prefix alone, then the stream
 def test_r3_a_prefix_without_a_sync_byte_adds_one_resync(seed, prefix):
-    """R3: bytes with no sync byte before the stream, fewer than one recv,
-    are one Resync and change nothing else."""
+    """R3: bytes with no sync byte before the stream, up to three recvs of
+    them, are one Resync and change nothing else."""
     assert SYNC_BYTE not in prefix
     scenario, _, data = _wake_stream(seed)
     base, dropped = _receive(scenario, data)

@@ -214,21 +214,21 @@ def test_stream_session_report_is_the_same_for_any_receive_size():
     """serve's receive loop over a stream with a garbage prefix and one
     frame sent twice, in receives of 1 byte, of one frame's length (out of
     step with the frames after the 5-byte prefix) and of a whole recv: the
-    same report, with a gap and one dropped sample. The decoder reports a
-    skipped run once per receive it spans, as reference_frame_scan does, so
-    the prefix is 5 resyncs in 1-byte receives and 1 in the others."""
+    same report, with a gap, one resync and one dropped sample: the decoder
+    reports the skipped prefix once, when the first frame's sync byte ends
+    the hunt, however many receives it spans."""
     frames = encode_stream(DEADLINE_SAMPLES)
     copy = frames[100 * 9 : 101 * 9]
     data = b"junk\0" + frames[: 101 * 9] + copy + frames[101 * 9 :]
     args = (SCHMITT, EngineConfig(required_streak=1), BEAT_TIMES[4])
     expected = run_pipeline(DEADLINE_SAMPLES, *args)
     assert expected.transitions and expected.final_phase is Phase.STOPPED
-    for size, resyncs in ((1, 5), (9, 1), (4096, 1)):
+    for size in (1, 9, 4096):
         session = StreamSession(*args)
         for i in range(0, len(data), size):
             session.receive(data[i : i + size])
         assert session.dropped == 1
-        assert session.report() == replace(expected, gap_count=1, resync_count=resyncs)
+        assert session.report() == replace(expected, gap_count=1, resync_count=1)
 
 
 def test_numpy_integer_samples_give_push_chunks_report():

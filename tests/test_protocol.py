@@ -4,6 +4,7 @@ import threading
 from collections import Counter
 from dataclasses import FrozenInstanceError, astuple
 from functools import reduce
+from itertools import product
 from operator import xor
 
 import numpy as np
@@ -30,7 +31,7 @@ from pulsealarm import (
 )
 from pulsealarm.detector import ADC_MAX
 from pulsealarm import protocol
-from pulsealarm.protocol import FRAME_LEN
+from pulsealarm.protocol import FRAME_LEN, SYNC_BYTE
 
 from oracle import reference_frame_scan
 
@@ -97,16 +98,24 @@ class TestFeed:
         raw[17] ^= 0xFF  # checksum byte of the middle frame
         outcomes = FrameDecoder().feed(bytes(raw))
         kinds = [type(o) for o in outcomes]
-        assert kinds == [SampleOutcome, CorruptFrame, Resync, SampleOutcome, Gap]
+        # each marker leads what comes after its break: the Resync the third
+        # frame's sync byte, which ends the hunt, and the Gap that frame
+        assert kinds == [SampleOutcome, CorruptFrame, Resync, Gap, SampleOutcome]
         assert outcomes[1] == CorruptFrame()
         assert outcomes[2] == Resync(8)
-        assert outcomes[3].seq == 2
-        assert outcomes[4] == Gap()
+        assert outcomes[3] == Gap()
+        assert outcomes[4].seq == 2
 
     def test_garbage_without_sync(self):
+        # a hunt that no sync byte has ended regained no sync: no Resync yet;
+        # the sync byte of the next feed's frame ends it, with every byte
         garbage = bytes(b for b in range(256) if b != 0xAA) * 4
-        outcomes = FrameDecoder().feed(garbage)
-        assert outcomes == [Resync(len(garbage))]
+        decoder = FrameDecoder()
+        assert decoder.feed(garbage) == []
+        assert decoder.resyncs == 0
+        assert decoder.feed(encode_frame(0, Sample(5, 6))) == [Resync(len(garbage)),
+                                                               SampleOutcome(0, Sample(5, 6))]
+        assert decoder.resyncs == 1
 
     def test_partial_frames_buffer_across_calls(self):
         data = encode_stream(self.frames(2))
@@ -125,8 +134,8 @@ class TestFeed:
         raw[17] = reduce(xor, raw[10:17])  # its checksum, still valid
         outcomes = FrameDecoder().feed(bytes(raw))
         assert outcomes == [
-            SampleOutcome(0, samples[0]), CorruptFrame(), Resync(8), SampleOutcome(2, samples[2]),
-            Gap(),
+            SampleOutcome(0, samples[0]), CorruptFrame(), Resync(8), Gap(),
+            SampleOutcome(2, samples[2]),
         ]
 
     def test_seq_wraps_mod_256(self):
@@ -150,15 +159,71 @@ class TestFeed:
 
 def _assert_feed_matches_reference(chunks):
     """A fresh decoder fed chunks in order gives reference_frame_scan's
-    outcomes, and counts its gaps, corrupt frames and resyncs."""
+    outcomes, and counts its gaps, corrupt frames and resyncs; returns
+    those three counts."""
     decoder = FrameDecoder()
     got = [(type(o).__name__, *astuple(o)) for chunk in chunks for o in decoder.feed(chunk)]
     expected = reference_frame_scan(chunks)
     assert got == expected
     kinds = Counter(outcome[0] for outcome in expected)
-    assert (decoder.gaps, decoder.corrupt_frames, decoder.resyncs) == (
-        kinds["Gap"], kinds["CorruptFrame"], kinds["Resync"]
-    )
+    counts = (decoder.gaps, decoder.corrupt_frames, decoder.resyncs)
+    assert counts == (kinds["Gap"], kinds["CorruptFrame"], kinds["Resync"])
+    return counts
+
+
+def _frame(seq):
+    """A valid frame at seq, with a sync byte in its payload (its value)."""
+    return encode_frame(seq, Sample(10 * seq, SYNC_BYTE))
+
+
+def _value_1024(seq):
+    frame = bytearray(_frame(seq))
+    frame[6:8] = (ADC_MAX + 1).to_bytes(2, "big")
+    frame[8] = reduce(xor, frame[1:8])  # a valid check byte
+    return bytes(frame)
+
+
+# the decoder's small-scope tokens: each takes the next frame's seq and
+# gives its bytes and the seq after it; a partial frame comes only last
+_TOKENS = {
+    "next frame": lambda seq: (_frame(seq), seq + 1),
+    "seq jump": lambda seq: (_frame(seq + 2), seq + 3),
+    "bad check byte": lambda seq: (_frame(seq)[:8] + bytes([_frame(seq)[8] ^ 1]), seq + 1),
+    "value 1024": lambda seq: (_value_1024(seq), seq + 1),
+    "lone sync byte": lambda seq: (bytes([SYNC_BYTE]), seq),
+    "non-sync byte": lambda seq: (b"\0", seq),
+    "partial frame": lambda seq: (_frame(seq)[:5], seq),
+}
+
+
+def decoder_small_scope(max_tokens):
+    """Every stream of up to max_tokens of _TOKENS, fed whole and split into
+    two feeds at every byte, decodes as reference_frame_scan does, and each
+    split counts the gaps, corrupt frames and resyncs of the whole feed: an
+    exhaustive search finds every defect of its size, where random draws
+    only sample (Jackson, "Software Abstractions", MIT Press 2006).
+    Returns the number of streams checked."""
+    streams = 0
+    for size in range(max_tokens + 1):
+        for names in product(_TOKENS, repeat=size):
+            if "partial frame" in names[:-1]:
+                continue
+            parts, seq = [], 0
+            for name in names:
+                part, seq = _TOKENS[name](seq)
+                parts.append(part)
+            data = b"".join(parts)
+            whole = _assert_feed_matches_reference([data])
+            for cut in range(len(data) + 1):
+                assert _assert_feed_matches_reference([data[:cut], data[cut:]]) == whole, (names, cut)
+            streams += 1
+    return streams
+
+
+def test_every_stream_of_three_tokens_decodes_alike_at_every_split():
+    """The small-scope decoder check at 3 tokens: 1 + 7 + 6 * 7 + 6**2 * 7
+    streams. CI runs it at 4 tokens, in tests/larger_scope.py."""
+    assert decoder_small_scope(3) == 302
 
 
 @settings(max_examples=200)
@@ -463,9 +528,9 @@ def test_dense_damage_is_not_charged_a_bulk_pass_per_frame(monkeypatch):
     assert index.passes == len(chunks)
 
 
-def test_a_seq_jump_ends_a_bulk_pass(monkeypatch):
-    """A run stops at a frame whose seq jumps: that frame is a run of its
-    own, its Gap follows it, and the next run takes the rest of the feed."""
+def test_a_seq_jump_starts_a_bulk_pass(monkeypatch):
+    """A run stops before a frame whose seq jumps: its Gap comes first, and
+    that frame starts the next run, which takes the rest of the feed."""
     runs = []
     build = protocol._build
     monkeypatch.setattr(protocol, "_build",
@@ -474,8 +539,8 @@ def test_a_seq_jump_ends_a_bulk_pass(monkeypatch):
     decoder = FrameDecoder()
     got = [(type(o).__name__, *astuple(o)) for o in decoder.feed(data)]
     assert got == reference_frame_scan([data])
-    assert [i for i, o in enumerate(got) if o[0] == "Gap"] == [201]
-    assert runs == [200, 1, 199]
+    assert [i for i, o in enumerate(got) if o[0] == "Gap"] == [200]
+    assert runs == [200, 200]
 
 
 @pytest.mark.parametrize("size", [FRAME_LEN, 4096])
