@@ -8,8 +8,8 @@ integer ADC counts clamped to [0, 1023], deterministic for a fixed seed.
 All but the noise and the strays is built once per waveform shape and
 kept, so a sweep of seeds over one shape pays only for what calls differ in.
 
-A waveform CSV is columnar both ways: write_waveform formats and
-read_waveform parses it with numpy, a block of rows at a time.
+A waveform CSV is columnar both ways: numpy writes a block of rows as one
+byte matrix (write_waveform) and parses a block (read_waveform) at a time.
 """
 
 from __future__ import annotations
@@ -225,14 +225,11 @@ def _pulses(grid: np.ndarray, pulses: list) -> tuple[np.ndarray, np.ndarray]:
 
 _HEADER = "t_ms,value\n"
 
-# The writer formats this many rows at a time: each int64 temporary of a
-# block is 32 KB, under glibc's 128 KiB mmap threshold, so the heap a write
-# uses is kept for the next (see README).
+# The writer formats this many rows at a time: a block's byte matrix and mask
+# (up to 100 KiB each, at 25 bytes a row) and int64 quotient (32 KiB) stay under
+# glibc's 128 KiB mmap threshold, so the heap a write uses is kept (see README).
 _ROWS = 4096
-# a uint64 x has 1 + (the count of these at or below x) decimal digits; the
-# operands stay uint64, since numpy turns uint64 mixed with int64 into
-# float64, which miscounts times above 2**53
-_POWERS = np.array([10**k for k in range(1, 20)], np.uint64)
+_MARK = 0xFF  # a matrix cell left of a field's first digit: no digit, `,` or `\n`
 
 
 def write_waveform(samples: Sequence[Sample], path) -> None:
@@ -252,37 +249,28 @@ def _format_rows(t_ms: np.ndarray, value: np.ndarray) -> np.ndarray:
     """The bytes of the rows `t,v\\n` of two non-empty int64 columns of
     non-negative integers, as a uint8 array.
 
-    Each field's digit count places every row's `,` and `\\n` from a
-    cumulative sum of the row lengths. The digits are then written from
-    each field's last one up, one pass of x // 10 per position. Past
-    the block's shortest field, a field's position stops at the separator
-    before it, whose spare zeros the separators overwrite last."""
-    widths = [np.searchsorted(_POWERS, x.view(np.uint64), side="right") + 1 for x in (t_ms, value)]
-    lengths = widths[0] + widths[1] + 2
-    ends = np.cumsum(lengths)  # each row's `\n`, after buf[0], a spare byte
-    commas = ends - widths[1] - 1
-    buf = np.empty(ends[-1] + 1, np.uint8)
-    # a t_ms stops at the `\n` before its row (buf[0] for the first), a value at its `,`
-    for x, width, pos, stop in ((t_ms, widths[0], commas - 1, ends - lengths),
-                                (value, widths[1], ends - 1, commas)):
-        x, q = x.copy(), np.empty_like(x)
-        digit = np.empty(x.size, np.uint8)
-        shortest = width.min()
-        for k in range(width.max()):
-            if k:
-                pos -= 1
-                if k > shortest:
-                    np.maximum(pos, stop, out=pos)
+    Row i of one byte matrix is line i: a column per digit of the block's
+    widest t_ms, a `,`, a column per digit of its widest value, a `\\n`.
+    Each field's columns are filled from its last digit up, one pass of
+    x // 10 per column; past the first, a row whose x is 0 has no digit
+    left and gets _MARK. The bytes that are not _MARK, in row order, are
+    the lines."""
+    t_width, v_width = (len(str(x.max())) for x in (t_ms, value))
+    rows = np.empty((t_ms.size, t_width + v_width + 2), np.uint8)
+    for x, width, last in ((t_ms, t_width, t_width - 1), (value, v_width, -2)):
+        for k in range(width):
             # x // 10 by a scalar is a multiply and shift in numpy, ~4x
             # faster than np.divmod, whose remainder is a true division
-            np.floor_divide(x, 10, out=q)
-            np.subtract(x, q * 10, out=digit, casting="unsafe")
-            buf[pos] = digit
-            x, q = q, x
-    buf |= ord("0")
-    buf[commas] = ord(",")
-    buf[ends] = ord("\n")
-    return buf[1:]
+            q = x // 10
+            column = rows[:, last - k]
+            np.subtract(x, q * 10, out=column, casting="unsafe")
+            if k:
+                column[x == 0] = _MARK
+            x = q
+    rows |= ord("0")  # a digit d becomes its byte; _MARK stays
+    rows[:, t_width] = ord(",")
+    rows[:, -1] = ord("\n")
+    return rows[rows != _MARK]
 
 
 def read_waveform(path) -> SampleColumns:

@@ -460,6 +460,25 @@ class TestWaveformCsv:
         assert read_waveform(path) == samples
 
 
+def test_writer_block_heap_does_not_grow_with_the_file(tmp_path):
+    """write_waveform's traced peak is one block's temporaries: the same for
+    2 and 16 blocks of 19-digit times, and under 512 KiB, as README's claim
+    that each stays under glibc's 128 KiB mmap threshold needs."""
+    peaks = []
+    for n in 8192, 65536:
+        t = np.arange(n, dtype=np.int64)
+        columns = SampleColumns(t + 10**18, t % (ADC_MAX + 1))
+        tracemalloc.start()
+        try:
+            write_waveform(columns, tmp_path / "wide.csv")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # equal but for small objects: a whole-file array would add hundreds of KiB
+    assert abs(peaks[1] - peaks[0]) <= 16 * 1024, peaks
+    assert max(peaks) < 512 * 1024, peaks
+
+
 # t_ms of every digit count 1-19, up to 2**63 - 1
 _T_MS = st.integers(1, 19).flatmap(lambda w: st.integers(10 ** (w - 1) if w > 1 else 0, min(10**w, 2**63) - 1))
 
@@ -470,6 +489,7 @@ _T_MS = st.integers(1, 19).flatmap(lambda w: st.integers(10 ** (w - 1) if w > 1 
 @example(rows=[])
 @example(rows=[(0, 0)])
 @example(rows=[(2**63 - 1, 1023)])
+@example(rows=[(0, 0), (2**63 - 1, 1023)])  # 1 and 19 digits: 18 columns marked in one row, none in the next
 @example(rows=[(9, 9), (10, 10), (99, 99), (100, 100), (999, 999), (1000, 1000)])  # in one block
 def test_writer_equals_reference(tmp_path_factory, rows):
     """write_waveform writes the bytes of the row-at-a-time reference at any
