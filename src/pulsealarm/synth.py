@@ -277,11 +277,11 @@ def read_waveform(path) -> SampleColumns:
     """Read a waveform CSV back into sample columns, sample i from line i + 2.
 
     A canonical file, the header `t_ms,value` and then lines of 1-16 digits,
-    a comma and 1-16 digits, each ending in `\\n`, is parsed by numpy a block
-    of lines at a time, each field folded from one or two 64-bit words. Any
-    other file, or a canonical one with a refused row, is read by the line
-    parser, which raises the first line's WaveformParseError. An input that
-    cannot seek, such as a pipe, is read whole first."""
+    a comma and 1-16 digits, each ending in `\\n`, is parsed by numpy in one
+    pass, a block of lines at a time, each field folded from one or two
+    64-bit words. Any other file, or a canonical one with a refused row, is
+    read by the line parser, which raises the first line's WaveformParseError.
+    An input that cannot seek, such as a pipe, is read whole first."""
     with open(path, "rb") as f:
         data = f if f.seekable() else io.BytesIO(f.read())
         if (columns := _read_canonical(data)) is None:
@@ -335,19 +335,20 @@ def _gather(words: np.ndarray, q: np.ndarray, right: np.ndarray, left: np.ndarra
 
 
 def _read_canonical(f) -> Optional[SampleColumns]:
-    """The columns of the canonical CSV in the binary file f, if Sample
-    accepts its rows in strictly increasing time order, else None. 16
-    digits cannot overflow int64.
+    """The columns of the canonical CSV in the seekable binary file f, if
+    Sample accepts its rows in strictly increasing time order, else None.
+    16 digits cannot overflow int64.
 
-    Two passes read the file through one buffer of whole 64-bit words. The
-    first counts the rows and checks the final byte, so that the output is
-    allocated once, at its size. The second seeks back and parses blocks of
-    whole lines, each block's partial last line carried to the buffer's
-    front. A block is checked, then folded: each field is the digits in the
-    8 bytes before its separator, plus 10**8 times the 8 bytes before those
-    for a field of 9-16 digits; the _PAD bytes before the block keep both
-    in the buffer. Each of those words is gathered from the buffer's aligned
-    words, as numpy gathers from an unaligned view several times slower."""
+    One pass reads the file through one buffer of whole 64-bit words, into
+    one output sized from its length: a row is at least 4 bytes, so the
+    body holds at most length // 4 rows, and a file that grew past them is
+    refused. Blocks of whole lines are parsed, each block's partial last
+    line carried to the buffer's front. A block is checked, then folded:
+    each field is the digits in the 8 bytes before its separator, plus
+    10**8 times the 8 bytes before those for a field of 9-16 digits; the
+    _PAD bytes before the block keep both in the buffer. Each of those
+    words is gathered from the buffer's aligned words, as numpy gathers
+    from an unaligned view several times slower."""
     length = _PAD + max(_BLOCK, 34)  # 34: 16 digits, `,`, 16 digits, `\n`
     # whole words: a separator at byte i ends a word that spans aligned words
     # i // 8 - 1 and i // 8, so every word read lies in the buffer
@@ -355,18 +356,10 @@ def _read_canonical(f) -> Optional[SampleColumns]:
     raw = np.frombuffer(buf, np.uint8)
     words = raw.view("<u8")
     body = memoryview(buf)[_PAD:]
-    size = f.readinto(body)
-    if not buf.startswith(_HEADER.encode(), _PAD, _PAD + size):
+    if f.read(len(_HEADER)) != _HEADER.encode():
         return None
-    rows, last = -1, 0  # -1: the header's newline ends no row
-    while size:
-        # a row per newline, counted by numpy ~4x faster than bytearray.count
-        rows += np.count_nonzero(raw[_PAD : _PAD + size] == ord("\n"))
-        last = buf[_PAD + size - 1]
-        size = f.readinto(body)
-    if last != ord("\n"):
-        return None
-    out = np.empty((2, rows), np.int64)
+    cap = max(f.seek(0, io.SEEK_END) - len(_HEADER), 0) // 4
+    out = np.empty((2, cap), np.int64)
     f.seek(len(_HEADER))
     row = carry = 0
     while size := f.readinto(body[carry:]):
@@ -385,7 +378,7 @@ def _read_canonical(f) -> Optional[SampleColumns]:
         # and each field 1-16 digits, a span of 2-17
         if not (block.max() <= ord("9") and not ends.size % 2
                 and (block[ends].view("<u2") == ord(",") | ord("\n") << 8).all()
-                and 2 <= spans.min() and (widest := spans.max()) <= 17 and row + n <= rows):
+                and 2 <= spans.min() and (widest := spans.max()) <= 17 and row + n <= cap):
             return None
         # a field's word, the 8 bytes before its separator at buffer byte
         # _PAD + e, starts right // 8 = e % 8 bytes into words[1:][e // 8], as
@@ -405,10 +398,10 @@ def _read_canonical(f) -> Optional[SampleColumns]:
         out[1, row : row + n] = fields[1::2]
         row += n
         buf[_PAD : _PAD + carry] = buf[stop:end]
-    if carry or row != rows:  # a line longer than the buffer, or a file that changed
+    if carry:  # no final newline, or a line longer than the buffer
         return None
     try:
-        columns = SampleColumns._own(out[0], out[1])
+        columns = SampleColumns._own(out[0, :row], out[1, :row])
     except ValueError:  # a value above the ADC range
         return None
     t = columns.t_ms

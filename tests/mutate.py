@@ -5,6 +5,7 @@
 For example:
 
     python tests/mutate.py synth._format_rows -- tests/test_synth.py -k "writer or Csv"
+    python tests/mutate.py synth._read_canonical -- tests/test_synth.py -k "Csv or numpy_path or fifo"
     python tests/mutate.py protocol.FrameDecoder.feed -- tests/test_protocol.py
 
 Each function is named inside `src/pulsealarm`, a method by its class. Its
@@ -51,6 +52,19 @@ EQUIVALENT = {
     " & (x[8 : 8 + n] == x[:n]): 8 -> 9 #3":
         "x has len(buf) = 8 + n entries when n > 0, and fewer than 9 when n is 0,"
         " so the slice end 9 + n clips to the same entries",
+    "synth._read_canonical: length = _PAD + max(_BLOCK, 34)  # 34: 16 digits, `,`, 16 digits,"
+    " `\\n`: 34 -> 35":
+        "_PAD + 35 = 51 rounds up to the same 56-byte buffer of whole words as 50 does,"
+        " and any _BLOCK above 34 is the max either way",
+    "synth._read_canonical: cap = max(f.seek(0, io.SEEK_END) - len(_HEADER), 0) // 4:"
+    " 0 -> 1 #2":
+        "the max applies only to a file no longer than the header, and 1 // 4 is 0 // 4",
+    "synth._read_canonical: out = np.empty((2, cap), np.int64): 2 -> 3":
+        "a third row of out is never written or read",
+    "synth._read_canonical: if widest > 9:  # a field of 1-8 digits, a span of 2-9, masks"
+    " its high word to 0: > -> >=":
+        "at a widest span of 9 every high word is masked by _MASK[1] or below, all 0,"
+        " so it adds 0",
 }
 
 _SWAPS = {

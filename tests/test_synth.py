@@ -420,15 +420,65 @@ class TestWaveformCsv:
         with pytest.raises(WaveformParseError, match=message):
             read_waveform(path)
 
-    @pytest.mark.parametrize("after", [b"t_ms,value\n0,5\n10,6\n20,7\n", b"t_ms,value\n0,5\n",
-                                       b"t_ms,value\n0,5\n10,6\n20,7"], ids=["grown", "shrunk", "no-newline"])
-    def test_a_file_changed_between_the_passes_leaves_the_numpy_path(self, after):
+    @pytest.mark.parametrize("before, after, numpy_path", [
+        # 7 bytes hold 1 row of at least 4 bytes, not 2
+        (b"t_ms,value\n100,50\n", b"t_ms,value\n100,50\n110,51\n", False),
+        (b"t_ms,value\n0,5\n10,6\n", b"t_ms,value\n0,5\n", True),
+        (b"t_ms,value\n0,5\n10,6\n", b"t_ms,value\n0,5\n10,6\n20,7", False),
+    ], ids=["grown", "shrunk", "no-newline"])
+    def test_a_file_changed_after_it_was_sized(self, monkeypatch, before, after, numpy_path):
+        """The reader sizes its output from before's length, then reads
+        after's bytes: read as they then are while their rows fit, else by
+        the line parser, with no error of the numpy path's own."""
         class Changed(io.BytesIO):
-            def seek(self, *args):  # the second pass reads other bytes
-                self.__init__(after)
-                return super().seek(*args)
+            def seek(self, offset, whence=io.SEEK_SET):
+                position = super().seek(offset, whence)
+                if whence == io.SEEK_END:
+                    self.__init__(after)
+                return position
 
-        assert _read_canonical(Changed(b"t_ms,value\n0,5\n10,6\n")) is None
+        expected = SampleColumns.of(_read_waveform_lines(after))
+        columns = _read_canonical(Changed(before))
+        assert columns == (expected if numpy_path else None)
+        monkeypatch.setattr(synth, "open", lambda path, mode: Changed(before), raising=False)
+        assert read_waveform("changed.csv") == expected
+
+    def test_rows_of_four_bytes_fill_the_bound_on_the_numpy_path(self):
+        data = b"t_ms,value\n" + b"".join(b"%d,%d\n" % (k, k) for k in range(10))
+        columns = _read_canonical(io.BytesIO(data))
+        assert columns == SampleColumns(np.arange(10), np.arange(10))
+
+    def test_a_source_of_length_zero_reads_through_the_line_parser(self, monkeypatch):
+        """A procfs file can seek, but its end is at 0 whatever it holds."""
+        class Procfs(io.BytesIO):
+            def seek(self, offset, whence=io.SEEK_SET):
+                position = super().seek(offset, whence)
+                return 0 if whence == io.SEEK_END else position
+
+        data = b"t_ms,value\n0,5\n10,6\n"
+        assert _read_canonical(Procfs(data)) is None
+        monkeypatch.setattr(synth, "open", lambda path, mode: Procfs(data), raising=False)
+        assert read_waveform("/proc/wave.csv") == [Sample(0, 5), Sample(10, 6)]
+
+    def test_the_numpy_path_reads_each_byte_once(self):
+        class Counted(io.BytesIO):
+            handed_out = 0
+
+            def read(self, size=-1):
+                data = super().read(size)
+                self.handed_out += len(data)
+                return data
+
+            def readinto(self, buffer):
+                n = super().readinto(buffer)
+                self.handed_out += n
+                return n
+
+        data = GOLDEN_CSV.read_bytes()
+        f = Counted(data)
+        with mock.patch.object(synth, "_BLOCK", 1024):  # a dozen blocks
+            assert _read_canonical(f) is not None
+        assert f.handed_out == len(data)
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["numpy-path", "line-parser"])
     def test_columns_built_are_read_only_int64(self, tmp_path, newline):
