@@ -79,17 +79,15 @@ _COUNTS = np.array(range(ADC_MAX + 1), dtype=object)
 
 
 def _build(cls, *columns) -> list:
-    """The instances of a slotted dataclass whose fields, in order, hold the
-    items of columns, built one field at a time in loops that run in C
-    through the slots' setters, past frozen. It runs neither cls's __init__
-    nor its check, so every row must already pass that check.
-
-    Both loops are starmap, not map: map packs a fresh argument tuple for
-    every call of object.__new__ or a setter, while starmap passes the one
-    (cls,) tuple each time and zip hands back the tuple it reuses. _SINK
-    runs each setter loop to its end without a new deque per call."""
+    """The instances of a slotted dataclass whose fields, in __match_args__
+    order (a base class's first), hold the items of columns, set a field at
+    a time through the slots' setters, past frozen, in loops that run in C.
+    It runs neither __init__ nor the check: every row must pass it already.
+    Both loops are starmap, not map, which packs a fresh argument tuple per
+    call of object.__new__ or a setter: starmap passes the one (cls,) tuple
+    and zip hands back the tuple it reuses. _SINK runs each setter loop out."""
     objs = list(starmap(object.__new__, repeat((cls,), len(columns[0]))))
-    for name, column in zip(cls.__slots__, columns):
+    for name, column in zip(cls.__match_args__, columns):
         _SINK.extend(starmap(getattr(cls, name).__set__, zip(objs, column)))
     return objs
 

@@ -4,9 +4,8 @@ device's serial-monitor listing (one reading per line with its status).
 
 Pipeline.push_chunk takes a block of SampleColumns in one detector scan,
 so Python runs once per beat, not per sample; run_pipeline is one call of
-it. Pipeline.push takes one Sample, for a caller that gets samples one at
-a time. StreamSession is `serve`'s receive loop: bytes in, through a
-FrameDecoder, one push per decoded frame."""
+it. Pipeline.push takes one Sample; StreamSession, `serve`'s receive loop,
+pushes each frame a FrameDecoder decodes, itself a Sample."""
 
 from __future__ import annotations
 
@@ -115,11 +114,10 @@ class Pipeline:
     drives a rate reading. A sample drives a clock tick only once its time
     reaches the engine's deadline (next_tick_ms), because no earlier tick
     can change the state; the transitions are those of ticking every sample.
-    push_chunk is the block step. push stays as the one-sample step for
-    StreamSession, which pushes the decoder's one outcome per frame: a
-    one-sample chunk costs far more in numpy set-up (README gives the
-    timings). Both fill one RunReport as they go, which report() copies
-    with the engine's phase.
+    push_chunk is the block step; push, the one-sample step, is
+    StreamSession's, for the decoder's one object per frame: a one-sample
+    chunk costs far more in numpy set-up (README gives the timings). Both
+    fill one RunReport as they go, which report() copies with the phase.
     """
 
     def __init__(
@@ -199,7 +197,7 @@ class Pipeline:
 class StreamSession:
     """`serve`'s receive loop on one connection, without the socket: a
     FrameDecoder and a Pipeline taking Pipeline's arguments. receive pushes
-    each decoded frame's sample; a sample whose time does not advance (a
+    each decoded frame, a Sample; one whose time does not advance (a
     duplicated or reordered frame) is dropped and counted in `dropped`
     instead of ending the stream. report() carries the decoder's counts."""
 
@@ -213,7 +211,7 @@ class StreamSession:
         for outcome in self._decoder.feed(data):
             if isinstance(outcome, SampleOutcome):
                 try:
-                    push(outcome.sample)
+                    push(outcome)
                 except StreamOrderError:
                     self.dropped += 1
 

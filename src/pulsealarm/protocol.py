@@ -12,11 +12,9 @@ The sync byte may legitimately occur inside payloads; the checksum, not
 byte-stuffing, disambiguates. A frame is corrupt when its checksum fails
 or its value is above ADC_MAX (1023), which Sample refuses. The decoder is
 total over arbitrary input: corruption surfaces as outcomes, never
-exceptions, and parsing resumes at the next plausible sync byte.
-
+exceptions, and parsing resumes at the next plausible sync byte. A valid
+frame is one object, a SampleOutcome: a Sample with the frame's seq.
 One record layout, _WIRE, states the frame for the encoder and the decoder.
-The decoder has one path, in two stages (see FrameDecoder), at a fixed
-cost per feed however few frames the buffer holds (README gives its timing).
 """
 
 from __future__ import annotations
@@ -38,9 +36,14 @@ FRAME_LEN = _WIRE.itemsize  # 9
 
 
 @dataclass(frozen=True, slots=True)
-class SampleOutcome:
+class SampleOutcome(Sample):
+    """A valid frame: a Sample, checked as one, and the seq it came with."""
+
     seq: int
-    sample: Sample
+
+    @property
+    def sample(self) -> Sample:  # the frame itself: perfbench's Session still reads .sample
+        return self
 
 
 @dataclass(frozen=True, slots=True)
@@ -78,13 +81,14 @@ class FrameDecoder:
     resyncs (serve's), depend only on the bytes fed, not on their split.
 
     feed decodes in two stages, as Langdale and Lemire parse JSON ("Parsing
-    Gigabytes of JSON per Second", VLDB J. 2019). Stage 1 indexes the
-    buffer once, in numpy: valid[i] where offset i starts a whole frame that
-    passes its checks, and link[i] where the frame FRAME_LEN bytes on is
-    valid too and its seq is one more. Stage 2 walks the buffer one step
+    Gigabytes of JSON per Second", VLDB J. 2019), at a fixed cost per call
+    however few frames it holds (README gives the timing). Stage 1 indexes
+    the buffer once, in numpy: valid[i] where offset i starts a whole frame
+    that passes its checks, and link[i] where the frame FRAME_LEN bytes on
+    is valid too and its seq is one more. Stage 2 walks the buffer one step
     per break: bytes.find to the next sync byte (a Resync), one byte past a
     sync byte that leads no valid frame (a CorruptFrame), or a run of linked
-    frames, a Gap first if its seq jumps, whose outcomes _build makes.
+    frames, a Gap first if its seq jumps, built by one _build call.
     """
 
     def __init__(self):
@@ -126,8 +130,8 @@ class FrameDecoder:
             k = 1 + int(link[i::FRAME_LEN].argmin())
             # a valid frame passes Sample's check: its t_ms is unsigned, its value <= ADC_MAX
             frames = np.frombuffer(buf, _WIRE, k, i)
-            rows = _build(Sample, frames["t_ms"].tolist(), _COUNTS.take(frames["value"]).tolist())
-            out.extend(_build(SampleOutcome, frames["seq"].tolist(), rows))
+            out.extend(_build(SampleOutcome, frames["t_ms"].tolist(),
+                              _COUNTS.take(frames["value"]).tolist(), frames["seq"].tolist()))
             i += k * FRAME_LEN
             self._last_seq = buf[i - FRAME_LEN + 1]
         self._buf = buf[i:]

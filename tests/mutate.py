@@ -6,7 +6,7 @@ For example:
 
     python tests/mutate.py synth._format_rows -- tests/test_synth.py -k "writer or Csv"
     python tests/mutate.py synth._read_canonical -- tests/test_synth.py -k "Csv or numpy_path or fifo"
-    python tests/mutate.py protocol.FrameDecoder.feed -- tests/test_protocol.py
+    python tests/mutate.py protocol.FrameDecoder.feed detector._build -- tests/test_protocol.py -k "three_tokens or exact_objects or seq_jump"
 
 Each function is named inside `src/pulsealarm`, a method by its class. Its
 mutants are small changes to its body, made with the stdlib `ast` module:
@@ -20,7 +20,9 @@ mutants are small changes to its body, made with the stdlib `ast` module:
 
 `src/` and `tests/` are copied to a temporary directory. Each mutant is
 spliced, as `ast.unparse` writes the changed function, into its module's
-copy, and pytest runs PYTEST_ARGS there with `-x` and a timeout. A mutant
+copy, and pytest runs PYTEST_ARGS there with `-x` and a timeout, in a
+fork of this process: it imports pytest and hypothesis once, and each fork
+imports `pulsealarm` and the tests from the copy afresh. A mutant
 is killed when pytest fails, timed out when it runs past the timeout, and
 survives when every test passes. A mutant listed in EQUIVALENT is not run:
 it cannot change what the function does. The exit status is 1 when a
@@ -32,15 +34,20 @@ from __future__ import annotations
 
 import ast
 import copy
+import math
 import os
 import shutil
 import signal
-import subprocess
 import sys
 import tempfile
 import textwrap
 import time
 from pathlib import Path
+
+# imported once here, not in every fork; neither starts a thread, so this
+# process can fork safely (numpy, which starts threads, is left to the forks)
+import hypothesis  # noqa: F401
+import pytest
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -52,6 +59,10 @@ EQUIVALENT = {
     " & (x[8 : 8 + n] == x[:n]): 8 -> 9 #3":
         "x has len(buf) = 8 + n entries when n > 0, and fewer than 9 when n is 0,"
         " so the slice end 9 + n clips to the same entries",
+    "detector._build: objs = list(starmap(object.__new__, repeat((cls,), len(columns[0])))):"
+    " 0 -> 1":
+        "every caller passes one item per row in each column, so the first column and the"
+        " second hold as many items",
     "synth._read_canonical: length = _PAD + max(_BLOCK, 34)  # 34: 16 digits, `,`, 16 digits,"
     " `\\n`: 34 -> 35":
         "_PAD + 35 = 51 rounds up to the same 56-byte buffer of whole words as 50 does,"
@@ -152,17 +163,35 @@ class _Replace(ast.NodeTransformer):
 
 
 def _pytest(workdir: Path, args: list[str], timeout: float | None) -> int | None:
-    """pytest's exit status in workdir, or None past the timeout."""
-    env = dict(os.environ, PYTHONPATH=str(workdir / "src"), PYTHONDONTWRITEBYTECODE="1")
-    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *args]
-    process = subprocess.Popen(command, cwd=workdir, env=env, stdout=subprocess.DEVNULL,
-                               stderr=subprocess.DEVNULL, start_new_session=True)
-    try:
-        return process.wait(timeout)
-    except subprocess.TimeoutExpired:
-        os.killpg(process.pid, signal.SIGKILL)
-        process.wait()
-        return None
+    """pytest's exit status in workdir, or None past the timeout. pytest
+    runs in a fork, as `python -m pytest` would run in workdir with the
+    copy of src/ on PYTHONPATH; the fork leads a process group of its own,
+    so a timeout also kills the processes its tests started."""
+    pid = os.fork()
+    if pid == 0:  # the fork: it never returns, and os._exit skips the parent's cleanup
+        status = 3
+        try:
+            os.setsid()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, 1)
+            os.dup2(devnull, 2)
+            os.chdir(workdir)
+            os.environ.update(PYTHONPATH=str(workdir / "src"), PYTHONDONTWRITEBYTECODE="1")
+            sys.dont_write_bytecode = True
+            sys.path[0:1] = [str(workdir), str(workdir / "src")]
+            status = int(pytest.main(["-x", "-q", "-p", "no:cacheprovider", *args]))
+        finally:
+            os._exit(status)
+    deadline = math.inf if timeout is None else time.monotonic() + timeout
+    while True:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            return os.waitstatus_to_exitcode(status)
+        if time.monotonic() > deadline:
+            os.killpg(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            return None
+        time.sleep(0.01)
 
 
 def main(argv: list[str]) -> int:

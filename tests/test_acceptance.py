@@ -284,7 +284,7 @@ def test_criterion_8_protocol_totality_and_round_trip():
         t += rng.randrange(1, 1000)
         samples.append(Sample(t, rng.randrange(0, 1024)))
     outcomes = FrameDecoder().feed(encode_stream(samples))
-    got = [o.sample for o in outcomes if isinstance(o, SampleOutcome)]
+    got = [Sample(o.t_ms, o.value) for o in outcomes if isinstance(o, SampleOutcome)]
     if got != samples:
         ok = False
     if any(isinstance(o, (CorruptFrame, Gap)) for o in outcomes):

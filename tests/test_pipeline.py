@@ -14,12 +14,14 @@ from pulsealarm import (
     BpmStatus,
     ClockTick,
     EngineConfig,
+    FrameDecoder,
     LogTransition,
     Phase,
     Pipeline,
     RunReport,
     Sample,
     SampleColumns,
+    SampleOutcome,
     SchmittConfig,
     StrayPulse,
     StreamOrderError,
@@ -229,6 +231,34 @@ def test_stream_session_report_is_the_same_for_any_receive_size():
             session.receive(data[i : i + size])
         assert session.dropped == 1
         assert session.report() == replace(expected, gap_count=1, resync_count=1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    bounds=st.lists(st.integers(0, len(DEADLINE_SAMPLES)), min_size=2, max_size=2).map(sorted),
+    start_seq=st.integers(0, 255),
+    size=st.sampled_from([9, 100, 4096]),
+    alarm_time=st.sampled_from(BEAT_TIMES) | st.integers(-100, LAST_T + 100),
+    streak=st.integers(1, 3),
+)
+@example(bounds=[0, len(DEADLINE_SAMPLES)], start_seq=0, size=4096, alarm_time=BEAT_TIMES[4],
+         streak=1)
+def test_decoded_frames_push_as_their_samples(bounds, start_seq, size, alarm_time, streak):
+    """A decoded frame is a Sample: pushing a stream's frames, decoded in
+    receives of any size, writes byte for byte the report that pushing the
+    Samples it encodes writes."""
+    a, b = bounds
+    samples = DEADLINE_SAMPLES[a:b]
+    data = encode_stream(samples, start_seq)
+    decoder = FrameDecoder()
+    frames = [o for i in range(0, len(data), size) for o in decoder.feed(data[i : i + size])]
+    by_frame, by_sample = _pipeline(alarm_time, streak), _pipeline(alarm_time, streak)
+    for frame in frames:
+        by_frame.push(frame)
+    for sample in samples:
+        by_sample.push(sample)
+    assert all(type(frame) is SampleOutcome for frame in frames)
+    assert by_frame.report().to_jsonl() == by_sample.report().to_jsonl()
 
 
 def test_numpy_integer_samples_give_push_chunks_report():

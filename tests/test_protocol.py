@@ -88,7 +88,7 @@ class TestFeed:
         data = encode_stream(self.frames(3))
         outcomes = FrameDecoder().feed(data)
         assert [o for o in outcomes if isinstance(o, SampleOutcome)] == [
-            SampleOutcome(i, s) for i, s in enumerate(self.frames(3))
+            SampleOutcome(s.t_ms, s.value, i) for i, s in enumerate(self.frames(3))
         ]
         assert not any(isinstance(o, (Gap, CorruptFrame, Resync)) for o in outcomes)
 
@@ -114,7 +114,7 @@ class TestFeed:
         assert decoder.feed(garbage) == []
         assert decoder.resyncs == 0
         assert decoder.feed(encode_frame(0, Sample(5, 6))) == [Resync(len(garbage)),
-                                                               SampleOutcome(0, Sample(5, 6))]
+                                                               SampleOutcome(5, 6, 0)]
         assert decoder.resyncs == 1
 
     def test_partial_frames_buffer_across_calls(self):
@@ -134,8 +134,8 @@ class TestFeed:
         raw[17] = reduce(xor, raw[10:17])  # its checksum, still valid
         outcomes = FrameDecoder().feed(bytes(raw))
         assert outcomes == [
-            SampleOutcome(0, samples[0]), CorruptFrame(), Resync(8), Gap(),
-            SampleOutcome(2, samples[2]),
+            SampleOutcome(samples[0].t_ms, samples[0].value, 0), CorruptFrame(), Resync(8), Gap(),
+            SampleOutcome(samples[2].t_ms, samples[2].value, 2),
         ]
 
     def test_seq_wraps_mod_256(self):
@@ -153,8 +153,20 @@ class TestFeed:
                          for _ in range(rng.randrange(0, 5)))
             chunks.append(junk)
         outcomes = FrameDecoder().feed(b"".join(chunks))
-        got = [o.sample for o in outcomes if isinstance(o, SampleOutcome)]
-        assert got == samples
+        assert _samples_of(outcomes) == samples
+
+
+def _samples_of(outcomes):
+    """The Samples of the frames among outcomes, built by Sample itself."""
+    return [Sample(o.t_ms, o.value) for o in outcomes if isinstance(o, SampleOutcome)]
+
+
+def _as_reference(outcome):
+    """outcome as reference_frame_scan writes it: a frame as ("SampleOutcome",
+    seq, (t_ms, value)), a break marker as its type's name and its fields."""
+    if isinstance(outcome, SampleOutcome):
+        return ("SampleOutcome", outcome.seq, (outcome.t_ms, outcome.value))
+    return (type(outcome).__name__, *astuple(outcome))
 
 
 def _assert_feed_matches_reference(chunks):
@@ -162,7 +174,7 @@ def _assert_feed_matches_reference(chunks):
     outcomes, and counts its gaps, corrupt frames and resyncs; returns
     those three counts."""
     decoder = FrameDecoder()
-    got = [(type(o).__name__, *astuple(o)) for chunk in chunks for o in decoder.feed(chunk)]
+    got = [_as_reference(o) for chunk in chunks for o in decoder.feed(chunk)]
     expected = reference_frame_scan(chunks)
     assert got == expected
     kinds = Counter(outcome[0] for outcome in expected)
@@ -252,7 +264,7 @@ def test_feed_total_over_arbitrary_bytes(data):
 def test_round_trip_identity(start_seq, specs):
     samples = [Sample(t, v) for t, v in specs]
     outcomes = FrameDecoder().feed(encode_stream(samples, start_seq))
-    assert [o.sample for o in outcomes if isinstance(o, SampleOutcome)] == samples
+    assert _samples_of(outcomes) == samples
     assert not any(isinstance(o, (CorruptFrame, Resync)) for o in outcomes)
 
 
@@ -371,8 +383,7 @@ class TestReplayFile:
         data = b"".join(chunks)
         assert len(data) == 9 * 1000
         outcomes = FrameDecoder().feed(data)
-        got = [o.sample for o in outcomes if isinstance(o, SampleOutcome)]
-        assert got == samples
+        assert _samples_of(outcomes) == samples
         assert not any(isinstance(o, Gap) for o in outcomes)
 
     def test_paced_at_recorded_intervals(self, tmp_path, monkeypatch):
@@ -534,20 +545,21 @@ def test_a_seq_jump_starts_a_bulk_pass(monkeypatch):
     runs = []
     build = protocol._build
     monkeypatch.setattr(protocol, "_build",
-                        lambda cls, *cols: (cls is Sample and runs.append(len(cols[0]))) or build(cls, *cols))
+                        lambda cls, *cols: runs.append((cls, len(cols[0]))) or build(cls, *cols))
     data = encode_stream(_RUN[:200]) + encode_stream(_RUN[200:], start_seq=50)
     decoder = FrameDecoder()
-    got = [(type(o).__name__, *astuple(o)) for o in decoder.feed(data)]
+    got = [_as_reference(o) for o in decoder.feed(data)]
     assert got == reference_frame_scan([data])
     assert [i for i, o in enumerate(got) if o[0] == "Gap"] == [200]
-    assert runs == [200, 200]
+    assert runs == [(SampleOutcome, 200), (SampleOutcome, 200)]  # one _build per run
 
 
 @pytest.mark.parametrize("size", [FRAME_LEN, 4096])
 def test_feed_outcomes_are_exact_objects(size):
-    """feed builds its SampleOutcomes and their Samples without running
-    their constructors; each is still exactly what the constructors build:
-    of its own type, with int fields, equal, hashed alike and frozen."""
+    """feed builds its SampleOutcomes without running their constructor;
+    each is still exactly what the constructor builds: a SampleOutcome, so
+    a Sample, its own sample, with int fields, equal, hashed alike and
+    frozen."""
     rng = random.Random(22)
     samples = [Sample(rng.randrange(2**32), rng.randrange(ADC_MAX + 1)) for _ in range(2000)]
     data = encode_stream(samples, start_seq=100)
@@ -555,14 +567,30 @@ def test_feed_outcomes_are_exact_objects(size):
     got = [o for i in range(0, len(data), size) for o in decoder.feed(data[i : i + size])]
     assert len(got) == len(samples)
     for i, (outcome, sample) in enumerate(zip(got, samples)):
-        expected = SampleOutcome((100 + i) % 256, Sample(sample.t_ms, sample.value))
-        assert type(outcome) is SampleOutcome and type(outcome.sample) is Sample
-        assert type(outcome.seq) is type(outcome.sample.t_ms) is type(outcome.sample.value) is int
+        expected = SampleOutcome(sample.t_ms, sample.value, (100 + i) % 256)
+        assert type(outcome) is SampleOutcome and isinstance(outcome, Sample)
+        assert outcome.sample is outcome
+        assert type(outcome.t_ms) is type(outcome.value) is type(outcome.seq) is int
         assert outcome == expected and hash(outcome) == hash(expected)
-        for obj, name in [(outcome, "seq"), (outcome, "sample"), (outcome.sample, "t_ms"),
-                          (outcome.sample, "value")]:
+        for name in ("t_ms", "value", "seq"):
             with pytest.raises(FrozenInstanceError):
-                setattr(obj, name, 0)
+                setattr(outcome, name, 0)
+
+
+@pytest.mark.parametrize("t_ms, value", [(0, ADC_MAX + 1), (-1, 0), (0, 5.0)],
+                         ids=["value-1024", "negative-t_ms", "float"])
+def test_sample_outcome_refuses_what_sample_refuses(t_ms, value):
+    """SampleOutcome's constructor runs Sample's check, with its message."""
+    with pytest.raises(ValueError) as refused:
+        Sample(t_ms, value)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(refused.value))}$"):
+        SampleOutcome(t_ms, value, 0)
+
+
+def test_a_frame_does_not_equal_a_bare_sample():
+    assert Sample(5, 6) != SampleOutcome(5, 6, 0)
+    assert SampleOutcome(5, 6, 0) != Sample(5, 6)
+    assert SampleOutcome(5, 6, 0) != SampleOutcome(5, 6, 1)
 
 
 @pytest.mark.parametrize("start_seq", [-1, 256, 300])
